@@ -1,21 +1,18 @@
-"""Scaling bench: the incremental engine vs the seed's full-rescan loop.
+"""Scaling bench: warm constraint sweeps and parallel grids.
 
-The seed engine rescanned every block's cost after every kernel move and
-restarted the greedy loop from scratch for every constraint of a sweep.
-The incremental engine applies an O(1) delta per move and warm-starts
-each constraint from the cached trajectory, so a (constraints × moves)
-sweep touches each block's cost O(1) times instead of O(moves) times.
-
-This bench runs both modes over a 120-block synthetic workload, checks
-they produce identical results, and asserts the headline claim: >= 5x
-fewer block-cost evaluations (measured: >100x).  The slow (opt-in) bench
-additionally fans a full design-space grid out across worker processes.
+The engine prices every block once into a packed table and warm-starts
+each constraint of a sweep from the cached greedy trajectory, so a
+(constraints × moves) sweep touches each block's cost O(1) times.  This
+bench times a warm 6-constraint sweep over a 120-block synthetic
+workload and checks that extra constraints add no pricing work; the
+slow (opt-in) bench fans a full design-space grid out across worker
+processes.
 """
 
 import pytest
 
 from repro.explore import DesignSpace, WorkloadSpec, explore
-from repro.partition import EngineConfig, PartitioningEngine
+from repro.partition import PartitioningEngine
 from repro.platform import paper_platform
 from repro.reporting import render_exploration
 from repro.workloads import synthetic_application
@@ -28,18 +25,6 @@ def big_synthetic():
     return synthetic_application(120, seed=7, comm_intensity=0.6)
 
 
-def _sweep(workload, incremental):
-    engine = PartitioningEngine(
-        workload,
-        paper_platform(3000, 2),
-        config=EngineConfig(incremental=incremental),
-    )
-    initial = engine.initial_cycles()
-    constraints = [max(1, round(initial * f)) for f in CONSTRAINT_FRACTIONS]
-    results = engine.sweep(constraints)
-    return results, engine.stats
-
-
 def test_incremental_sweep_speed(benchmark, big_synthetic):
     """Wall-clock of a warm 6-constraint sweep on 120 blocks."""
     engine = PartitioningEngine(big_synthetic, paper_platform(3000, 2))
@@ -49,40 +34,6 @@ def test_incremental_sweep_speed(benchmark, big_synthetic):
 
     results = benchmark(engine.sweep, constraints)
     assert len(results) == len(constraints)
-
-
-def test_block_cost_evaluation_scaling(big_synthetic, capsys):
-    """The acceptance claim: >= 5x fewer per-block cost consultations
-    than the seed's full-rescan aggregation on a 100+-block synthetic
-    sweep, with bit-identical results.
-
-    Measured on ``contribution_lookups`` (every time the aggregation
-    consults the model): ``block_cost_evaluations`` now counts only
-    contributions actually *computed* — cache hits no longer inflate
-    it — so both modes compute each block exactly once and the rescan
-    blow-up is visible purely in lookups.
-    """
-    incremental_results, incremental_stats = _sweep(big_synthetic, True)
-    rescan_results, rescan_stats = _sweep(big_synthetic, False)
-
-    assert incremental_results == rescan_results
-    assert (
-        rescan_stats.block_cost_evaluations
-        == incremental_stats.block_cost_evaluations
-    )
-    ratio = (
-        rescan_stats.contribution_lookups
-        / incremental_stats.contribution_lookups
-    )
-    with capsys.disabled():
-        print(
-            f"\n  120-block sweep x {len(CONSTRAINT_FRACTIONS)} constraints: "
-            f"full-rescan {rescan_stats.contribution_lookups} lookups, "
-            f"incremental {incremental_stats.contribution_lookups} "
-            f"({ratio:.1f}x fewer; both computed "
-            f"{incremental_stats.block_cost_evaluations} contributions)"
-        )
-    assert ratio >= 5.0
 
 
 def test_warm_start_adds_no_evaluations(big_synthetic):

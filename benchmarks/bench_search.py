@@ -1,30 +1,28 @@
 """Search-algorithm bench: quality of the heuristics AND throughput of
-the packed substrate.
+the packed cost tables.
 
-Two claims are asserted here and recorded in ``BENCH_search.json`` at
-the repo root (uploaded as a CI artifact):
+The claims below are asserted here and recorded in ``BENCH_search.json``
+at the repo root (uploaded as a CI artifact):
 
-**Quality** (the PR 3 acceptance, unchanged): on skewed workloads where
-the Eq. 1 weight order misleads a budgeted greedy, ``annealing`` and
-``multi_start`` strictly beat greedy and recover the ``exhaustive``
-optimum, and the protocol greedy stays bit-identical to the engine.
+**Quality**: on skewed workloads where the Eq. 1 weight order misleads a
+budgeted greedy, ``annealing`` and ``multi_start`` strictly beat greedy
+and recover the ``exhaustive`` optimum, and the protocol greedy stays
+bit-identical to the engine.
 
-**Throughput** (this PR's acceptance): every algorithm evaluates
-configurations on the packed cost-table substrate at ≥ 10× the
+**Throughput**: every algorithm evaluates configurations at ≥ 10× the
 configs/second the committed pre-packed baseline recorded
 (``COMMITTED_CONFIGS_PER_SECOND`` below, the numbers shipped in
-``BENCH_search.json`` before the packed substrate landed), and on a
-16-kernel enumeration (65,536 subsets, ``max_candidates=20``) the
-packed Gray-code walk is ≥ 10× faster than the object-substrate DFS
-while certifying the *same* optimum — identical ``final_cycles``,
-``moved_bb_ids`` and Pareto fronts.
+``BENCH_search.json`` before the packed tables landed).
+
+**Exact search**: the sharded Gray walk and branch-and-bound reproduce
+the serial enumeration bit-identically, and B&B certifies a 34-kernel
+space against the analytic optimum.
 
 Timing methodology: pricing (block mapping) is warmed before the timer
-starts — ``initial_cycles()`` prices every block on either substrate —
-so configs/second measures configuration *evaluation*, not DFG
-scheduling; each measurement is the best of ``REPEATS`` fresh
-partitioners (packed ones share one injected table, which is exactly
-how the explore/suite layers run).
+starts — ``initial_cycles()`` prices every block — so configs/second
+measures configuration *evaluation*, not DFG scheduling; each
+measurement is the best of ``REPEATS`` fresh partitioners sharing one
+injected table, which is exactly how the explore/suite layers run.
 """
 
 import json
@@ -57,8 +55,8 @@ SPECS = (
 )
 
 #: configs/second recorded in the committed BENCH_search.json *before*
-#: the packed substrate (object CostState pricing, cold models) — the
-#: floor the ≥ 10× acceptance claim is measured against.
+#: the packed tables (object-model pricing, cold models) — the floor
+#: the ≥ 10× acceptance claim is measured against.
 COMMITTED_CONFIGS_PER_SECOND = {
     "skewed-handmade": {
         "greedy": 551,
@@ -121,12 +119,12 @@ SCENARIOS = {
 }
 
 
-def _measure(spec, workload, platform, config_kwargs, substrate, table):
+def _measure(spec, workload, platform, config_kwargs, table):
     """(partitioner after one run, best-of-REPEATS search seconds).
 
-    Pricing is excluded: ``initial_cycles()`` warms every block cost
-    (and the packed table) before the timer starts; each repeat uses a
-    fresh partitioner so no repeat replays another's cached search.
+    Pricing is excluded: the injected table is priced before the timer
+    starts; each repeat uses a fresh partitioner so no repeat replays
+    another's cached search.
     """
     best_seconds = None
     partitioner = None
@@ -135,8 +133,8 @@ def _measure(spec, workload, platform, config_kwargs, substrate, table):
             spec,
             workload,
             platform,
-            config=EngineConfig(substrate=substrate, **config_kwargs),
-            packed_table=table if substrate == "packed" else None,
+            config=EngineConfig(**config_kwargs),
+            packed_table=table,
         )
         partitioner.initial_cycles()
         started = time.perf_counter()
@@ -161,20 +159,11 @@ def _run_scenario(workload, budget):
     fronts = []
     for spec in SPECS:
         packed, packed_seconds = _measure(
-            spec, workload, platform, config_kwargs, "packed", table
-        )
-        reference, object_seconds = _measure(
-            spec, workload, platform, config_kwargs, "object", None
+            spec, workload, platform, config_kwargs, table
         )
         result = packed.run(1)
-        # The substrate differential, asserted per scenario: identical
-        # results and identical Pareto fronts.
-        assert result == reference.run(1), spec.name
         front = packed.pareto_front()
-        assert front == reference.pareto_front(), spec.name
         fronts.append(front)
-        packed_cps = _configs_per_second(packed, packed_seconds)
-        object_cps = _configs_per_second(reference, object_seconds)
         rows[spec.name] = {
             "label": spec.label,
             "final_cycles": result.final_cycles,
@@ -184,13 +173,8 @@ def _run_scenario(workload, budget):
             "visited_configurations": packed.visited_count,
             "pareto_front_size": len(front),
             "seconds": round(packed_seconds, 6),
-            "configs_per_second": packed_cps,
-            "object_seconds": round(object_seconds, 6),
-            "object_configs_per_second": object_cps,
-            "packed_speedup": (
-                round(object_seconds / packed_seconds, 1)
-                if packed_seconds
-                else None
+            "configs_per_second": _configs_per_second(
+                packed, packed_seconds
             ),
         }
     combined = front_of_results(fronts)
@@ -198,49 +182,6 @@ def _run_scenario(workload, budget):
         "move_budget": budget,
         "algorithms": rows,
         "combined_front": [point.to_dict() for point in combined],
-    }
-
-
-def _run_throughput_scenario():
-    """The ≥ 10× packed-vs-object claim needs enough configurations to
-    time: a 16-kernel synthetic workload enumerated exhaustively
-    (65,536 subsets) under the raised ``max_candidates=20`` guard."""
-    workload = synthetic_application(
-        20, seed=5, kernel_fraction=0.8, comm_intensity=0.5,
-        name="throughput-16k",
-    )
-    platform = paper_platform(1500, 2)
-    table = PackedCostTable.from_model(CostModel(workload, platform))
-    spec = AlgorithmSpec.exhaustive(max_candidates=20)
-    config_kwargs = dict(stop_at_constraint=False)
-    packed, packed_seconds = _measure(
-        spec, workload, platform, config_kwargs, "packed", table
-    )
-    reference, object_seconds = _measure(
-        spec, workload, platform, config_kwargs, "object", None
-    )
-    packed_result = packed.run(1)
-    object_result = reference.run(1)
-    packed_front = packed.pareto_front()
-    object_front = reference.pareto_front()
-    return {
-        "workload": workload.name,
-        "algorithm": spec.label,
-        "visited_configurations": packed.visited_count,
-        "identical_results": packed_result == object_result,
-        "identical_fronts": packed_front == object_front,
-        "final_cycles": packed_result.final_cycles,
-        "moved_bb_ids": list(packed_result.moved_bb_ids),
-        "pareto_front_size": len(packed_front),
-        "packed_seconds": round(packed_seconds, 6),
-        "object_seconds": round(object_seconds, 6),
-        "packed_configs_per_second": _configs_per_second(
-            packed, packed_seconds
-        ),
-        "object_configs_per_second": _configs_per_second(
-            reference, object_seconds
-        ),
-        "packed_speedup": round(object_seconds / packed_seconds, 1),
     }
 
 
@@ -356,13 +297,12 @@ def report():
     return {
         "bench": "search_algorithms",
         "scenarios": scenarios,
-        "throughput": _run_throughput_scenario(),
         "exact_search": _run_exact_search_report(),
     }
 
 
 # ----------------------------------------------------------------------
-# Quality (PR 3 acceptance, now running on the packed substrate)
+# Quality
 # ----------------------------------------------------------------------
 def test_exhaustive_lower_bounds_everything(report):
     for name, scenario in report["scenarios"].items():
@@ -431,7 +371,7 @@ def test_combined_front_spans_tradeoffs(report):
 
 
 # ----------------------------------------------------------------------
-# Throughput (this PR's acceptance)
+# Throughput
 # ----------------------------------------------------------------------
 def test_packed_beats_committed_baseline_by_10x(report, capsys):
     """Every algorithm on every skewed scenario evaluates ≥ 10× the
@@ -444,8 +384,7 @@ def test_packed_beats_committed_baseline_by_10x(report, capsys):
                 print(
                     f"  {name}/{algorithm}: {row['configs_per_second']:,} "
                     f"cfg/s packed vs {committed:,} committed "
-                    f"({row['configs_per_second'] / committed:.0f}x), "
-                    f"object now {row['object_configs_per_second']:,}"
+                    f"({row['configs_per_second'] / committed:.0f}x)"
                 )
     for name, scenario in report["scenarios"].items():
         for algorithm, row in scenario["algorithms"].items():
@@ -453,30 +392,6 @@ def test_packed_beats_committed_baseline_by_10x(report, capsys):
             assert row["configs_per_second"] >= 10 * committed, (
                 name, algorithm, row["configs_per_second"], committed,
             )
-
-
-def test_packed_enumeration_10x_object_with_identical_optimum(
-    report, capsys
-):
-    """The Gray-code walk vs the object DFS on 65,536 subsets at
-    ``max_candidates=20``: ≥ 10× the throughput, same certified optimum,
-    same Pareto front."""
-    throughput = report["throughput"]
-    with capsys.disabled():
-        print(
-            f"\n  {throughput['workload']}: "
-            f"{throughput['visited_configurations']:,} configs — packed "
-            f"{throughput['packed_configs_per_second']:,}/s vs object "
-            f"{throughput['object_configs_per_second']:,}/s "
-            f"({throughput['packed_speedup']}x)"
-        )
-    assert throughput["visited_configurations"] == 2 ** 16
-    assert throughput["identical_results"]
-    assert throughput["identical_fronts"]
-    assert (
-        throughput["packed_configs_per_second"]
-        >= 10 * throughput["object_configs_per_second"]
-    )
 
 
 def test_sharded_walk_matches_serial_and_scales(report, capsys):
@@ -539,6 +454,5 @@ def test_write_bench_json(report):
         for algorithm, row in rows.items():
             committed = COMMITTED_CONFIGS_PER_SECOND[name][algorithm]
             assert row["configs_per_second"] >= 10 * committed
-    assert loaded["throughput"]["identical_results"]
     assert loaded["exact_search"]["branch_and_bound"]["pruned_subtrees"] > 0
     assert loaded["exact_search"]["certify_34"]["analytically_certified"]

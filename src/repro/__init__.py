@@ -26,10 +26,10 @@ every substrate it depends on:
   and CSV/JSON export of exploration reports;
 * :mod:`repro.explore` — parallel design-space exploration: declarative
   (workload × platform × constraint × algorithm) grids fanned out across
-  worker processes on top of the incremental engine;
+  worker processes on top of the packed cost tables;
 * :mod:`repro.search` — pluggable partitioning algorithms (greedy,
-  exhaustive, multi-start, simulated annealing) over the shared
-  incremental cost state, with Pareto-front multi-objective analysis;
+  exhaustive, multi-start, simulated annealing) over shared packed
+  cost tables, with Pareto-front multi-objective analysis;
 * :mod:`repro.suite` — named end-to-end scenario registry, batched
   runner, persistent SQLite/JSON result store and the thresholded
   regression comparison CI gates on.

@@ -152,19 +152,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="move budget (EngineConfig.max_kernels_moved)",
     )
     part.add_argument(
-        "--substrate", choices=("packed", "object"), default="packed",
-        help="pricing substrate: packed cost tables (fast, default) or "
-        "the object-model differential reference",
-    )
-    part.add_argument(
         "--pareto", action="store_true",
         help="also print the Pareto front of visited configurations",
     )
     part.add_argument(
         "--shards", type=int, default=None,
         help="split the exhaustive Gray-code walk into this many worker "
-        "segments (exhaustive algorithm, packed substrate only; results "
-        "are bit-identical to the serial walk)",
+        "segments (exhaustive algorithm only; results are bit-identical "
+        "to the serial walk)",
     )
     part.add_argument(
         "--prune", action="store_true",
@@ -198,10 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     expl.add_argument(
         "--algorithms", type=parse_algorithm, nargs="+",
         default=[AlgorithmSpec.greedy()],
-    )
-    expl.add_argument(
-        "--substrate", choices=("packed", "object"), default="packed",
-        help="pricing substrate for every grid cell (default packed)",
     )
     expl.add_argument("--workers", type=int, default=1)
     expl.add_argument("--csv", help="write the grid as CSV to this path")
@@ -509,7 +500,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         )
     config = EngineConfig(
         max_kernels_moved=args.max_kernels,
-        substrate=args.substrate,
         search_workers=args.search_workers,
     )
     partitioner = make_partitioner(
@@ -574,11 +564,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         algorithms=tuple(args.algorithms),
     )
     try:
-        report = explore(
-            space,
-            max_workers=args.workers,
-            engine_config=EngineConfig(substrate=args.substrate),
-        )
+        report = explore(space, max_workers=args.workers)
     except ValueError as error:
         print(f"error: cannot explore the grid: {error}", file=sys.stderr)
         return 2

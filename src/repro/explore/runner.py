@@ -2,16 +2,15 @@
 
 Work is split at (workload, platform, algorithm) granularity so every
 grid axis fans out across worker processes, but pricing is shared at
-(workload, platform) granularity: on the packed substrate a single
-:class:`~repro.partition.packed.PackedCostTable` is derived per pair,
-cached per worker process (per call when serial), and injected into
-every partitioner the worker builds for that pair — so the algorithm
+(workload, platform) granularity: a
+:class:`~repro.partition.resolver.TableResolver` — one per call when
+serial, one per worker process otherwise — builds each workload once and
+prices each pair into one :class:`~repro.partition.packed.PackedCostTable`,
+injected into every partitioner built for that pair, so the algorithm
 and constraint axes never remap a block a sibling cell already priced.
 Constraint-independent search state (the greedy move trajectory, a
 cached annealing walk) is shared across the constraints of each
-algorithm as before.  Within a worker process, built workloads are
-additionally cached by spec, so every platform the worker prices
-against the same workload reuses its DFGs.
+algorithm.
 
 Tasks fan out over ``concurrent.futures.ProcessPoolExecutor``; with
 ``max_workers=1`` (or a single task) everything runs in-process, which is
@@ -24,93 +23,14 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .. import telemetry
 from ..interp.cache import ProfileCache
 from ..parallel import map_tasks
-from ..partition.costs import CostModel, CostStats
+from ..partition.costs import CostStats
 from ..partition.engine import EngineConfig
-from ..partition.packed import PackedCostTable
-from ..partition.workload import ApplicationWorkload
+from ..partition.resolver import TableResolver, process_resolver
 from ..search import make_partitioner
 from .results import ExplorationReport, ExplorationResult
-from .space import DesignSpace, ExplorationTask, PlatformSpec, WorkloadSpec
-
-#: Per-process cache of built workloads (DFG generation is the expensive
-#: part of a spec); worker processes each grow their own copy.
-_WORKLOAD_CACHE: dict[WorkloadSpec, ApplicationWorkload] = {}
-
-#: Per-process cache of packed cost tables, keyed by the (workload,
-#: platform) pair plus the one pricing flag that changes the numbers.
-#: One pricing pass per pair serves every algorithm and constraint of
-#: every grid cell the worker executes — the tables themselves are tiny
-#: tuples of ints (they pickle in microseconds), so callers can equally
-#: ship one across processes via ``packed_table``.
-_TableKey = tuple[WorkloadSpec, PlatformSpec, bool]
-_TABLE_CACHE: dict[_TableKey, PackedCostTable] = {}
-
-
-def _cached_table(
-    task: ExplorationTask,
-    workload: ApplicationWorkload,
-    platform,
-    config: EngineConfig,
-    stats: CostStats,
-    cache: dict[_TableKey, PackedCostTable] | None = None,
-) -> PackedCostTable:
-    """Derive (or reuse) the pair's packed table; pricing work on a
-    cache miss is charged to ``stats``."""
-    if cache is None:
-        cache = _TABLE_CACHE
-    key = (
-        task.workload,
-        task.platform,
-        config.charge_single_partition_reconfig,
-    )
-    table = cache.get(key)
-    if table is None:
-        model = CostModel(
-            workload,
-            platform,
-            charge_single_partition_reconfig=(
-                config.charge_single_partition_reconfig
-            ),
-            stats=stats,
-        )
-        table = PackedCostTable.from_model(model)
-        cache[key] = table
-    return table
-
-#: Per-process profile caches keyed by on-disk directory (None = memory
-#: only).  Measured workload specs profile real programs; the
-#: content-keyed cache means each distinct (program, input) pair is
-#: interpreted at most once per process — or once per *fleet* when a
-#: shared directory is configured.
-_PROFILE_CACHES: dict[str | None, ProfileCache] = {}
-
-
-def _profile_cache(directory: str | None) -> ProfileCache:
-    cache = _PROFILE_CACHES.get(directory)
-    if cache is None:
-        cache = ProfileCache(directory=directory)
-        _PROFILE_CACHES[directory] = cache
-    return cache
-
-
-def _cached_workload(
-    spec: WorkloadSpec,
-    cache: dict[WorkloadSpec, ApplicationWorkload] | None = None,
-    profile_cache_dir: str | None = None,
-) -> ApplicationWorkload:
-    if cache is None:
-        cache = _WORKLOAD_CACHE
-    workload = cache.get(spec)
-    if workload is None:
-        with telemetry.span("build_workload"):
-            workload = spec.build(
-                profile_cache=_profile_cache(profile_cache_dir)
-            )
-        cache[spec] = workload
-    return workload
+from .space import DesignSpace, ExplorationTask
 
 
 @dataclass
@@ -129,40 +49,28 @@ class _TaskOutcome:
 
 
 def _run_task(
-    task: ExplorationTask,
-    workload_cache: dict[WorkloadSpec, ApplicationWorkload] | None = None,
-    table_cache: dict[_TableKey, PackedCostTable] | None = None,
+    task: ExplorationTask, resolver: TableResolver | None = None
 ) -> _TaskOutcome:
     """Execute one (workload, platform) pair's (algorithm × constraint)
     sweep.
 
-    On the packed substrate the pair is priced once — the shared packed
-    table is derived (or fetched from the per-process cache) up front
-    and injected into every algorithm's partitioner, so the algorithm
-    and constraint axes add zero block-mapping work.  The object
-    substrate keeps one model per algorithm (the reference behaviour).
+    The pair is priced once: its table comes from ``resolver`` (this
+    process's shared resolver when None) and is injected into every
+    algorithm's partitioner, so the algorithm and constraint axes add
+    zero block-mapping work.  Pricing done on a table miss is counted
+    in the outcome.
     """
-    workload = _cached_workload(
-        task.workload, workload_cache, task.profile_cache_dir
-    )
-    platform = task.platform.build()
+    if resolver is None:
+        resolver = process_resolver(task.profile_cache_dir)
     config = task.engine_config or EngineConfig()
     outcome = _TaskOutcome()
-    table = None
-    # Derive the shared table only when some algorithm will actually run
-    # on it: greedy with incremental=False delegates to the full-rescan
-    # engine regardless of substrate, so an all-greedy reference task
-    # must not pay (or count) a dead pricing pass.
-    needs_table = config.substrate == "packed" and (
-        config.incremental
-        or any(algorithm.name != "greedy" for algorithm in task.algorithms)
+    pricing_stats = CostStats()
+    workload, platform, table = resolver.resolve(
+        (task.workload, task.platform),
+        config.charge_single_partition_reconfig,
+        pricing_stats,
     )
-    if needs_table:
-        pricing_stats = CostStats()
-        table = _cached_table(
-            task, workload, platform, config, pricing_stats, table_cache
-        )
-        outcome.absorb(pricing_stats)
+    outcome.absorb(pricing_stats)
     for algorithm in task.algorithms:
         partitioner = make_partitioner(
             algorithm, workload, platform, config=config, packed_table=table
@@ -211,11 +119,12 @@ def explore(
     workers = max(1, workers)
 
     def run_serially(serial_tasks) -> list[_TaskOutcome]:
-        # Caches scoped to this call: the coordinating process is long
-        # lived and must not accumulate every workload ever explored.
-        workloads: dict[WorkloadSpec, ApplicationWorkload] = {}
-        tables: dict[_TableKey, PackedCostTable] = {}
-        return [_run_task(task, workloads, tables) for task in serial_tasks]
+        # A resolver scoped to this call: the coordinating process is
+        # long lived and must not accumulate every workload explored.
+        resolver = TableResolver(
+            profile_cache=ProfileCache(directory=profile_cache_dir)
+        )
+        return [_run_task(task, resolver) for task in serial_tasks]
 
     # The shared fan-out contract (repro.parallel): an unusable pool or
     # a worker dying mid-grid falls back to a serial run; genuine task

@@ -277,10 +277,10 @@ class ExplorationTask:
 
     The grid emits one task per (workload, platform, algorithm) triple
     (singleton ``algorithms``) so the algorithm axis still fans out
-    across worker processes; the runner's per-process packed-table
-    cache keys on the (workload, platform) pair, so however the triples
-    are scheduled, each worker prices a pair at most **once** — no grid
-    cell remaps a block another cell of the same pair already priced.
+    across worker processes; the runner's table resolver keys on the
+    (workload, platform) pair, so however the triples are scheduled,
+    each worker prices a pair at most **once** — no grid cell remaps a
+    block another cell of the same pair already priced.
     Constraint-independent search state (the greedy move trajectory, a
     cached annealing walk) is additionally shared across the
     constraints of each algorithm.

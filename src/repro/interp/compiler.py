@@ -25,8 +25,8 @@ Execution is bit-identical to the walker for every valid program: the
 same arithmetic helpers (:mod:`repro.ir.opsemantics`), the same
 :class:`~repro.interp.values.ArrayStorage` bounds/type-checked accesses,
 the same frame-binding rules and error messages.  The walker stays as the
-differential reference (``Interpreter(mode="walker")``), exactly like
-``EngineConfig.incremental=False`` does for the partitioning engine.
+differential reference (``Interpreter(mode="walker")``), as the object
+pricing walks in ``tests/oracles/`` do for the packed search layer.
 
 Profiling in compiled mode is counter-only: the driver increments one
 integer per *block entry* (``env.counts[slot] += 1``); per-block

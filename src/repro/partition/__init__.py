@@ -9,7 +9,6 @@ from .costs import (
     BlockContribution,
     BlockCosts,
     CostModel,
-    CostState,
     CostStats,
 )
 from .engine import (
@@ -19,12 +18,11 @@ from .engine import (
     partition_application,
 )
 from .packed import (
-    SUBSTRATE_NAMES,
-    PackedCostState,
     PackedCostTable,
     PackedGreedyTrajectory,
     PackedVisitLog,
 )
+from .resolver import TableResolver
 from .result import PartitionResult, PartitionStep
 from .workload import (
     ApplicationWorkload,
@@ -39,18 +37,16 @@ __all__ = [
     "BlockWorkload",
     "CommunicationCost",
     "CostModel",
-    "CostState",
     "CostStats",
     "EngineConfig",
     "EngineStats",
-    "PackedCostState",
     "PackedCostTable",
     "PackedGreedyTrajectory",
     "PackedVisitLog",
     "PartitionResult",
     "PartitionStep",
     "PartitioningEngine",
-    "SUBSTRATE_NAMES",
+    "TableResolver",
     "kernel_communication",
     "partition_application",
     "total_communication_cycles",

@@ -1,23 +1,14 @@
-"""Incremental partitioning cost state, factored out of the engine.
+"""Per-block pricing of the Eq. 2 terms.
 
 Eq. 2 of the paper is a sum of independent per-block terms, so any
 hardware/software split is priced by three running totals — FPGA, CGC and
 communication ticks — and a kernel move changes them by exactly that
-block's contribution.  This module packages that observation as two
-reusable pieces:
-
-* :class:`CostModel` — prices blocks on both fabrics (Figure 3 temporal
-  partitioning, the CGC list scheduler, the t_comm model) and caches the
-  per-block :class:`BlockContribution` terms;
-* :class:`CostState` — one candidate configuration (the set of moved
-  kernels) with O(1) ``propose`` / ``apply`` / ``revert`` transitions and
-  the single-rounding cycle split the result layer reports.
-
-The :class:`~repro.partition.engine.PartitioningEngine` (the paper's
-greedy loop) and every :mod:`repro.search` algorithm (exhaustive,
-multi-start, annealing) run on this same substrate, which is what makes
-thousands of candidate evaluations per second cheap enough for
-design-space search.
+block's contribution.  :class:`CostModel` prices blocks on both fabrics
+(Figure 3 temporal partitioning, the CGC list scheduler, the t_comm
+model) and caches the per-block :class:`BlockContribution` terms;
+:meth:`~repro.partition.packed.PackedCostTable.from_model` packs them into
+the flat columns the engine and every :mod:`repro.search` algorithm run
+on.
 
 Timebase: everything is accumulated in CGC ticks
 (``1 FPGA cycle = clock_ratio ticks``) so arithmetic stays integral;
@@ -54,8 +45,8 @@ def split_ticks_single_rounding(
     independently and drifting from the total.  THE single
     implementation — :class:`CostModel` and
     :class:`~repro.partition.packed.PackedCostTable` both delegate
-    here, so the substrates cannot drift on the rounding that every
-    reported cycle split depends on.
+    here, so they cannot drift on the rounding that every reported
+    cycle split depends on.
     """
     total_cycles = ceil_ticks_to_cycles(fpga_t + cgc_t + comm_t, ratio)
     parts = [fpga_t // ratio, cgc_t // ratio, comm_t // ratio]
@@ -230,100 +221,3 @@ class CostModel:
             self.platform.clock_ratio, fpga_t, cgc_t, comm_t
         )
 
-
-class CostState:
-    """One hardware/software split with O(1) move transitions.
-
-    The state is the set of moved kernels plus the three running Eq. 2
-    tick totals.  ``propose_move`` prices a transition without taking it;
-    ``apply_move`` / ``revert_move`` take and undo it in O(1).
-    """
-
-    def __init__(self, model: CostModel) -> None:
-        self.model = model
-        self.fpga_ticks = model.initial_ticks()
-        self.cgc_ticks = 0
-        self.comm_ticks = 0
-        self.moved: set[int] = set()
-        # Multiset of the moved kernels' row footprints plus the running
-        # max, so cgc_rows_used() is O(1) instead of O(moved) per call.
-        self._row_counts: dict[int, int] = {}
-        self._rows_used = 0
-
-    # ------------------------------------------------------------------
-    # Transitions
-    # ------------------------------------------------------------------
-    def propose_move(self, bb_id: int) -> int:
-        """Tick delta of toggling ``bb_id`` (negative = improvement)."""
-        contribution = self.model.contribution_by_id(bb_id)
-        if bb_id in self.moved:
-            return -contribution.move_delta
-        return contribution.move_delta
-
-    def apply_move(self, bb_id: int) -> int:
-        """Move ``bb_id`` to the coarse-grain fabric; returns the delta."""
-        if bb_id in self.moved:
-            raise ValueError(f"BB {bb_id} is already moved")
-        contribution = self.model.contribution_by_id(bb_id)
-        if not contribution.supported:
-            raise ValueError(
-                f"kernel BB {bb_id} cannot execute on the coarse-grain "
-                "data-path"
-            )
-        assert contribution.cgc_ticks is not None
-        self.fpga_ticks -= contribution.fpga_ticks
-        self.cgc_ticks += contribution.cgc_ticks
-        self.comm_ticks += contribution.comm_ticks
-        self.moved.add(bb_id)
-        rows = contribution.cgc_rows
-        self._row_counts[rows] = self._row_counts.get(rows, 0) + 1
-        if rows > self._rows_used:
-            self._rows_used = rows
-        return contribution.move_delta
-
-    def revert_move(self, bb_id: int) -> int:
-        """Undo a previous :meth:`apply_move`; returns the delta."""
-        if bb_id not in self.moved:
-            raise ValueError(f"BB {bb_id} is not moved")
-        contribution = self.model.contribution_by_id(bb_id)
-        assert contribution.cgc_ticks is not None
-        self.fpga_ticks += contribution.fpga_ticks
-        self.cgc_ticks -= contribution.cgc_ticks
-        self.comm_ticks -= contribution.comm_ticks
-        self.moved.discard(bb_id)
-        rows = contribution.cgc_rows
-        remaining = self._row_counts[rows] - 1
-        if remaining:
-            self._row_counts[rows] = remaining
-        else:
-            del self._row_counts[rows]
-            if rows == self._rows_used:
-                self._rows_used = max(self._row_counts, default=0)
-        return -contribution.move_delta
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    @property
-    def total_ticks(self) -> int:
-        return self.fpga_ticks + self.cgc_ticks + self.comm_ticks
-
-    @property
-    def ticks(self) -> tuple[int, int, int]:
-        return (self.fpga_ticks, self.cgc_ticks, self.comm_ticks)
-
-    def total_cycles(self) -> int:
-        return self.model.ticks_to_cycles(self.total_ticks)
-
-    def split_cycles(self) -> tuple[int, int, int, int]:
-        """(fpga, cgc, comm, total) FPGA cycles of this configuration."""
-        return self.model.split_ticks(*self.ticks)
-
-    def cgc_rows_used(self) -> int:
-        """Peak CGC rows any moved kernel's schedule occupies.
-
-        Kernels run sequentially (the program has one thread of control),
-        so the configuration's row footprint is the max, not the sum —
-        maintained incrementally by apply/revert, so this is O(1).
-        """
-        return self._rows_used

@@ -14,22 +14,17 @@ Flow implemented here:
    strictly worsens Eq. 2 and is reverted (the paper's commit-always
    behaviour survives behind ``EngineConfig.allow_regressing_moves``).
 
-Incremental aggregation
------------------------
-Per-block pricing and the O(1) delta bookkeeping live in
-:mod:`repro.partition.costs` (:class:`CostModel` / :class:`CostState`),
-shared with the :mod:`repro.search` algorithms.  Because the greedy order
-and the revert decisions are independent of the timing constraint, the
-whole move *trajectory* is constraint-independent too
-(:mod:`repro.partition.trajectory`): it is computed lazily once per
-engine and replayed, so ``sweep()`` warm-starts every constraint after
-the first from the shared prefix.
-
-``EngineConfig.incremental=False`` selects the seed engine's O(blocks)
-full-rescan aggregation — kept as a differential-testing reference and as
-the baseline for the block-cost-evaluation benchmarks.  Both modes
-produce identical :class:`PartitionResult`s. ``EngineStats`` counts how
-many per-block cost evaluations each mode performed.
+The engine is a thin adapter over the packed substrate.  The per-block
+:class:`~repro.partition.costs.CostModel` prices every block once into a
+:class:`~repro.partition.packed.PackedCostTable`.  Because the greedy
+order and the revert decisions are independent of the timing
+constraint, the move sequence is a constraint-independent
+:class:`~repro.partition.packed.PackedGreedyTrajectory`, computed lazily
+once per engine and replayed per constraint by
+:func:`~repro.partition.trajectory.replay_entries` — so ``sweep()``
+warm-starts every constraint after the first from the shared prefix, and
+:class:`~repro.search.greedy.GreedyPartitioner` replays the same
+trajectory type: there is one greedy loop.
 """
 
 from __future__ import annotations
@@ -40,9 +35,9 @@ from dataclasses import dataclass
 from ..analysis.weights import WeightModel
 from ..platform.soc import HybridPlatform
 from .costs import CostModel
-from .packed import SUBSTRATE_NAMES
+from .packed import PackedCostTable, PackedGreedyTrajectory
 from .result import PartitionResult
-from .trajectory import GreedyTrajectory, commit_step
+from .trajectory import replay_entries
 from .workload import ApplicationWorkload
 
 
@@ -50,8 +45,8 @@ from .workload import ApplicationWorkload
 class EngineConfig:
     """Tunables of the engine loop.
 
-    A config is frozen once its engine has run: the incremental mode
-    bakes the flags into its cached move trajectory, so the engine
+    A config is frozen once its engine has run: the engine bakes the
+    flags into its cached cost table and move trajectory, so it
     snapshots the config at the first ``run()`` / ``initial_cycles()``
     and raises on any later mutation instead of silently ignoring it.
     Build a new engine (or a new config) instead.
@@ -67,18 +62,6 @@ class EngineConfig:
     #: literal Figure 2 loop, which never reverts.  Ablation knob; the
     #: default reverts moves that strictly worsen the total.
     allow_regressing_moves: bool = False
-    #: O(1) delta aggregation with a cached, constraint-independent move
-    #: trajectory.  ``False`` falls back to the seed engine's full rescan
-    #: of every block after every move (differential-testing reference).
-    incremental: bool = True
-    #: Pricing substrate the :mod:`repro.search` algorithms run on:
-    #: ``"packed"`` evaluates configurations on a
-    #: :class:`~repro.partition.packed.PackedCostTable` (flat columns,
-    #: bitmask subsets — the fast path), ``"object"`` on the
-    #: :class:`CostModel`/:class:`CostState` object substrate (the
-    #: differential reference).  The engine itself always runs on the
-    #: object substrate; this flag steers the search layer.
-    substrate: str = "packed"
     #: Worker-process cap for search modes that fan out (the sharded
     #: exhaustive walk).  ``None`` sizes to the machine's cores; ``1``
     #: forces an in-process serial run.  Results are bit-identical
@@ -86,11 +69,6 @@ class EngineConfig:
     search_workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.substrate not in SUBSTRATE_NAMES:
-            raise ValueError(
-                f"unknown substrate {self.substrate!r}; expected one of "
-                f"{SUBSTRATE_NAMES}"
-            )
         if self.search_workers is not None and self.search_workers < 1:
             raise ValueError("search_workers must be >= 1")
 
@@ -101,9 +79,8 @@ class EngineStats:
 
     #: Per-block contributions actually computed (cache misses).
     block_cost_evaluations: int = 0
-    #: Per-block contribution lookups, hits included.  The full-rescan
-    #: mode pays O(blocks) of these per move; the incremental mode pays
-    #: O(blocks) once plus O(1) per move.
+    #: Per-block contribution lookups, hits included.  Only the one-time
+    #: table build consults the model; replays read the table.
     contribution_lookups: int = 0
     #: Blocks actually mapped onto both fabrics (cache misses).
     blocks_mapped: int = 0
@@ -130,17 +107,12 @@ class PartitioningEngine:
         self.config = config or EngineConfig()
         self.stats = EngineStats()
         self._config_snapshot: EngineConfig | None = None
-        self._cost_model: CostModel | None = None
-        # Lazily built constraint-independent state (incremental mode).
-        self._trajectory: GreedyTrajectory | None = None
+        self._trajectory: PackedGreedyTrajectory | None = None
 
-    # ------------------------------------------------------------------
-    # Config freeze + cost model
-    # ------------------------------------------------------------------
     def _freeze_config(self) -> None:
         """Snapshot the config on first use; reject later mutations.
 
-        The cached cost terms and move trajectory bake the config flags
+        The cached cost table and move trajectory bake the config flags
         in, so a mutated config would silently be ignored — raising keeps
         the documented freeze-after-run contract honest.
         """
@@ -154,10 +126,11 @@ class PartitioningEngine:
             )
 
     @property
-    def cost_model(self) -> CostModel:
-        """The shared pricing substrate (created on first use)."""
-        if self._cost_model is None:
-            self._cost_model = CostModel(
+    def trajectory(self) -> PackedGreedyTrajectory:
+        """The constraint-independent greedy decision sequence (pricing
+        every block on first use, charged to :attr:`stats`)."""
+        if self._trajectory is None:
+            model = CostModel(
                 self.workload,
                 self.platform,
                 charge_single_partition_reconfig=(
@@ -165,27 +138,17 @@ class PartitioningEngine:
                 ),
                 stats=self.stats,
             )
-        return self._cost_model
-
-    @property
-    def trajectory(self) -> GreedyTrajectory:
-        """The shared constraint-independent greedy decision sequence."""
-        if self._trajectory is None:
-            self._trajectory = GreedyTrajectory(
-                self.cost_model,
-                self.weight_model,
+            self._trajectory = PackedGreedyTrajectory(
+                PackedCostTable.from_model(model, self.weight_model),
                 skip_unsupported_kernels=self.config.skip_unsupported_kernels,
                 allow_regressing_moves=self.config.allow_regressing_moves,
             )
         return self._trajectory
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def initial_cycles(self) -> int:
         """All-FPGA execution time in FPGA cycles (Table 2/3 row 1)."""
         self._freeze_config()
-        return self.cost_model.initial_cycles()
+        return self.trajectory.table.initial_cycles()
 
     def run(self, timing_constraint: int) -> PartitionResult:
         """Execute the Figure 2 loop against a timing constraint
@@ -202,20 +165,12 @@ class PartitioningEngine:
         if result.constraint_met:
             return result
 
-        if self.config.incremental:
-            self._run_incremental(timing_constraint, result)
-        else:
-            self._run_full_rescan(timing_constraint, result)
-        result.validate()
-        return result
-
-    def _run_incremental(
-        self, timing_constraint: int, result: PartitionResult
-    ) -> None:
         trajectory = self.trajectory
         if trajectory.entries:
             self.stats.warm_started_runs += 1
-        trajectory.replay(
+        replay_entries(
+            trajectory.table,
+            trajectory.iter_entries(),
             result,
             timing_constraint,
             max_kernels_moved=self.config.max_kernels_moved,
@@ -224,79 +179,19 @@ class PartitioningEngine:
             on_reverted=lambda e: self._count("moves_reverted"),
             on_committed=lambda e: self._count("moves_committed"),
         )
+        result.validate()
+        return result
 
     def _count(self, counter: str) -> None:
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
-    def _run_full_rescan(
-        self, timing_constraint: int, result: PartitionResult
-    ) -> None:
-        """The seed engine's loop: O(blocks) rescan after every move."""
-        model = self.cost_model
-        kernels = model.kernel_candidates(self.weight_model)
-        moved: set[int] = set()
-
-        def total_ticks() -> tuple[int, int, int, int]:
-            """(fpga, cgc, comm, total) via a full O(blocks) rescan."""
-            fpga_t = cgc_t = comm_t = 0
-            for block in self.workload.blocks:
-                contribution = model.contribution(block)
-                if block.bb_id in moved:
-                    assert contribution.cgc_ticks is not None
-                    cgc_t += contribution.cgc_ticks
-                    comm_t += contribution.comm_ticks
-                else:
-                    fpga_t += contribution.fpga_ticks
-            return fpga_t, cgc_t, comm_t, fpga_t + cgc_t + comm_t
-
-        __, __, __, previous_total = total_ticks()
-        for kernel in kernels:
-            if (
-                self.config.max_kernels_moved is not None
-                and len(moved) >= self.config.max_kernels_moved
-            ):
-                break
-            costs = model.block_costs(kernel)
-            if costs.coarse is None:
-                if not self.config.skip_unsupported_kernels:
-                    raise ValueError(
-                        f"kernel BB {kernel.bb_id} cannot execute on the "
-                        "coarse-grain data-path"
-                    )
-                result.skipped_bb_ids.append(kernel.bb_id)
-                self.stats.kernels_skipped += 1
-                continue
-
-            moved.add(kernel.bb_id)
-            fpga_t, cgc_t, comm_t, total_t = total_ticks()
-            if (
-                total_t > previous_total
-                and not self.config.allow_regressing_moves
-            ):
-                moved.discard(kernel.bb_id)
-                result.reverted_bb_ids.append(kernel.bb_id)
-                self.stats.moves_reverted += 1
-                continue
-            previous_total = total_t
-            met = commit_step(
-                model,
-                result,
-                kernel.bb_id,
-                (fpga_t, cgc_t, comm_t),
-                timing_constraint,
-            )
-            self.stats.moves_committed += 1
-            if met and self.config.stop_at_constraint:
-                break
-
     def sweep(self, constraints: list[int]) -> list[PartitionResult]:
         """Run the engine at several timing constraints.
 
-        In incremental mode every constraint after the first warm-starts
-        from the cached move trajectory (the greedy order is
-        constraint-independent), so the marginal cost of an extra
-        constraint is O(moves replayed), with zero new block-cost
-        evaluations once the trajectory covers it.
+        Every constraint after the first warm-starts from the cached move
+        trajectory (the greedy order is constraint-independent), so the
+        marginal cost of an extra constraint is O(moves replayed), with
+        zero new block-cost evaluations.
         """
         return [self.run(constraint) for constraint in constraints]
 

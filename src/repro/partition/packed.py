@@ -1,19 +1,17 @@
-"""Packed struct-of-arrays cost tables — the fast pricing substrate.
+"""Packed struct-of-arrays cost tables — the one pricing substrate.
 
 Eq. 2 of the paper is a sum of independent per-block terms, so once every
 kernel is priced, a candidate configuration is nothing but a *bitmask*
 over the kernels (bit i set = kernel i moved to the coarse-grain fabric)
-and its cost is a handful of integer additions.  The object substrate
-(:class:`~repro.partition.costs.CostModel` /
-:class:`~repro.partition.costs.CostState`) pays Python object churn per
-evaluation — dict lookups, set mutation, dataclass construction; this
-module packs the same numbers into flat columns so the search hot loops
-run on plain ints:
+and its cost is a handful of integer additions.  This module packs the
+per-block terms of a :class:`~repro.partition.costs.CostModel` into flat
+columns, so the engine and the search hot loops run on plain ints:
 
 * :class:`PackedCostTable` — per-kernel ``fpga_ticks`` / ``cgc_ticks`` /
   ``comm_ticks`` / ``move_delta`` / ``cgc_rows`` columns in canonical
   Eq. 1 order, derived **once** from a :class:`CostModel` and
-  bit-identical to it (the differential suite is the proof).  The table
+  bit-identical to it (the differential suite against the object
+  reference in ``tests/oracles/`` is the proof).  The table
   holds only plain tuples of ints, so it pickles in microseconds and the
   explore / suite layers ship one table across every (algorithm ×
   constraint) grid cell of a (workload, platform) pair instead of
@@ -22,17 +20,15 @@ run on plain ints:
   objective of a configuration is ``max`` over its moved kernels, which
   the row masks answer with a couple of integer ANDs — no per-kernel
   walk.
-* :class:`PackedCostState` — a mutable (mask, tick totals) pair with
-  O(1) ``toggle`` transitions for the annealing / multi-start walks.
 * :class:`PackedVisitLog` — the visited-configuration log as two
   parallel columns ``(total_ticks, mask)``, materialized to
   :class:`~repro.search.pareto.VisitedConfiguration` records lazily so
   recording a configuration in a million-subset enumeration costs two
   list appends.
 * :class:`PackedGreedyTrajectory` — the constraint-independent Figure 2
-  decision sequence computed on the columns, replayed through the exact
-  same :func:`~repro.partition.trajectory.replay_entries` semantics as
-  the engine, so packed greedy results stay bit-identical.
+  decision sequence computed on the columns, which the engine and the
+  greedy partitioner both replay through
+  :func:`~repro.partition.trajectory.replay_entries`.
 
 Timebase and rounding are shared with :class:`CostModel`: everything in
 CGC ticks, converted to FPGA cycles by a single largest-remainder
@@ -51,9 +47,6 @@ from .trajectory import MOVED, REVERTED, SKIPPED, TrajectoryEntry
 if TYPE_CHECKING:  # pragma: no cover - typing-only (avoids re-export)
     from .costs import CostModel
 
-#: The pricing substrates the search layer can run on.
-SUBSTRATE_NAMES = ("packed", "object")
-
 
 class PackedCostTable:
     """Struct-of-arrays Eq. 2 terms for one (workload, platform) pair.
@@ -63,8 +56,8 @@ class PackedCostTable:
     partitioner visits candidates in — and a configuration is an int
     bitmask over those indices.  Unsupported kernels never get an index;
     they live in ``skipped_bb_ids`` (and as ``-1`` entries of
-    ``candidates``) so the greedy bookkeeping can interleave them
-    exactly like the object substrate does.
+    ``candidates``) so the greedy bookkeeping can interleave them in
+    Eq. 1 order.
     """
 
     __slots__ = (
@@ -270,9 +263,6 @@ class PackedCostTable:
                 return rows
         return 0
 
-    def state(self) -> "PackedCostState":
-        return PackedCostState(self)
-
     # ------------------------------------------------------------------
     # Tick -> cycle conversion (identical to CostModel's, by contract)
     # ------------------------------------------------------------------
@@ -287,56 +277,10 @@ class PackedCostTable:
     ) -> tuple[int, int, int, int]:
         """(fpga, cgc, comm, total) FPGA cycles, rounded *once* — the
         same :func:`~repro.partition.costs.split_ticks_single_rounding`
-        the object substrate uses, by shared code."""
+        :class:`CostModel` uses, by shared code."""
         return split_ticks_single_rounding(
             self.clock_ratio, fpga_t, cgc_t, comm_t
         )
-
-
-class PackedCostState:
-    """One configuration as (mask, running tick totals); O(1) toggles."""
-
-    __slots__ = ("table", "mask", "fpga_ticks", "cgc_ticks", "comm_ticks",
-                 "moved_count")
-
-    def __init__(self, table: PackedCostTable) -> None:
-        self.table = table
-        self.mask = 0
-        self.fpga_ticks = table.initial_ticks
-        self.cgc_ticks = 0
-        self.comm_ticks = 0
-        self.moved_count = 0
-
-    def propose(self, index: int) -> int:
-        """Tick delta of toggling kernel ``index`` (negative = better)."""
-        delta = self.table.move_delta[index]
-        return -delta if self.mask >> index & 1 else delta
-
-    def toggle(self, index: int) -> int:
-        """Flip kernel ``index`` in or out; returns the applied delta."""
-        table = self.table
-        bit = 1 << index
-        if self.mask & bit:
-            self.mask ^= bit
-            self.fpga_ticks += table.fpga_ticks[index]
-            self.cgc_ticks -= table.cgc_ticks[index]
-            self.comm_ticks -= table.comm_ticks[index]
-            self.moved_count -= 1
-            return -table.move_delta[index]
-        self.mask ^= bit
-        self.fpga_ticks -= table.fpga_ticks[index]
-        self.cgc_ticks += table.cgc_ticks[index]
-        self.comm_ticks += table.comm_ticks[index]
-        self.moved_count += 1
-        return table.move_delta[index]
-
-    @property
-    def total_ticks(self) -> int:
-        return self.fpga_ticks + self.cgc_ticks + self.comm_ticks
-
-    @property
-    def ticks(self) -> tuple[int, int, int]:
-        return (self.fpga_ticks, self.cgc_ticks, self.comm_ticks)
 
 
 class PackedVisitLog:
@@ -502,11 +446,10 @@ class PackedVisitLog:
 class PackedGreedyTrajectory:
     """The Figure 2 decision sequence computed on packed columns.
 
-    Lazily extended exactly like
-    :class:`~repro.partition.trajectory.GreedyTrajectory` — strict
-    unsupported-kernel mode must raise only when the replay actually
-    reaches the offending kernel, so an early constraint stop behaves
-    identically on both substrates.
+    Lazily extended: strict unsupported-kernel mode raises only when a
+    replay actually reaches the offending kernel, which stays pending
+    (a retried replay raises again), so an early constraint stop never
+    trips it.
     """
 
     def __init__(

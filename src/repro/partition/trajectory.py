@@ -1,37 +1,30 @@
-"""The constraint-independent greedy move trajectory.
+"""The constraint-independent greedy move trajectory, replayed.
 
 The Figure 2 loop's decisions — visit order (Eq. 1 weight), the
 unsupported-kernel skip, and the revert of moves that strictly worsen
 Eq. 2 — depend only on the workload and platform, never on the timing
-constraint.  This module owns that shared sequence: it is computed
-lazily once and replayed for every constraint, which is what lets
-``sweep()`` warm-start.
+constraint.  :class:`~repro.partition.packed.PackedGreedyTrajectory`
+computes that shared sequence once as :class:`TrajectoryEntry` records;
+:func:`replay_entries` replays it against one constraint, which is what
+lets ``sweep()`` warm-start.
 
-:class:`~repro.partition.engine.PartitioningEngine` runs on it in
-incremental mode, and :class:`~repro.search.greedy.GreedyPartitioner`
-delegates to the engine outright — so the paper flow and the
-pluggable-algorithm protocol cannot drift apart (the differential suite
-is the backstop, not the mechanism).
+:class:`~repro.partition.engine.PartitioningEngine` and
+:class:`~repro.search.greedy.GreedyPartitioner` both replay through
+:func:`replay_entries`, and every search algorithm books its steps
+through :func:`commit_step`, so the paper flow and the
+pluggable-algorithm protocol cannot drift apart.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable
 
-from ..analysis.weights import WeightModel
-from .costs import CostModel, CostState
 from .result import PartitionResult, PartitionStep
 
-
-class TickPricer(Protocol):
-    """Anything pricing moves with the single-rounding cycle split —
-    a :class:`CostModel` or a packed cost table."""
-
-    def split_ticks(
-        self, fpga_t: int, cgc_t: int, comm_t: int
-    ) -> tuple[int, int, int, int]: ...
+if TYPE_CHECKING:  # pragma: no cover - packed imports this module
+    from .packed import PackedCostTable
 
 #: Trajectory entry actions.
 MOVED = "moved"
@@ -58,106 +51,8 @@ class TrajectoryEntry:
         return self.fpga_ticks + self.cgc_ticks + self.comm_ticks
 
 
-class GreedyTrajectory:
-    """Lazily extended, cached greedy decision sequence."""
-
-    def __init__(
-        self,
-        model: CostModel,
-        weight_model: WeightModel,
-        *,
-        skip_unsupported_kernels: bool = True,
-        allow_regressing_moves: bool = False,
-    ) -> None:
-        self.model = model
-        self.weight_model = weight_model
-        self.skip_unsupported_kernels = skip_unsupported_kernels
-        self.allow_regressing_moves = allow_regressing_moves
-        self.entries: list[TrajectoryEntry] = []
-        self._state: CostState | None = None
-        self._pending: list | None = None
-        self._next = 0
-        self._done = False
-
-    def _extend(self) -> bool:
-        """Process the next greedy kernel; False when exhausted."""
-        if self._done:
-            return False
-        if self._state is None:
-            self._state = CostState(self.model)
-        if self._pending is None:
-            self._pending = self.model.kernel_candidates(self.weight_model)
-        if self._next >= len(self._pending):
-            self._done = True
-            return False
-        kernel = self._pending[self._next]
-        state = self._state
-        contribution = self.model.contribution(kernel)
-        if not contribution.supported:
-            if not self.skip_unsupported_kernels:
-                # Raise while the kernel is still pending, so a retried
-                # run() fails the same way instead of silently dropping it.
-                raise ValueError(
-                    f"kernel BB {kernel.bb_id} cannot execute on the "
-                    "coarse-grain data-path"
-                )
-            action = SKIPPED
-        elif contribution.move_delta > 0 and not self.allow_regressing_moves:
-            # CGC + comm ticks exceed the FPGA ticks: the move strictly
-            # worsens Eq. 2 for every constraint, so revert it.
-            action = REVERTED
-        else:
-            action = MOVED
-            state.apply_move(kernel.bb_id)
-        self._next += 1
-        self.entries.append(
-            TrajectoryEntry(
-                bb_id=kernel.bb_id,
-                action=action,
-                fpga_ticks=state.fpga_ticks,
-                cgc_ticks=state.cgc_ticks,
-                comm_ticks=state.comm_ticks,
-            )
-        )
-        return True
-
-    def iter_entries(self) -> Iterator[TrajectoryEntry]:
-        """Replay cached entries, extending lazily on demand."""
-        index = 0
-        while True:
-            while index >= len(self.entries):
-                if not self._extend():
-                    return
-            yield self.entries[index]
-            index += 1
-
-    def replay(
-        self,
-        result: PartitionResult,
-        timing_constraint: int,
-        *,
-        max_kernels_moved: int | None,
-        stop_at_constraint: bool,
-        on_skipped: Callable[[TrajectoryEntry], None] | None = None,
-        on_reverted: Callable[[TrajectoryEntry], None] | None = None,
-        on_committed: Callable[[TrajectoryEntry], None] | None = None,
-    ) -> None:
-        """Fill ``result`` by replaying decisions against one constraint."""
-        replay_entries(
-            self.model,
-            self.iter_entries(),
-            result,
-            timing_constraint,
-            max_kernels_moved=max_kernels_moved,
-            stop_at_constraint=stop_at_constraint,
-            on_skipped=on_skipped,
-            on_reverted=on_reverted,
-            on_committed=on_committed,
-        )
-
-
 def replay_entries(
-    pricer: TickPricer,
+    table: PackedCostTable,
     entries: Iterable[TrajectoryEntry],
     result: PartitionResult,
     timing_constraint: int,
@@ -170,12 +65,9 @@ def replay_entries(
 ) -> None:
     """Replay a greedy decision sequence against one constraint.
 
-    ``pricer`` is anything with the ``split_ticks`` single-rounding
-    cycle split (a :class:`CostModel` or a
-    :class:`~repro.partition.packed.PackedCostTable`), so the object and
-    packed greedy substrates share the exact replay semantics — budget
-    check *before* each entry, skip/revert bookkeeping, early stop at
-    the constraint.
+    Budget check *before* each entry, skip/revert bookkeeping, early
+    stop at the constraint; committed moves are booked by
+    :func:`commit_step`.
     """
     for entry in entries:
         if (
@@ -194,7 +86,7 @@ def replay_entries(
                 on_reverted(entry)
             continue
         met = commit_step(
-            pricer, result, entry.bb_id, entry.ticks, timing_constraint
+            table, result, entry.bb_id, entry.ticks, timing_constraint
         )
         if on_committed is not None:
             on_committed(entry)
@@ -203,7 +95,7 @@ def replay_entries(
 
 
 def commit_step(
-    pricer: TickPricer,
+    table: PackedCostTable,
     result: PartitionResult,
     bb_id: int,
     ticks: tuple[int, int, int],
@@ -211,12 +103,11 @@ def commit_step(
 ) -> bool:
     """Append one committed move to ``result``; returns constraint_met.
 
-    One shared implementation of the step bookkeeping (single-rounding
-    cycle split, running result fields) for the engine and every search
-    algorithm.  ``pricer`` is anything exposing ``split_ticks`` — a
-    :class:`CostModel` or a packed cost table.
+    One shared implementation of the step bookkeeping (the table's
+    single-rounding cycle split, running result fields) for the engine
+    and every search algorithm.
     """
-    fpga_c, cgc_c, comm_c, total_c = pricer.split_ticks(*ticks)
+    fpga_c, cgc_c, comm_c, total_c = table.split_ticks(*ticks)
     met = total_c <= timing_constraint
     result.steps.append(
         PartitionStep(

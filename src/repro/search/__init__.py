@@ -2,8 +2,8 @@
 
 The paper prescribes one partitioner — the Figure 2 greedy kernel-move
 loop.  This subsystem turns partitioning into a *search problem* over
-kernel subsets, all algorithms sharing the O(1) incremental cost
-substrate (:mod:`repro.partition.costs`):
+kernel subsets, all algorithms pricing configurations on one packed
+cost table per (workload, platform) pair (:mod:`repro.partition.packed`):
 
 * :class:`GreedyPartitioner` — the paper's loop, bit-identical to
   :class:`~repro.partition.engine.PartitioningEngine` results;

@@ -1,8 +1,8 @@
 """Simulated annealing over kernel subsets.
 
 Each step toggles one kernel in or out of the coarse-grain set (or, at
-the move budget, swaps one in for one out), priced in O(1) ticks by
-:class:`~repro.partition.costs.CostState`.  Improving steps are always
+the move budget, swaps one in for one out), priced in O(1) ticks on the
+packed table's ``move_delta`` column.  Improving steps are always
 taken; worsening steps with probability ``exp(-delta / T)`` under a
 geometric temperature schedule.  The walk starts from the greedy
 solution and the best configuration ever seen is returned, so annealing
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 
-from ..partition.costs import CostState
 from ..partition.result import PartitionResult
 from .base import Partitioner, register_algorithm
 
@@ -55,7 +54,6 @@ class AnnealingPartitioner(Partitioner):
         self.cooling = cooling
         self.temp_levels = temp_levels
         self.steps_per_temp = steps_per_temp
-        self._best: tuple[tuple, frozenset[int], list[int]] | None = None
         self._best_mask: int | None = None
 
     # ------------------------------------------------------------------
@@ -65,95 +63,17 @@ class AnnealingPartitioner(Partitioner):
         scale = max((abs(delta) for delta in deltas), default=1)
         return float(max(scale, 1))
 
-    def _anneal(self) -> tuple[tuple, frozenset[int], list[int]]:
-        if self._best is not None:
-            return self._best
-        supported, skipped = self._split_candidates()
-        budget = self.move_budget
-        rng = random.Random((self.seed * 0x5DEECE66D + 0xB) & 0xFFFFFFFFFFFF)
-        state = CostState(self.model)
-        # Greedy warm start: the best-seen tracker therefore starts at
-        # the greedy solution and can only improve on it.
-        for kernel in supported:
-            if budget is not None and len(state.moved) >= budget:
-                break
-            if self.model.contribution(kernel).move_delta <= 0:
-                state.apply_move(kernel.bb_id)
-        self._record_visited(state)
-        best_key = self._subset_key(state.total_ticks, state.moved)
-        best_subset = frozenset(state.moved)
-
-        candidates = [kernel.bb_id for kernel in supported]
-        if not candidates or (budget is not None and budget <= 0):
-            # Nothing to toggle (or a zero budget: no swap partner
-            # exists either) — the greedy start is the answer.
-            self._best = (best_key, best_subset, skipped)
-            return self._best
-        deltas = [
-            self.model.contribution(kernel).move_delta
-            for kernel in supported
-        ]
-        temperature = self._start_temperature(deltas)
-        steps = self.steps_per_temp or max(8, 4 * len(candidates))
-
-        def accept(delta: int) -> bool:
-            if delta <= 0:
-                return True
-            return rng.random() < math.exp(-delta / temperature)
-
-        for _level in range(self.temp_levels):
-            # Deadline poll per temperature level (a visit batch): an
-            # expired budget keeps the best-so-far, never mid-level.
-            if self._deadline_expired():
-                self._mark_partial()
-                break
-            for _step in range(steps):
-                bb_id = candidates[rng.randrange(len(candidates))]
-                if bb_id in state.moved:
-                    if accept(state.propose_move(bb_id)):
-                        state.revert_move(bb_id)
-                    else:
-                        continue
-                elif budget is not None and len(state.moved) >= budget:
-                    # At the budget boundary toggling in is illegal, so
-                    # propose a swap: one kernel out, this one in.
-                    out_id = sorted(state.moved)[rng.randrange(len(state.moved))]
-                    delta = state.propose_move(bb_id) + state.propose_move(out_id)
-                    if accept(delta):
-                        state.revert_move(out_id)
-                        state.apply_move(bb_id)
-                    else:
-                        continue
-                else:
-                    if accept(state.propose_move(bb_id)):
-                        state.apply_move(bb_id)
-                    else:
-                        continue
-                self._record_visited(state)
-                key = self._subset_key(state.total_ticks, state.moved)
-                if key < best_key:
-                    best_key = key
-                    best_subset = frozenset(state.moved)
-            temperature *= self.cooling
-        self._best = (best_key, best_subset, skipped)
-        return self._best
-
-    def _anneal_packed(self) -> int:
-        """The identical annealing walk on packed columns.
-
-        RNG consumption mirrors the object walk step for step — same
-        seed transform, same candidate indexing, same accept calls on
-        the same integer deltas — so both substrates take the same
-        trajectory and settle on the same best subset.
-        """
+    def _anneal(self) -> int:
+        """The annealing walk; cached, because it is constraint-
+        independent, so one walk serves every run() of a sweep."""
         if self._best_mask is not None:
             return self._best_mask
-        table = self._packed_table_checked()
+        table = self._checked_table()
         n = len(table)
         budget = self.move_budget
         deltas = table.move_delta
         rng = random.Random((self.seed * 0x5DEECE66D + 0xB) & 0xFFFFFFFFFFFF)
-        log = self._packed_log
+        log = self._log
         total = table.initial_ticks
         mask = 0
         count = 0
@@ -177,11 +97,10 @@ class AnnealingPartitioner(Partitioner):
 
         # Hot loop: bound locals, an inlined accept test, and an inlined
         # ``randrange`` (CPython's ``_randbelow_with_getrandbits``
-        # verbatim, so the random stream is bit-identical to the object
-        # walk's ``rng.randrange`` calls while skipping two Python call
-        # layers per step).  The RNG call sequence (randrange per step,
-        # random only on positive deltas) matches the object walk
-        # exactly.
+        # verbatim, so the random stream is bit-identical to
+        # ``rng.randrange`` calls while skipping two Python call layers
+        # per step).  The object reference walk in ``tests/oracles/``
+        # draws through ``randrange`` and must take the same steps.
         getrandbits = rng.getrandbits
         uniform = rng.random
         exp = math.exp
@@ -248,11 +167,6 @@ class AnnealingPartitioner(Partitioner):
     def _search(
         self, timing_constraint: int, result: PartitionResult
     ) -> None:
-        if self._uses_packed_substrate():
-            mask = self._anneal_packed()
-            self._fill_result_from_mask(result, mask, timing_constraint)
-            return
-        __, subset, skipped = self._anneal()
-        self._fill_result_from_subset(
-            result, subset, timing_constraint, skipped
+        self._fill_result_from_mask(
+            result, self._anneal(), timing_constraint
         )

@@ -2,9 +2,9 @@
 
 The paper prescribes one algorithm — the Figure 2 greedy kernel-move
 loop.  This module generalizes it: a :class:`Partitioner` is anything
-that searches the space of kernel subsets against the shared incremental
-cost substrate (:class:`~repro.partition.costs.CostModel` /
-:class:`~repro.partition.costs.CostState`) and returns the same
+that searches the space of kernel subsets on a pair's
+:class:`~repro.partition.packed.PackedCostTable` (subsets are int
+bitmasks, priced by integer adds) and returns the same
 :class:`~repro.partition.result.PartitionResult` records the engine
 produces, so every downstream consumer (reports, exploration grids,
 benchmarks) works with any algorithm unchanged.
@@ -28,20 +28,15 @@ from dataclasses import dataclass
 from .. import telemetry
 from ..analysis.weights import WeightModel
 from ..faults import Deadline
-from ..partition.costs import CostModel, CostState, CostStats
+from ..partition.costs import CostModel, CostStats
 from ..partition.engine import EngineConfig
-from ..partition.packed import (
-    SUBSTRATE_NAMES,
-    PackedCostTable,
-    PackedVisitLog,
-)
+from ..partition.packed import PackedCostTable, PackedVisitLog
 from ..partition.result import PartitionResult
 from ..partition.trajectory import commit_step
-from ..partition.workload import ApplicationWorkload, BlockWorkload
+from ..partition.workload import ApplicationWorkload
 from ..platform.soc import HybridPlatform
 from .pareto import (
     VisitedConfiguration,
-    pareto_front,
     pareto_front_from_best,
     pareto_front_from_columns,
 )
@@ -95,16 +90,14 @@ class AlgorithmSpec:
     ) -> "AlgorithmSpec":
         """Optimal over all kernel subsets (ground truth, small inputs).
 
-        ``max_candidates=None`` resolves per substrate and mode: 24 on
-        the serial packed Gray-code enumeration (one integer toggle per
-        configuration, so 16M subsets stay cheap), 32 when the walk is
-        sharded across workers, 40 with the branch-and-bound pruner,
-        and the historical 16 on the object reference (whose per-subset
-        object churn makes 2^24 a minutes-to-hours mistake, not a
-        default).  Pass an explicit cap to override any of them.
+        ``max_candidates=None`` resolves per mode: 24 on the serial
+        Gray-code enumeration (one integer toggle per configuration, so
+        16M subsets stay cheap), 32 when the walk is sharded across
+        workers, and 40 with the branch-and-bound pruner.  Pass an
+        explicit cap to override any of them.
 
         ``shards`` splits the Gray-code mask space into that many
-        contiguous worker segments (packed substrate only);  ``prune``
+        contiguous worker segments;  ``prune``
         switches to the exact additive-bound branch-and-bound.  Both
         produce results bit-identical to the serial unpruned walk.
         """
@@ -222,21 +215,12 @@ class Partitioner(ABC):
 
     Subclasses implement :meth:`_search`, which fills a pre-initialized
     all-FPGA :class:`PartitionResult` for one timing constraint.  The
-    base class owns the shared pricing substrates, the early exit when
-    the all-FPGA mapping already meets the constraint, the visited-
-    configuration log, and the config freeze (algorithm state caches bake
-    the config in, exactly like the engine's move trajectory).
-
-    Two substrates price configurations (``EngineConfig.substrate``):
-
-    * ``"packed"`` (default) — a
-      :class:`~repro.partition.packed.PackedCostTable` of flat tick
-      columns; subsets are int bitmasks and the visited log is a column
-      store materialized lazily.  A pre-derived table can be injected
-      via ``packed_table`` so one pricing pass serves a whole
-      (algorithm × constraint) grid.
-    * ``"object"`` — the :class:`CostModel` / :class:`CostState` object
-      substrate, kept as the bit-identical differential reference.
+    base class owns the packed table — derived on first use, or injected
+    via ``packed_table`` so one pricing pass serves a whole (algorithm ×
+    constraint) grid — the early exit when the all-FPGA mapping already
+    meets the constraint, the visited-configuration log (a column store
+    materialized lazily), and the config freeze (algorithm state caches
+    bake the config in, exactly like the engine's move trajectory).
     """
 
     #: Registry / report key; subclasses override.
@@ -255,15 +239,12 @@ class Partitioner(ABC):
         self.weight_model = weight_model or WeightModel()
         self.config = config or EngineConfig()
         self.stats = CostStats()
-        self._model: CostModel | None = None
         #: Injected or lazily derived packed table.  An injected table
         #: must have been derived with the same weight model and pricing
-        #: flags this partitioner runs under (the explore/suite layers
-        #: guarantee that by keying their caches on them).
+        #: flags this partitioner runs under (the resolver guarantees
+        #: that by keying tables on them).
         self._table = packed_table
-        self._visited_objects: list[VisitedConfiguration] = []
-        self._visited_subsets: set[frozenset[int]] = set()
-        self._packed_log = PackedVisitLog()
+        self._log = PackedVisitLog()
         self._materialized: list[VisitedConfiguration] | None = None
         self._config_snapshot: EngineConfig | None = None
         #: Cooperative budget for the current run (see :meth:`run`).
@@ -275,12 +256,13 @@ class Partitioner(ABC):
         self._partial = False
 
     @property
-    def model(self) -> CostModel:
-        """The pricing substrate, built lazily so the config flags it
-        bakes in are the ones in force at the first run (mutations before
-        then are honoured, exactly like the engine)."""
-        if self._model is None:
-            self._model = CostModel(
+    def table(self) -> PackedCostTable:
+        """The packed cost table, derived on first use unless one was
+        injected — lazily, so the config flags it bakes in are the ones
+        in force at the first run (mutations before then are honoured,
+        exactly like the engine).  Pricing work goes to :attr:`stats`."""
+        if self._table is None:
+            model = CostModel(
                 self.workload,
                 self.platform,
                 charge_single_partition_reconfig=(
@@ -288,31 +270,8 @@ class Partitioner(ABC):
                 ),
                 stats=self.stats,
             )
-        return self._model
-
-    @property
-    def table(self) -> PackedCostTable:
-        """The packed cost table (derived from :attr:`model` on first
-        use unless one was injected)."""
-        if self._table is None:
-            self._table = PackedCostTable.from_model(
-                self.model, self.weight_model
-            )
+            self._table = PackedCostTable.from_model(model, self.weight_model)
         return self._table
-
-    def _uses_packed_substrate(self) -> bool:
-        """Whether this partitioner's hot loops run on the packed table.
-
-        Resolved from the live config (frozen at the first run, so the
-        answer is stable from then on).
-        """
-        substrate = self.config.substrate
-        if substrate not in SUBSTRATE_NAMES:
-            raise ValueError(
-                f"unknown substrate {substrate!r}; expected one of "
-                f"{SUBSTRATE_NAMES}"
-            )
-        return substrate == "packed"
 
     # ------------------------------------------------------------------
     # Public API
@@ -320,9 +279,7 @@ class Partitioner(ABC):
     def initial_cycles(self) -> int:
         """All-FPGA execution time in FPGA cycles."""
         self._freeze_config()
-        if self._uses_packed_substrate():
-            return self.table.initial_cycles()
-        return self.model.initial_cycles()
+        return self.table.initial_cycles()
 
     def run(
         self,
@@ -355,10 +312,7 @@ class Partitioner(ABC):
                 )
                 # The all-FPGA corner is a configuration every algorithm
                 # prices (minimal moves and rows — always on the front).
-                if self._uses_packed_substrate():
-                    self._packed_log.record(self.table.initial_ticks, 0)
-                else:
-                    self._record_visited(CostState(self.model))
+                self._log.record(self.table.initial_ticks, 0)
                 if result.constraint_met:
                     result.partial = self._partial
                     return result
@@ -390,17 +344,15 @@ class Partitioner(ABC):
     def visited(self) -> list[VisitedConfiguration]:
         """Every distinct configuration priced so far.
 
-        On the packed substrate this materializes the column log to
-        :class:`VisitedConfiguration` records on demand (cached until
-        new configurations are recorded); prefer :attr:`visited_count`
+        Materializes the column log to :class:`VisitedConfiguration`
+        records on demand (cached until new configurations are
+        recorded); prefer :attr:`visited_count`
         or :meth:`pareto_front` when the records themselves are not
         needed.  A reduced log (``keep_visits=False``) has dropped the
         per-visit columns and raises — use :attr:`visited_count` /
         :meth:`pareto_front`, which both survive the reduction.
         """
-        if not self._uses_packed_substrate():
-            return self._visited_objects
-        log = self._packed_log
+        log = self._log
         if not log.keep_visits:
             raise ValueError(
                 "visited configurations were reduced away "
@@ -426,35 +378,23 @@ class Partitioner(ABC):
 
     @property
     def visited_count(self) -> int:
-        """``len(visited)`` without materializing the packed log."""
-        if self._uses_packed_substrate():
-            return len(self._packed_log)
-        return len(self._visited_objects)
+        """``len(visited)`` without materializing the log."""
+        return len(self._log)
 
     def pareto_front(self) -> list[VisitedConfiguration]:
         """Non-dominated subset of everything visited so far."""
-        if self._uses_packed_substrate():
-            log = self._packed_log
-            if not log.keep_visits:
-                return pareto_front_from_best(
-                    log.best_by_shape, self.table, self.algorithm
-                )
-            return pareto_front_from_columns(
-                log.ticks, log.masks, self.table, self.algorithm
+        log = self._log
+        if not log.keep_visits:
+            return pareto_front_from_best(
+                log.best_by_shape, self.table, self.algorithm
             )
-        return pareto_front(self.visited)
+        return pareto_front_from_columns(
+            log.ticks, log.masks, self.table, self.algorithm
+        )
 
     def subset_rows_used(self, bb_ids) -> int:
         """Peak CGC rows of a kernel subset (already-priced kernels)."""
-        if self._uses_packed_substrate():
-            return self.table.rows_used(self.table.mask_of(bb_ids))
-        return max(
-            (
-                self.model.contribution_by_id(bb_id).cgc_rows
-                for bb_id in bb_ids
-            ),
-            default=0,
-        )
+        return self.table.rows_used(self.table.mask_of(bb_ids))
 
     # ------------------------------------------------------------------
     # Subclass interface
@@ -492,52 +432,10 @@ class Partitioner(ABC):
     def move_budget(self) -> int | None:
         return self.config.max_kernels_moved
 
-    def _split_candidates(self) -> tuple[list[BlockWorkload], list[int]]:
-        """(supported kernels in Eq. 1 order, skipped unsupported ids).
-
-        Mirrors the engine: unsupported kernels are skipped (recorded) or,
-        with ``skip_unsupported_kernels=False``, rejected outright.
-        """
-        supported: list[BlockWorkload] = []
-        skipped: list[int] = []
-        for kernel in self.model.kernel_candidates(self.weight_model):
-            if self.model.contribution(kernel).supported:
-                supported.append(kernel)
-            elif not self.config.skip_unsupported_kernels:
-                raise ValueError(
-                    f"kernel BB {kernel.bb_id} cannot execute on the "
-                    "coarse-grain data-path"
-                )
-            else:
-                skipped.append(kernel.bb_id)
-        return supported, skipped
-
-    def _record_visited(self, state: CostState) -> VisitedConfiguration:
-        """Log the state's configuration (deduplicated by kernel subset).
-
-        ``state.cgc_rows_used()`` is the O(1) running row max the state
-        maintains through apply/revert — no per-visit recompute.
-        """
-        subset = frozenset(state.moved)
-        config = VisitedConfiguration(
-            total_cycles=state.total_cycles(),
-            moved_kernel_count=len(state.moved),
-            cgc_rows_used=state.cgc_rows_used(),
-            moved_bb_ids=tuple(sorted(state.moved)),
-            algorithm=self.algorithm,
-        )
-        if subset not in self._visited_subsets:
-            self._visited_subsets.add(subset)
-            self._visited_objects.append(config)
-        return config
-
-    def _packed_table_checked(self) -> PackedCostTable:
-        """The packed table, after the strict unsupported-kernel check.
-
-        Mirrors :meth:`_split_candidates`: with
-        ``skip_unsupported_kernels=False`` the first unsupported kernel
-        in the Eq. 1 candidate order is rejected outright.
-        """
+    def _checked_table(self) -> PackedCostTable:
+        """The packed table, after the strict unsupported-kernel check:
+        with ``skip_unsupported_kernels=False`` the first unsupported
+        kernel in the Eq. 1 candidate order is rejected outright."""
         table = self.table
         if table.skipped_bb_ids and not self.config.skip_unsupported_kernels:
             raise ValueError(
@@ -545,48 +443,6 @@ class Partitioner(ABC):
                 "the coarse-grain data-path"
             )
         return table
-
-    def _commit_step(
-        self,
-        result: PartitionResult,
-        bb_id: int,
-        ticks: tuple[int, int, int],
-        timing_constraint: int,
-    ) -> bool:
-        """Append one committed move to ``result``; returns constraint_met.
-
-        The engine's exact step bookkeeping
-        (:func:`repro.partition.trajectory.commit_step`), so greedy
-        results stay bit-identical and every algorithm's steps satisfy
-        the single-rounding component invariant.
-        """
-        return commit_step(
-            self.model, result, bb_id, ticks, timing_constraint
-        )
-
-    def _fill_result_from_subset(
-        self,
-        result: PartitionResult,
-        subset: frozenset[int] | set[int],
-        timing_constraint: int,
-        skipped: list[int],
-    ) -> None:
-        """Replay a final kernel subset as a move sequence.
-
-        Moves are applied in the canonical Eq. 1 order (descending total
-        weight), so the step list reads like a greedy trace and the final
-        cycle split is identical no matter which order the algorithm
-        discovered the subset in (Eq. 2 is additive).
-        """
-        result.skipped_bb_ids.extend(skipped)
-        state = CostState(self.model)
-        for kernel in self.model.kernel_candidates(self.weight_model):
-            if kernel.bb_id not in subset:
-                continue
-            state.apply_move(kernel.bb_id)
-            self._commit_step(
-                result, kernel.bb_id, state.ticks, timing_constraint
-            )
 
     def _fill_result_from_mask(
         self,
@@ -596,11 +452,10 @@ class Partitioner(ABC):
     ) -> None:
         """Replay a final configuration bitmask as a move sequence.
 
-        The packed counterpart of :meth:`_fill_result_from_subset`:
-        packed indices already are the canonical Eq. 1 order, and
-        :func:`commit_step` prices through the table's identical
-        single-rounding split, so both substrates produce the same
-        step lists for the same subset.
+        Moves are applied in the canonical Eq. 1 order (packed index
+        order), so the step list reads like a greedy trace and the final
+        cycle split is identical no matter which order the algorithm
+        discovered the subset in (Eq. 2 is additive).
         """
         table = self.table
         result.skipped_bb_ids.extend(table.skipped_bb_ids)
@@ -618,10 +473,3 @@ class Partitioner(ABC):
                     (fpga, cgc, comm),
                     timing_constraint,
                 )
-
-    @staticmethod
-    def _subset_key(
-        total_ticks: int, moved: set[int] | frozenset[int]
-    ) -> tuple[int, int, tuple[int, ...]]:
-        """Deterministic ordering key: cycles, then fewer moves, then ids."""
-        return (total_ticks, len(moved), tuple(sorted(moved)))

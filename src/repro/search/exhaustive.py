@@ -3,19 +3,15 @@ against.
 
 Eq. 2 prices any kernel subset in O(1) per inclusion, so for small
 candidate counts (the paper's applications have ≤ 8 meaningful kernels)
-every subset can be enumerated outright.  On the packed substrate the
-enumeration walks subsets in **Gray-code order**: consecutive codes
-differ in exactly one bit, so stepping from one configuration to the
-next is a single integer toggle — one addition to the running Eq. 2
-total, two appends to the visited column log, no recursion, no object
-churn.  That is what lets the packed default ``max_candidates`` cap sit
-at 24 (16.7M subsets); the object substrate keeps its historical
-default of 16 (its per-subset object churn makes 2^24 a
-minutes-to-hours mistake, not a default) — an explicit
-``max_candidates`` overrides either.  Under a move budget the packed
-walk switches to a budget-pruned depth-first enumeration (visiting only
-the subsets within the budget, like the object reference, instead of
-all 2^n codes).
+every subset can be enumerated outright.  The enumeration walks subsets
+in **Gray-code order**: consecutive codes differ in exactly one bit, so
+stepping from one configuration to the next is a single integer toggle —
+one addition to the running Eq. 2 total, two appends to the visited
+column log, no recursion, no object churn.  That is what lets the
+default ``max_candidates`` cap sit at 24 (16.7M subsets); an explicit
+``max_candidates`` overrides it.  Under a move budget the walk switches
+to a budget-pruned depth-first enumeration (visiting only the subsets
+within the budget instead of all 2^n codes).
 
 Two composable exact-search modes push the certified range further:
 
@@ -44,11 +40,9 @@ Two composable exact-search modes push the certified range further:
   B&B decomposes over the 2^s assignments of the s most-gainful
   kernels; each prefix task is an independent B&B.
 
-The object substrate keeps the original depth-first walk over
-:class:`~repro.partition.costs.CostState` as the differential
-reference.  Both substrates visit exactly the same subset set and pick
-the same optimum — minimum total cycles, tie-broken by fewer moves then
-lexicographic BB ids.
+Every mode picks the same optimum — minimum total cycles, tie-broken by
+fewer moves then lexicographic BB ids — as the object depth-first walk
+in ``tests/oracles/`` that the differential tests compare it against.
 """
 
 from __future__ import annotations
@@ -59,7 +53,6 @@ from dataclasses import dataclass
 
 from .. import telemetry
 from ..parallel import map_tasks
-from ..partition.costs import CostModel, CostState
 from ..partition.packed import PackedCostTable
 from ..partition.result import PartitionResult
 from .base import Partitioner, register_algorithm
@@ -400,14 +393,12 @@ class ExhaustivePartitioner(Partitioner):
     algorithm = "exhaustive"
 
     #: Default candidate caps when ``max_candidates`` is None, resolved
-    #: per substrate and exact-search mode — 2^n is cheap on the Gray
-    #: walk, cheaper still sharded across cores, and the
-    #: branch-and-bound certifies far past what enumeration can visit;
-    #: the object reference stays conservative.
+    #: per exact-search mode — 2^n is cheap on the Gray walk, cheaper
+    #: still sharded across cores, and the branch-and-bound certifies
+    #: far past what enumeration can visit.
     PACKED_DEFAULT_MAX_CANDIDATES = 24
     SHARDED_DEFAULT_MAX_CANDIDATES = 32
     PRUNED_DEFAULT_MAX_CANDIDATES = 40
-    OBJECT_DEFAULT_MAX_CANDIDATES = 16
 
     def __init__(
         self,
@@ -424,7 +415,7 @@ class ExhaustivePartitioner(Partitioner):
         if shards is not None and shards < 1:
             raise ValueError("shards must be >= 1")
         self.max_candidates = max_candidates
-        #: Contiguous Gray-code segments to fan out (packed substrate).
+        #: Contiguous Gray-code segments to fan out.
         self.shards = shards
         #: Exact branch-and-bound instead of full enumeration.
         self.prune = prune
@@ -440,11 +431,9 @@ class ExhaustivePartitioner(Partitioner):
         #: worse bound can only explore more, never less — the
         #: monotonicity property the tests pin).
         self._bound_slack = 0
-        #: (ordering key, subset, skipped ids) once enumerated; the
+        #: The optimal configuration bitmask once enumerated; the
         #: optimum is constraint-independent so one enumeration serves
         #: every run() of a sweep.
-        self._best: tuple[tuple, frozenset[int], list[int]] | None = None
-        #: Packed equivalent: the optimal configuration bitmask.
         self._best_mask: int | None = None
         if max_candidates is not None:
             self._validate_candidate_count(max_candidates)
@@ -456,12 +445,12 @@ class ExhaustivePartitioner(Partitioner):
         if len(candidates) <= max_candidates:
             return
         # Unsupported kernels never enter the enumeration, so only the
-        # supported count can breach the cap; pricing through a
-        # throwaway model keeps the lazily-built substrate (and the
-        # config-freeze contract) untouched.
-        probe = CostModel(self.workload, self.platform)
+        # supported count can breach the cap.  Support is a property of
+        # the DFG, so counting it prices nothing (and leaves the lazily
+        # derived table and the config-freeze contract untouched).
+        datapath = self.platform.datapath
         supported = sum(
-            1 for kernel in candidates if probe.contribution(kernel).supported
+            1 for kernel in candidates if datapath.supports_dfg(kernel.dfg)
         )
         if supported > max_candidates:
             raise ValueError(
@@ -474,83 +463,16 @@ class ExhaustivePartitioner(Partitioner):
     def _candidate_cap(self) -> int:
         if self.max_candidates is not None:
             return self.max_candidates
-        if self._uses_packed_substrate():
-            if self.prune:
-                return self.PRUNED_DEFAULT_MAX_CANDIDATES
-            if self.shards is not None and self.shards > 1:
-                return self.SHARDED_DEFAULT_MAX_CANDIDATES
-            return self.PACKED_DEFAULT_MAX_CANDIDATES
-        return self.OBJECT_DEFAULT_MAX_CANDIDATES
+        if self.prune:
+            return self.PRUNED_DEFAULT_MAX_CANDIDATES
+        if self.shards is not None and self.shards > 1:
+            return self.SHARDED_DEFAULT_MAX_CANDIDATES
+        return self.PACKED_DEFAULT_MAX_CANDIDATES
 
-    # ------------------------------------------------------------------
-    # Object substrate (differential reference)
-    # ------------------------------------------------------------------
-    def _enumerate(self) -> tuple[tuple, frozenset[int], list[int]]:
-        if self._best is not None:
-            return self._best
-        if self.shards is not None or self.prune or (
-            self.keep_visits is not None
-        ):
-            raise ValueError(
-                "sharded / pruned / reduced-log exact search runs on the "
-                "packed substrate only (EngineConfig.substrate='packed')"
-            )
-        supported, skipped = self._split_candidates()
-        cap = self._candidate_cap()
-        if len(supported) > cap:
-            raise ValueError(
-                f"{len(supported)} kernel candidates exceed the exhaustive "
-                f"limit of {cap} (2^n subsets); raise "
-                "max_candidates explicitly if you really want this"
-            )
-        budget = self.move_budget
-        state = CostState(self.model)
-        best_key = self._subset_key(state.total_ticks, state.moved)
-        best_subset = frozenset()
-        self._record_visited(state)
-        deadline = self._deadline
-        visits = 0
-        stopped = False
-
-        def walk(index: int) -> None:
-            nonlocal best_key, best_subset, visits, stopped
-            if index == len(supported) or stopped:
-                return
-            # Exclude branch first so the all-FPGA prefix is explored
-            # without touching the state.
-            walk(index + 1)
-            if (budget is not None and len(state.moved) >= budget) or stopped:
-                return
-            bb_id = supported[index].bb_id
-            state.apply_move(bb_id)
-            self._record_visited(state)
-            key = self._subset_key(state.total_ticks, state.moved)
-            if key < best_key:
-                best_key = key
-                best_subset = frozenset(state.moved)
-            visits += 1
-            if (
-                deadline is not None
-                and not visits & DEADLINE_CHECK_MASK
-                and deadline.expired()
-            ):
-                stopped = True
-            walk(index + 1)
-            state.revert_move(bb_id)
-
-        walk(0)
-        if stopped:
-            self._mark_partial()
-        self._best = (best_key, best_subset, skipped)
-        return self._best
-
-    # ------------------------------------------------------------------
-    # Packed substrate
-    # ------------------------------------------------------------------
-    def _enumerate_packed(self) -> int:
+    def _enumerate(self) -> int:
         if self._best_mask is not None:
             return self._best_mask
-        table = self._packed_table_checked()
+        table = self._checked_table()
         n = len(table)
         cap = self._candidate_cap()
         if n > cap:
@@ -566,7 +488,7 @@ class ExhaustivePartitioner(Partitioner):
         if keep is None:
             keep = self.shards is None
         if not keep:
-            self._packed_log.drop_visits(table)
+            self._log.drop_visits(table)
         if self.prune:
             self._best_mask = self._branch_and_bound(n, budget, keep)
         elif self.shards is not None:
@@ -598,7 +520,7 @@ class ExhaustivePartitioner(Partitioner):
         (the all-FPGA origin is the baseline, exactly as in the serial
         walk)."""
         table = self.table
-        log = self._packed_log
+        log = self._log
         best_total = table.initial_ticks
         best_count = 0
         best_mask = 0
@@ -702,7 +624,7 @@ class ExhaustivePartitioner(Partitioner):
         table = self.table
         deltas = table.move_delta
         delta_by_bit = {1 << i: deltas[i] for i in range(n)}
-        log = self._packed_log
+        log = self._log
         # 2^n entries of boxed Python ints would dominate the walk's
         # memory (n=24 → ~1.3 GB); every value here fits int64 (n ≤ 62
         # bits of mask, tick totals bounded by initial ± Σ|delta|), so
@@ -740,9 +662,8 @@ class ExhaustivePartitioner(Partitioner):
             append_masks(mask)
             if total > best_total:
                 continue
-            # Ties follow the object key: ticks, then fewer moves, then
-            # the lexicographically smallest BB tuple (decoded lazily —
-            # exact ties are rare).
+            # Ties: ticks, then fewer moves, then the lexicographically
+            # smallest BB tuple (decoded lazily — exact ties are rare).
             count = mask.bit_count()
             if total < best_total or count < best_count:
                 best_total, best_mask, best_count = total, mask, count
@@ -759,7 +680,7 @@ class ExhaustivePartitioner(Partitioner):
         """Depth-first enumeration of the subsets within the budget."""
         table = self.table
         deltas = table.move_delta
-        log = self._packed_log
+        log = self._log
         deadline = self._deadline
         visits = 0
         stopped = False
@@ -811,11 +732,6 @@ class ExhaustivePartitioner(Partitioner):
     def _search(
         self, timing_constraint: int, result: PartitionResult
     ) -> None:
-        if self._uses_packed_substrate():
-            mask = self._enumerate_packed()
-            self._fill_result_from_mask(result, mask, timing_constraint)
-            return
-        __, subset, skipped = self._enumerate()
-        self._fill_result_from_subset(
-            result, subset, timing_constraint, skipped
+        self._fill_result_from_mask(
+            result, self._enumerate(), timing_constraint
         )

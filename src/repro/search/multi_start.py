@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import random
 
-from ..partition.costs import CostState
 from ..partition.result import PartitionResult
-from ..partition.workload import BlockWorkload
 from .base import Partitioner, register_algorithm
 
 
@@ -44,70 +42,24 @@ class MultiStartPartitioner(Partitioner):
         self.restarts = restarts
         self.seed = seed
         self.jitter = jitter
-        self._best: tuple[tuple, frozenset[int], list[int]] | None = None
         self._best_mask: int | None = None
 
-    # ------------------------------------------------------------------
-    def _restart_order(
-        self, supported: list[BlockWorkload], restart: int
-    ) -> list[BlockWorkload]:
-        """Visit order for one restart (restart 0 = the paper's order)."""
-        if restart == 0:
-            return supported
-        rng = random.Random((self.seed * 0x9E3779B1 + restart) & 0xFFFFFFFF)
-        noisy = {
-            kernel.bb_id: kernel.total_weight(self.weight_model)
-            * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
-            for kernel in supported
-        }
-        return sorted(supported, key=lambda k: (-noisy[k.bb_id], k.bb_id))
+    def _explore(self) -> int:
+        """Best of the jittered restarts (cached across runs).
 
-    def _explore(self) -> tuple[tuple, frozenset[int], list[int]]:
-        if self._best is not None:
-            return self._best
-        supported, skipped = self._split_candidates()
-        budget = self.move_budget
-        best_key: tuple | None = None
-        best_subset = frozenset()
-        for restart in range(self.restarts):
-            # Deadline poll per restart (a visit batch); restart 0
-            # always runs, so the result is never worse than greedy.
-            if restart and self._deadline_expired():
-                self._mark_partial()
-                break
-            state = CostState(self.model)
-            for kernel in self._restart_order(supported, restart):
-                if budget is not None and len(state.moved) >= budget:
-                    break
-                if self.model.contribution(kernel).move_delta <= 0:
-                    state.apply_move(kernel.bb_id)
-                    self._record_visited(state)
-            key = self._subset_key(state.total_ticks, state.moved)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_subset = frozenset(state.moved)
-        assert best_key is not None
-        self._best = (best_key, best_subset, skipped)
-        return self._best
-
-    def _explore_packed(self) -> int:
-        """The same jittered restarts on packed columns.
-
-        Restart ordering is bit-compatible with the object walk: packed
-        indices are the Eq. 1 order the object version iterates, the
-        jitter multiplies the same integer total weights with the same
-        seeded RNG stream, and ties sort by BB id — so both substrates
-        run every restart in the identical kernel order.
+        Packed indices are the Eq. 1 order, so restart 0 is the paper's
+        order; later restarts multiply the integer total weights by a
+        seeded jitter and re-sort, ties by BB id.
         """
         if self._best_mask is not None:
             return self._best_mask
-        table = self._packed_table_checked()
+        table = self._checked_table()
         n = len(table)
         budget = self.move_budget
         deltas = table.move_delta
         bb_ids = table.bb_ids
         weights = table.weights
-        log = self._packed_log
+        log = self._log
         best_key: tuple | None = None
         best_mask = 0
         for restart in range(self.restarts):
@@ -151,11 +103,6 @@ class MultiStartPartitioner(Partitioner):
     def _search(
         self, timing_constraint: int, result: PartitionResult
     ) -> None:
-        if self._uses_packed_substrate():
-            mask = self._explore_packed()
-            self._fill_result_from_mask(result, mask, timing_constraint)
-            return
-        __, subset, skipped = self._explore()
-        self._fill_result_from_subset(
-            result, subset, timing_constraint, skipped
+        self._fill_result_from_mask(
+            result, self._explore(), timing_constraint
         )

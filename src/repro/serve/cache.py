@@ -1,153 +1,16 @@
-"""Capacity-bounded caches the server shares across requests.
+"""The server's pricing cache.
 
-Two LRU layers sit between incoming jobs and the pricing substrate:
-
-* a **workload cache** (spec -> built :class:`ApplicationWorkload`), so
-  the same workload requested on several platforms builds its DFGs —
-  and, for the measured kinds, runs the profiler — once;
-* a **table cache** ((workload, platform) -> priced
-  :class:`~repro.partition.packed.PackedCostTable`), so every job of a
-  batch sharing the pair partitions against one pricing pass.
-
-Both are plain LRU dicts bounded by entry count (priced tables are a
-few tuples of ints per kernel — the bound is about unbounded-workload
-hygiene on a long-running daemon, not memory pressure per entry), and
-both export their hit/miss counters through :mod:`repro.telemetry`
-(``serve_workload_cache_hits/misses``, ``serve_table_cache_hits/
-misses``) next to the ``cost_table_builds`` counter the table build
-itself bumps.  Measured workload specs profile through the server's
-shared :class:`~repro.interp.cache.ProfileCache`, so repeated profiling
-of an identical program is also collapsed (and survives restarts when
-the cache directory is on disk).
+:class:`PricedTableCache` is :class:`~repro.partition.resolver.TableResolver`
+itself — the one bounded resolver from a (workload × platform) pair to a
+priced table — under the name serving code and its tracing look up.
+The server gives it the ``serve`` counter prefix
+(``serve_workload_cache_hits/misses``, ``serve_table_cache_hits/misses``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Generic, TypeVar
+from ..partition.resolver import LruCache, TableResolver
 
-from .. import telemetry
-from ..explore.space import PlatformSpec, WorkloadSpec
-from ..interp.cache import ProfileCache
-from ..partition.costs import CostModel
-from ..partition.packed import PackedCostTable
-from ..partition.workload import ApplicationWorkload
+PricedTableCache = TableResolver
 
 __all__ = ["LruCache", "PricedTableCache"]
-
-_Key = TypeVar("_Key")
-_Value = TypeVar("_Value")
-
-
-@dataclass
-class CacheCounters:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-
-class LruCache(Generic[_Key, _Value]):
-    """A small least-recently-used mapping with telemetry counters.
-
-    ``counter_prefix`` names the telemetry counters this cache bumps
-    (``<prefix>_hits`` / ``<prefix>_misses``).  Not thread-safe on its
-    own; the server serializes access from its dispatcher thread.
-    """
-
-    def __init__(self, capacity: int, counter_prefix: str) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self.capacity = capacity
-        self.counter_prefix = counter_prefix
-        self.counters = CacheCounters()
-        self._entries: OrderedDict[_Key, _Value] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: _Key) -> bool:
-        return key in self._entries
-
-    def get(self, key: _Key) -> _Value | None:
-        """The cached value (refreshed to most-recent), or ``None``."""
-        value = self._entries.get(key)
-        if value is None:
-            self.counters.misses += 1
-            telemetry.count(f"{self.counter_prefix}_misses")
-            return None
-        self._entries.move_to_end(key)
-        self.counters.hits += 1
-        telemetry.count(f"{self.counter_prefix}_hits")
-        return value
-
-    def put(self, key: _Key, value: _Value) -> None:
-        """Insert (or refresh) an entry, evicting the least recent."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.counters.evictions += 1
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.counters.hits,
-            "misses": self.counters.misses,
-            "evictions": self.counters.evictions,
-        }
-
-
-class PricedTableCache:
-    """The server's shared pricing state: workloads, tables, profiles.
-
-    ``resolve(pair)`` returns the built ``(workload, platform, table)``
-    triple for a (workload-spec, platform-spec) pair, building and
-    caching whatever is missing.  One resolve per *batch*, so N queued
-    jobs sharing a pair cost one ``cost_table_builds`` however they
-    arrived.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 8,
-        profile_cache: ProfileCache | None = None,
-    ) -> None:
-        self.workloads: LruCache[WorkloadSpec, ApplicationWorkload] = (
-            LruCache(capacity, "serve_workload_cache")
-        )
-        self.tables: LruCache[
-            tuple[WorkloadSpec, PlatformSpec], PackedCostTable
-        ] = LruCache(capacity, "serve_table_cache")
-        self.profile_cache = (
-            profile_cache if profile_cache is not None else ProfileCache()
-        )
-
-    def resolve(
-        self, pair: tuple[WorkloadSpec, PlatformSpec]
-    ) -> tuple[ApplicationWorkload, "object", PackedCostTable]:
-        workload_spec, platform_spec = pair
-        workload = self.workloads.get(workload_spec)
-        if workload is None:
-            with telemetry.span("build_workload"):
-                workload = workload_spec.build(
-                    profile_cache=self.profile_cache
-                )
-            self.workloads.put(workload_spec, workload)
-        platform = platform_spec.build()
-        table = self.tables.get(pair)
-        if table is None:
-            # from_model() bumps the cost_table_builds counter — the
-            # batching-collapse metric the load bench gates on.
-            table = PackedCostTable.from_model(CostModel(workload, platform))
-            self.tables.put(pair, table)
-        return workload, platform, table
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "workloads": self.workloads.stats(),
-            "tables": self.tables.stats(),
-            "profile_hits": self.profile_cache.stats.hits,
-            "profile_misses": self.profile_cache.stats.misses,
-        }

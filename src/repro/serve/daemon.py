@@ -61,8 +61,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> object:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > _MAX_BODY_BYTES:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0 or length > _MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request: answer, then close it.
+            self.close_connection = True
+            if length < 0:
+                raise JobValidationError(
+                    f"invalid Content-Length header {header!r}"
+                )
             raise JobValidationError(
                 f"request body too large ({length} bytes)"
             )
@@ -104,7 +115,15 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 return
             except JobError as error:
-                self._reply(400, {"error": error.to_payload()})
+                self._reply(
+                    400,
+                    {"error": error.to_payload()},
+                    headers=(
+                        {"Connection": "close"}
+                        if self.close_connection
+                        else None
+                    ),
+                )
                 return
             self._reply(202, {"job_id": job_id})
             return

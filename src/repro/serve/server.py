@@ -57,6 +57,7 @@ from ..partition.result import PartitionResult
 from ..partition.workload import ApplicationWorkload
 from ..explore.space import PlatformSpec, WorkloadSpec
 from ..interp.cache import ProfileCache, default_profile_cache
+from ..partition.resolver import process_resolver
 from ..search import make_partitioner
 from ..search.base import AlgorithmSpec
 from .cache import PricedTableCache
@@ -166,11 +167,6 @@ class _JobTask:
     degrade: bool = False
 
 
-#: Per-process workload cache for pool workers (grown lazily, exactly
-#: like the suite runner's).
-_WORKER_WORKLOADS: dict[WorkloadSpec, ApplicationWorkload] = {}
-
-
 def _partition_once(
     task: _JobTask,
     workload: ApplicationWorkload,
@@ -222,13 +218,11 @@ def _execute_task(task: _JobTask) -> tuple[str, object]:
 
     Used by pool workers (hence top-level and picklable).  The injected
     table means a worker prices nothing — ``cost_table_builds`` stays
-    with the dispatcher's cache.
+    with the dispatcher's resolver; the worker's own process resolver
+    only builds (and keeps, bounded) the workloads.
     """
     try:
-        workload = _WORKER_WORKLOADS.get(task.workload)
-        if workload is None:
-            workload = task.workload.build()
-            _WORKER_WORKLOADS[task.workload] = workload
+        workload = process_resolver().workload(task.workload)
         platform = task.platform.build()
     except Exception as error:  # noqa: BLE001
         return "error", f"{type(error).__name__}: {error}"
@@ -260,6 +254,7 @@ class Server:
         self.caches = PricedTableCache(
             capacity=self.config.cache_capacity,
             profile_cache=profile_cache,
+            counter_prefix="serve",
         )
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)

@@ -1,18 +1,18 @@
 """Batched scenario execution.
 
 Runs a list of named scenarios through the :mod:`repro.search`
-substrate (the same partitioners the :mod:`repro.explore` grids fan
-out), timing each scenario and packaging the outcomes as a
+partitioners (the same ones the :mod:`repro.explore` grids fan out),
+timing each scenario and packaging the outcomes as a
 :class:`~repro.suite.store.SuiteRun` ready for the store, the JSON
 baseline writer, or a comparison.
 
 Scenarios fan out over ``ProcessPoolExecutor`` like exploration tasks
-do, with the same serial fallback when process pools are unavailable;
-built workloads are cached per process by spec, so scenarios sharing a
-workload (e.g. the skew axis pair) build its DFGs once, and packed cost
-tables are cached per (workload, platform) pair, so scenarios that
-differ only in algorithm or constraint fraction price their blocks
-once instead of once per scenario.
+do, with the same serial fallback when process pools are unavailable.
+Workloads and packed cost tables come from a
+:class:`~repro.partition.resolver.TableResolver` (one per serial call,
+one per worker process), so scenarios sharing a workload build its DFGs
+once, and scenarios that differ only in algorithm or constraint
+fraction price their blocks once instead of once per scenario.
 """
 
 from __future__ import annotations
@@ -21,40 +21,27 @@ import os
 import time
 
 from .. import telemetry
-from ..explore.space import PlatformSpec, WorkloadSpec
 from ..parallel import map_tasks
-from ..partition.costs import CostModel
 from ..partition.engine import EngineConfig
-from ..partition.packed import PackedCostTable
-from ..partition.workload import ApplicationWorkload
+from ..partition.resolver import TableResolver, process_resolver
 from ..search import make_partitioner
 from .fingerprint import repo_fingerprint
 from .scenarios import Scenario, default_suite
 from .store import ResultStore, ScenarioResult, SuiteRun
 
-#: Per-process workload cache (worker processes grow their own copy).
-_WORKLOAD_CACHE: dict[WorkloadSpec, ApplicationWorkload] = {}
-
-#: Per-process packed-table cache: one pricing pass per (workload,
-#: platform) pair, shared by every scenario the worker runs on it.
-_TABLE_CACHE: dict[tuple[WorkloadSpec, PlatformSpec], PackedCostTable] = {}
-
 
 def run_scenario(
-    scenario: Scenario,
-    workload_cache: dict[WorkloadSpec, ApplicationWorkload] | None = None,
-    table_cache: (
-        dict[tuple[WorkloadSpec, PlatformSpec], PackedCostTable] | None
-    ) = None,
+    scenario: Scenario, resolver: TableResolver | None = None
 ) -> ScenarioResult:
     """Execute one scenario.
 
     ``wall_time_seconds`` covers the partitioning search itself
     (pricing through the final result — pricing is amortized to the
-    pair's first scenario by the packed-table cache), not the cached
-    workload build.  ``configs_per_second`` is the visited-configuration
-    count over the search-only time (``run()`` on the warm substrate) —
-    the evaluation-throughput metric regressions gate on.
+    pair's first scenario by ``resolver``, this process's shared
+    resolver when None), not the cached workload build.
+    ``configs_per_second`` is the visited-configuration count over the
+    search-only time (``run()`` on the warm table) — the
+    evaluation-throughput metric regressions gate on.
 
     With telemetry enabled, ``phases`` carries the per-phase seconds of
     the walled region (the scenario span's direct children, e.g.
@@ -62,16 +49,12 @@ def run_scenario(
     ``wall_time_seconds``; with telemetry off it is empty and nothing
     else changes.
     """
-    cache = _WORKLOAD_CACHE if workload_cache is None else workload_cache
-    workload = cache.get(scenario.workload)
-    if workload is None:
-        # Outside the scenario span on purpose: the build is cached and
-        # excluded from wall_time_seconds, so it must not show up in the
-        # phase breakdown that reconciles against the wall either.
-        with telemetry.span("build_workload"):
-            workload = scenario.workload.build()
-        cache[scenario.workload] = workload
-    platform = scenario.platform.build()
+    if resolver is None:
+        resolver = process_resolver()
+    # Outside the scenario span on purpose: the build is cached and
+    # excluded from wall_time_seconds, so it must not show up in the
+    # phase breakdown that reconciles against the wall either.
+    resolver.workload(scenario.workload)
 
     # The walled region runs under one span per scenario, so its direct
     # children (price_table, search, ...) are exactly the phases the
@@ -85,14 +68,9 @@ def run_scenario(
             for name, node in scenario_span.children.items()
         }
         started = time.perf_counter()
-        tables = _TABLE_CACHE if table_cache is None else table_cache
-        table_key = (scenario.workload, scenario.platform)
-        table = tables.get(table_key)
-        if table is None:
-            table = PackedCostTable.from_model(CostModel(workload, platform))
-            tables[table_key] = table
-        else:
-            telemetry.count("cost_table_cache_hits")
+        workload, platform, table = resolver.resolve(
+            (scenario.workload, scenario.platform)
+        )
         partitioner = make_partitioner(
             scenario.algorithm,
             workload,
@@ -174,12 +152,9 @@ def run_suite(
     workers = max(1, workers)
 
     def run_serially(serial_scenarios) -> list[ScenarioResult]:
-        workloads: dict[WorkloadSpec, ApplicationWorkload] = {}
-        tables: dict[
-            tuple[WorkloadSpec, PlatformSpec], PackedCostTable
-        ] = {}
+        resolver = TableResolver()
         return [
-            run_scenario(scenario, workloads, tables)
+            run_scenario(scenario, resolver)
             for scenario in serial_scenarios
         ]
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from oracles import full_rescan
 from repro.explore import (
     DesignSpace,
     ExplorationReport,
@@ -13,7 +14,7 @@ from repro.explore import (
     explore,
 )
 from repro.explore.runner import _run_task
-from repro.partition import EngineConfig
+from repro.partition import CostModel, EngineConfig, TableResolver
 from repro.reporting import (
     render_exploration,
     write_exploration_csv,
@@ -176,21 +177,24 @@ class TestExplore:
         )
         assert all(r.kernels_moved <= 1 for r in strict.results)
 
-    def test_full_rescan_reference_mode_honoured(self, small_space):
-        """EngineConfig.incremental=False must reach the engine through
-        the partitioner layer (regression: the flag was silently
-        ignored), visible as the full-rescan evaluation blow-up."""
-        incremental = explore(small_space, max_workers=1)
-        rescan = explore(
-            small_space,
-            max_workers=1,
-            engine_config=EngineConfig(incremental=False),
-        )
-        assert rescan.results == incremental.results
-        assert (
-            rescan.contribution_lookups
-            > 2 * incremental.contribution_lookups
-        )
+    def test_greedy_cells_match_full_rescan_reference(
+        self, small_space, small_report
+    ):
+        """Every greedy grid cell equals the seed engine's full-rescan
+        loop (the object reference in ``tests/oracles``) on its pair."""
+        expected = []
+        for task in small_space.tasks():
+            model = CostModel(task.workload.build(), task.platform.build())
+            for fraction in task.constraint_fractions:
+                constraint = max(1, round(model.initial_cycles() * fraction))
+                reference = full_rescan(model, constraint)
+                expected.append(
+                    (reference.final_cycles, tuple(reference.moved_bb_ids))
+                )
+        assert [
+            (result.final_cycles, tuple(result.moved_bb_ids))
+            for result in small_report.results
+        ] == expected
 
     def test_stats_aggregate(self, small_report):
         assert small_report.block_cost_evaluations > 0
@@ -198,16 +202,15 @@ class TestExplore:
         assert small_report.elapsed_seconds > 0.0
 
     def test_task_prices_each_pair_once(self, small_space):
-        workloads: dict = {}
-        tables: dict = {}
-        outcome = _run_task(small_space.tasks()[0], workloads, tables)
+        resolver = TableResolver()
+        outcome = _run_task(small_space.tasks()[0], resolver)
         # One packed table priced every constraint cell of the pair, so
         # each of the 18 OFDM blocks was mapped exactly once, not once
         # per cell.
         assert outcome.blocks_mapped == 18
-        # Re-running the task against a warm table cache re-prices
+        # Re-running the task against the warm resolver re-prices
         # nothing at all.
-        warm = _run_task(small_space.tasks()[0], workloads, tables)
+        warm = _run_task(small_space.tasks()[0], resolver)
         assert warm.blocks_mapped == 0
         assert warm.results == outcome.results
 
@@ -221,11 +224,10 @@ class TestExplore:
             algorithms=(AlgorithmSpec.greedy(), AlgorithmSpec.annealing()),
         )
         greedy_task, annealing_task = space.tasks()
-        workloads: dict = {}
-        tables: dict = {}
-        first = _run_task(greedy_task, workloads, tables)
+        resolver = TableResolver()
+        first = _run_task(greedy_task, resolver)
         assert first.blocks_mapped == 18
-        second = _run_task(annealing_task, workloads, tables)
+        second = _run_task(annealing_task, resolver)
         assert second.blocks_mapped == 0
 
 

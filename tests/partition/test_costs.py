@@ -1,11 +1,11 @@
-"""Tests for the shared incremental cost substrate (CostModel/CostState)
-and the EngineConfig freeze-after-run contract."""
+"""Tests for the per-block cost model, the object ``CostState`` reference
+(``tests/oracles``) and the EngineConfig freeze-after-run contract."""
 
 import pytest
 
+from oracles import CostState
 from repro.partition import (
     CostModel,
-    CostState,
     EngineConfig,
     PartitioningEngine,
 )

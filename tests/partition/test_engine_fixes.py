@@ -1,11 +1,14 @@
 """Tests for the greedy-move revert fix, the single-rounding invariant,
-and the incremental-vs-full-rescan differential."""
+and the engine-vs-full-rescan differential (the seed engine's loop lives
+in ``tests/oracles``)."""
 
 import pytest
 
+from oracles import full_rescan
 from repro.partition import (
     ApplicationWorkload,
     BlockWorkload,
+    CostModel,
     EngineConfig,
     PartitioningEngine,
     PartitionStep,
@@ -69,11 +72,9 @@ class TestRegressingMoveRevert:
         assert result.reduction_percent < 0.0
 
     def test_full_rescan_mode_also_reverts(self, regressing_workload):
-        config = EngineConfig(incremental=False)
-        engine = PartitioningEngine(
-            regressing_workload, paper_platform(1500, 2), config=config
+        result = full_rescan(
+            CostModel(regressing_workload, paper_platform(1500, 2)), 1
         )
-        result = engine.run(1)
         assert 1 in result.reverted_bb_ids
         assert result.final_cycles <= result.initial_cycles
 
@@ -130,39 +131,28 @@ class TestIncrementalDifferential:
     def test_identical_results_on_paper_workloads(
         self, ofdm, jpeg, allow_regressing
     ):
+        config = EngineConfig(allow_regressing_moves=allow_regressing)
         for workload in (ofdm, jpeg):
             for afpga, cgc_count in ((1500, 2), (5000, 3)):
                 platform = paper_platform(afpga, cgc_count)
-                inc = PartitioningEngine(
-                    workload,
-                    platform,
-                    config=EngineConfig(
-                        incremental=True,
-                        allow_regressing_moves=allow_regressing,
-                    ),
-                )
-                full = PartitioningEngine(
-                    workload,
-                    platform,
-                    config=EngineConfig(
-                        incremental=False,
-                        allow_regressing_moves=allow_regressing,
-                    ),
-                )
+                inc = PartitioningEngine(workload, platform, config=config)
+                model = CostModel(workload, platform)
                 initial = inc.initial_cycles()
                 constraints = [1, initial // 2, (initial * 3) // 4, initial * 2]
-                assert inc.sweep(constraints) == full.sweep(constraints)
+                assert inc.sweep(constraints) == [
+                    full_rescan(model, constraint, config)
+                    for constraint in constraints
+                ]
 
     def test_incremental_needs_fewer_evaluations(self, ofdm):
         platform = paper_platform(1500, 2)
         inc = PartitioningEngine(ofdm, platform)
-        full = PartitioningEngine(
-            ofdm, platform, config=EngineConfig(incremental=False)
-        )
+        full = CostModel(ofdm, platform)
         initial = inc.initial_cycles()
         constraints = [1, initial // 2, (initial * 3) // 4]
         inc.sweep(constraints)
-        full.sweep(constraints)
+        for constraint in constraints:
+            full_rescan(full, constraint)
         # Contributions are computed once per block either way (the
         # evaluation counter tracks cache misses); the rescan blow-up
         # shows in how often the aggregation *consults* the model.

@@ -3,23 +3,22 @@
 The contract under test: a :class:`PackedCostTable` derived from a
 :class:`CostModel` is *bit-identical* to it — same Eq. 2 terms, same
 candidate order, same tick arithmetic, same single-rounding cycle
-split — so the search layer can swap substrates without changing a
-single reported number.
+split — and agrees with the object ``CostState`` / ``GreedyTrajectory``
+references in ``tests/oracles``.
 """
 
 import pickle
 
 import pytest
 
+from oracles import CostState, GreedyTrajectory
 from repro.analysis.weights import WeightModel
 from repro.partition import (
     CostModel,
-    CostState,
     PackedCostTable,
     PackedGreedyTrajectory,
     PackedVisitLog,
 )
-from repro.partition.trajectory import GreedyTrajectory
 from repro.platform import paper_platform
 from repro.workloads import synthetic_application
 
@@ -150,21 +149,6 @@ class TestPickling:
         """The point of shipping tables between processes: a table is
         orders of magnitude smaller than its workload's DFGs."""
         assert len(pickle.dumps(table)) < len(pickle.dumps(workload)) / 10
-
-
-class TestPackedState:
-    def test_toggle_round_trip(self, table):
-        state = table.state()
-        start = state.ticks
-        delta = state.toggle(0)
-        assert delta == table.move_delta[0]
-        assert state.mask == 1
-        assert state.moved_count == 1
-        assert state.total_ticks == table.initial_ticks + delta
-        assert state.propose(0) == -delta
-        state.toggle(0)
-        assert state.ticks == start
-        assert state.mask == 0 and state.moved_count == 0
 
 
 class TestVisitLog:

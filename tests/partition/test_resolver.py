@@ -1,0 +1,91 @@
+"""The one bounded (workload × platform) -> priced-table resolver."""
+
+import pytest
+
+import repro.partition.resolver as resolver_module
+from repro.explore import PlatformSpec, WorkloadSpec
+from repro.explore.runner import _run_task
+from repro.explore.space import ExplorationTask
+from repro.partition import CostModel, PackedCostTable, TableResolver
+from repro.partition.resolver import RESOLVER_CAPACITY, process_resolver
+from repro.suite import Scenario, default_suite, run_scenario
+
+PLATFORM = PlatformSpec()
+SPECS = [WorkloadSpec.synthetic(6, seed=seed) for seed in range(4)]
+
+
+def test_lookups_of_one_pair_share_one_table():
+    resolver = TableResolver()
+    first = resolver.resolve((SPECS[0], PLATFORM))
+    second = resolver.resolve((SPECS[0], PLATFORM))
+    assert second[0] is first[0] and second[2] is first[2]
+    assert resolver.stats()["tables"]["misses"] == 1
+    assert resolver.stats()["tables"]["hits"] == 1
+
+
+def test_capacity_evicts_the_least_recently_used_pair():
+    resolver = TableResolver(capacity=2)
+    for spec in (SPECS[0], SPECS[1], SPECS[0], SPECS[2]):
+        resolver.resolve((spec, PLATFORM))
+    # SPECS[0] was refreshed by its second lookup, so SPECS[1] went.
+    assert (SPECS[0], PLATFORM, False) in resolver.tables
+    assert (SPECS[1], PLATFORM, False) not in resolver.tables
+    assert resolver.stats()["tables"]["evictions"] == 1
+    assert resolver.stats()["workloads"]["evictions"] == 1
+
+
+def test_reconfig_charge_flag_keys_distinct_tables():
+    resolver = TableResolver()
+    pair = (SPECS[0], PLATFORM)
+    workload, platform, cached = resolver.resolve(pair)
+    _, _, charged = resolver.resolve(
+        pair, charge_single_partition_reconfig=True
+    )
+    assert len(resolver.tables) == 2
+    assert charged != cached
+    assert charged == PackedCostTable.from_model(
+        CostModel(workload, platform, charge_single_partition_reconfig=True)
+    )
+
+
+def test_callers_without_a_resolver_stay_bounded(monkeypatch):
+    """run_scenario and _run_task fall back to the process resolver,
+    which keeps at most its capacity of tables over more pairs."""
+    bounded = TableResolver(capacity=2)
+    monkeypatch.setattr(resolver_module, "_process_resolver", bounded)
+    for index, spec in enumerate(SPECS):
+        if index % 2:
+            run_scenario(Scenario(name=f"pair-{index}", workload=spec))
+        else:
+            _run_task(
+                ExplorationTask(
+                    workload=spec, platform=PLATFORM,
+                    constraint_fractions=(0.5,),
+                )
+            )
+    assert process_resolver() is bounded
+    assert len(bounded.tables) == 2
+    assert bounded.tables.counters.evictions == len(SPECS) - 2
+
+
+def test_a_serial_suite_run_never_evicts():
+    pairs = {(s.workload, s.platform) for s in default_suite()}
+    assert len(pairs) <= RESOLVER_CAPACITY
+
+
+def test_capacity_must_be_positive():
+    with pytest.raises(ValueError, match="capacity"):
+        TableResolver(capacity=0)
+
+
+def test_process_resolver_follows_the_profile_cache_dir(
+    monkeypatch, tmp_path
+):
+    """Pool workers get their explore task's profile directory without
+    dropping what their resolver already built."""
+    monkeypatch.setattr(resolver_module, "_process_resolver", None)
+    resolver = process_resolver()
+    resolver.resolve((SPECS[0], PLATFORM))
+    assert process_resolver(str(tmp_path)) is resolver
+    assert resolver.profile_cache.directory == tmp_path
+    assert (SPECS[0], PLATFORM, False) in resolver.tables

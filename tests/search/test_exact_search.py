@@ -301,15 +301,6 @@ def test_invalid_knobs_rejected(workloads, platform):
     )
     with pytest.raises(ValueError, match="prune=True"):
         partitioner.run(1)
-    # The object substrate has no sharded/pruned machinery.
-    for kwargs in ({"shards": 2}, {"prune": True}, {"keep_visits": False}):
-        partitioner = ExhaustivePartitioner(
-            workload, platform,
-            config=EngineConfig(substrate="object"),
-            **kwargs,
-        )
-        with pytest.raises(ValueError, match="packed substrate only"):
-            partitioner.run(1)
 
 
 def test_default_caps_are_mode_aware(workloads, platform):

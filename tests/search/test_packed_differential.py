@@ -1,15 +1,18 @@
-"""Packed vs. object substrate differential coverage.
+"""Packed search vs. the object reference walks.
 
-The acceptance contract of the packed refactor: on every registered
+The acceptance contract of the packed substrate: on every registered
 workload (the paper apps, the filter bank and Viterbi decoder, and the
 synthetic skew / communication / size families) and every algorithm,
-both substrates produce identical :class:`PartitionResult` records and
-identical Pareto fronts.  The object substrate is the reference; the
-packed substrate is the one the defaults select.
+the production partitioners and the object walks in ``tests/oracles``
+produce identical :class:`PartitionResult` records, Pareto fronts and
+visit logs.
 """
+
+import dataclasses
 
 import pytest
 
+from oracles import object_partitioner
 from repro.explore import WorkloadSpec
 from repro.partition import EngineConfig
 from repro.platform import paper_platform
@@ -34,9 +37,9 @@ WORKLOAD_SPECS = (
 ALGORITHM_SPECS = (
     AlgorithmSpec.greedy(),
     # Explicit cap: the differential property is per-cap, and the
-    # substrate-resolved defaults deliberately differ (24 packed / 16
-    # object).  The move budget below keeps the object DFS pruned on
-    # kernel-rich workloads.
+    # defaults deliberately differ (24 packed / 16 object reference).
+    # The move budget below keeps the object DFS pruned on kernel-rich
+    # workloads.
     AlgorithmSpec.exhaustive(max_candidates=128),
     AlgorithmSpec.multi_start(restarts=6, seed=3),
     AlgorithmSpec.annealing(seed=7, temp_levels=10),
@@ -53,11 +56,11 @@ def platform():
     return paper_platform(1500, 2)
 
 
-def _config(substrate: str, algorithm: AlgorithmSpec) -> EngineConfig:
+def _config(algorithm: AlgorithmSpec) -> EngineConfig:
     # Exhaustive needs a budget on kernel-rich workloads: the object
     # reference enumerates subsets one Python call at a time.
     budget = 2 if algorithm.name == "exhaustive" else None
-    return EngineConfig(substrate=substrate, max_kernels_moved=budget)
+    return EngineConfig(max_kernels_moved=budget)
 
 
 @pytest.mark.parametrize(
@@ -71,12 +74,10 @@ def test_substrates_are_bit_identical(
 ):
     workload = workloads[workload_label]
     packed = make_partitioner(
-        algorithm, workload, platform,
-        config=_config("packed", algorithm),
+        algorithm, workload, platform, config=_config(algorithm)
     )
-    reference = make_partitioner(
-        algorithm, workload, platform,
-        config=_config("object", algorithm),
+    reference = object_partitioner(
+        algorithm, workload, platform, config=_config(algorithm)
     )
     initial = packed.initial_cycles()
     assert initial == reference.initial_cycles()
@@ -94,43 +95,27 @@ def test_substrates_are_bit_identical(
 def test_exhaustive_default_cap_is_substrate_aware(workloads, platform):
     """OFDM has 18 supported kernels: within the packed default cap of
     24 (the Gray walk enumerates 2^18 cheaply), beyond the object
-    default of 16 (where 2^18 subsets of object churn is a guard-worthy
-    mistake).  An explicit cap applies to either substrate."""
+    reference's default of 16 (where 2^18 subsets of object churn is a
+    guard-worthy mistake).  Explicitly raised, the reference agrees."""
     workload = workloads["ofdm-transmitter"]
-    packed = make_partitioner(
-        AlgorithmSpec.exhaustive(), workload, platform,
-        config=EngineConfig(substrate="packed"),
-    )
+    packed = make_partitioner(AlgorithmSpec.exhaustive(), workload, platform)
     assert packed.run(1).final_cycles <= packed.run(1).initial_cycles
-    reference = make_partitioner(
-        AlgorithmSpec.exhaustive(), workload, platform,
-        config=EngineConfig(substrate="object"),
+    reference = object_partitioner(
+        AlgorithmSpec.exhaustive(), workload, platform
     )
     with pytest.raises(ValueError, match="exceed the exhaustive limit"):
         reference.run(1)
-    # Explicitly raised, the object reference enumerates (and agrees).
-    raised = make_partitioner(
-        AlgorithmSpec.exhaustive(max_candidates=18), workload, platform,
-        config=EngineConfig(substrate="object"),
+    raised = object_partitioner(
+        AlgorithmSpec.exhaustive(max_candidates=18), workload, platform
     )
     assert raised.run(1) == packed.run(1)
 
 
-def test_unknown_substrate_rejected(workloads, platform):
-    with pytest.raises(ValueError, match="unknown substrate"):
-        EngineConfig(substrate="simd")
-    # A config mutated to a bad name after construction is caught at
-    # first use.
-    config = EngineConfig()
-    config.substrate = "simd"
-    partitioner = make_partitioner(
-        AlgorithmSpec.greedy(),
-        workloads["ofdm-transmitter"],
-        platform,
-        config=config,
-    )
-    with pytest.raises(ValueError, match="unknown substrate"):
-        partitioner.run(1)
+def test_unknown_substrate_rejected():
+    """The packed table is the only substrate: the config has no switch."""
+    with pytest.raises(TypeError, match="substrate"):
+        EngineConfig(substrate="object")
+    assert len(dataclasses.fields(EngineConfig)) == 6
 
 
 def test_injected_table_matches_derived(workloads, platform):
@@ -144,12 +129,11 @@ def test_injected_table_matches_derived(workloads, platform):
     shipped = pickle.loads(pickle.dumps(table))
     for algorithm in ALGORITHM_SPECS:
         direct = make_partitioner(
-            algorithm, workload, platform,
-            config=_config("packed", algorithm),
+            algorithm, workload, platform, config=_config(algorithm)
         )
         injected = make_partitioner(
             algorithm, workload, platform,
-            config=_config("packed", algorithm), packed_table=shipped,
+            config=_config(algorithm), packed_table=shipped,
         )
         assert injected.run(1) == direct.run(1)
         assert injected.pareto_front() == direct.pareto_front()
@@ -163,13 +147,12 @@ def test_exhaustive_unbudgeted_gray_walk_matches_object(platform):
     workload = WorkloadSpec.synthetic(
         12, seed=3, kernel_fraction=0.8, comm_intensity=0.8
     ).build()
+    config = EngineConfig(stop_at_constraint=False)
     packed = make_partitioner(
-        AlgorithmSpec.exhaustive(), workload, platform,
-        config=EngineConfig(substrate="packed", stop_at_constraint=False),
+        AlgorithmSpec.exhaustive(), workload, platform, config=config
     )
-    reference = make_partitioner(
-        AlgorithmSpec.exhaustive(), workload, platform,
-        config=EngineConfig(substrate="object", stop_at_constraint=False),
+    reference = object_partitioner(
+        AlgorithmSpec.exhaustive(), workload, platform, config=config
     )
     assert packed.run(1) == reference.run(1)
     assert packed.visited_count == reference.visited_count

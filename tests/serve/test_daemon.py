@@ -5,6 +5,7 @@ parallel; the SIGTERM test raises the real signal against installed
 handlers and restores the previous handlers afterwards.
 """
 
+import http.client
 import json
 import signal
 import threading
@@ -57,6 +58,24 @@ def post(daemon, path, payload):
         return error.code, json.loads(error.read()), error.headers
 
 
+def post_with_length(daemon, length):
+    """POST /jobs with a hand-set Content-Length header and no body."""
+    host, port = daemon.address
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.putrequest("POST", "/jobs")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", length)
+        connection.endheaders()
+        reply = connection.getresponse()
+        return (
+            reply.status, json.loads(reply.read()),
+            reply.getheader("Connection"),
+        )
+    finally:
+        connection.close()
+
+
 JOB = {"workload": "synthetic:24:seed=5", "fraction": 0.5}
 
 
@@ -89,6 +108,17 @@ class TestEndpoints:
         assert status == 400
         assert payload["error"]["code"] == "invalid-request"
         assert "malformed JSON" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400_and_closes(self, daemon, length):
+        # Non-integer: used to crash the handler with no response;
+        # negative: used to block in rfile.read(-1) until the client
+        # hung up.
+        status, payload, connection = post_with_length(daemon, length)
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-request"
+        assert "Content-Length" in payload["error"]["message"]
+        assert connection == "close"
 
     def test_invalid_job_is_400(self, daemon):
         status, payload, _ = post(

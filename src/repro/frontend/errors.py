@@ -9,13 +9,15 @@ stack traces deep inside the lowering passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """A (line, column) position inside a named source buffer.
 
-    Lines and columns are 1-based, matching what editors display.
+    Lines and columns are 1-based, matching what editors display.  A
+    plain tuple record: the lexer builds one per token, so it must be
+    cheap; it orders, hashes and compares as ``(line, column, filename)``.
     """
 
     line: int = 1

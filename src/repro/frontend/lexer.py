@@ -1,11 +1,21 @@
-"""Hand-written scanner for the mini-C language.
+"""Master-regex scanner for the mini-C language.
 
 This plays the role of Lex in the paper's toolchain (§3.1): it turns
 application source text into a token stream, tracking exact source
 locations so later phases can report where analysis results came from.
+
+One compiled pattern, tried at each position, has a named alternative
+per lexeme class.  The alternatives are ordered so the first that
+matches is the one a maximal-munch scanner would pick: hex before
+decimal, floats before ints, operators longest-first.  A final
+one-character alternative catches everything else, so consecutive
+matches tile the whole buffer and the scan is a single ``finditer``.
 """
 
 from __future__ import annotations
+
+import re
+from collections.abc import Iterator
 
 from .errors import LexerError, SourceLocation
 from .tokens import (
@@ -16,10 +26,32 @@ from .tokens import (
     TokenKind,
 )
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
-_HEX_DIGITS = _DIGITS | set("abcdefABCDEF")
+_OPERATORS: dict[str, TokenKind] = {
+    **dict(MULTI_CHAR_OPERATORS),
+    **SINGLE_CHAR_TOKENS,
+}
+
+_MASTER = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("skip", r"[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/"),
+            ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+            ("open_comment", r"/\*"),
+            ("op", "|".join(
+                re.escape(spelling)
+                for spelling in sorted(_OPERATORS, key=len, reverse=True)
+            )),
+            ("hex", r"0[xX][0-9a-fA-F]+"),
+            ("bad_hex", r"0[xX]"),
+            # A C float suffix is accepted (and discarded) on floats only.
+            ("float", r"(?:[0-9]*\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+                      r"|[0-9]+[eE][+-]?[0-9]+)f?"),
+            ("int", r"[0-9]+"),
+            ("other", r"(?s:.)"),
+        )
+    )
+)
 
 
 class Lexer:
@@ -33,151 +65,67 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<source>"):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        last_line_start = source.rfind("\n") + 1
+        self._eof = Token(
+            TokenKind.EOF,
+            "",
+            SourceLocation(
+                source.count("\n") + 1, len(source) - last_line_start + 1, filename
+            ),
+        )
+        self._tokens = self._scan()
 
-    # ------------------------------------------------------------------
-    # Character-level helpers
-    # ------------------------------------------------------------------
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column, self.filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
+    def _scan(self) -> Iterator[Token]:
+        """Every token of the buffer but EOF.  A :class:`LexerError` is
+        raised when the scan reaches the bad lexeme, and ends the scan."""
+        source = self.source
+        filename = self.filename
+        line = 1
+        line_start = 0  # offset of the first character of ``line``
+        for match in _MASTER.finditer(source):
+            group = match.lastgroup
+            start = match.start()
+            if group == "skip":
+                end = match.end()
+                newlines = source.count("\n", start, end)
+                if newlines:
+                    line += newlines
+                    line_start = source.rindex("\n", start, end) + 1
+                continue
+            location = SourceLocation(line, start - line_start + 1, filename)
+            text = match.group()
+            if group == "ident":
+                kind = KEYWORDS.get(text)
+                if kind is None:
+                    yield Token(TokenKind.IDENT, text, location, text)
+                else:
+                    yield Token(kind, text, location)
+            elif group == "op":
+                yield Token(_OPERATORS[text], text, location)
+            elif group == "int":
+                yield Token(TokenKind.INT_LITERAL, text, location, int(text, 10))
+            elif group == "float":
+                value = float(text[:-1] if text[-1] == "f" else text)
+                yield Token(TokenKind.FLOAT_LITERAL, text, location, value)
+            elif group == "hex":
+                yield Token(TokenKind.INT_LITERAL, text, location, int(text, 16))
+            elif group == "bad_hex":
+                raise LexerError("malformed hexadecimal literal", location)
+            elif group == "open_comment":
+                raise LexerError("unterminated block comment", location)
             else:
-                self.column += 1
-            self.pos += 1
-
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.source)
-
-    # ------------------------------------------------------------------
-    # Trivia
-    # ------------------------------------------------------------------
-    def _skip_trivia(self) -> None:
-        """Skip whitespace plus // line and /* block */ comments."""
-        while not self._at_end():
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._at_end():
-                        raise LexerError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    # ------------------------------------------------------------------
-    # Token scanners
-    # ------------------------------------------------------------------
-    def _scan_identifier(self) -> Token:
-        start = self._location()
-        begin = self.pos
-        while not self._at_end() and self._peek() in _IDENT_CONT:
-            self._advance()
-        text = self.source[begin : self.pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        value = text if kind is TokenKind.IDENT else None
-        return Token(kind, text, start, value)
-
-    def _scan_number(self) -> Token:
-        start = self._location()
-        begin = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if self._peek() not in _HEX_DIGITS:
-                raise LexerError("malformed hexadecimal literal", start)
-            while self._peek() in _HEX_DIGITS:
-                self._advance()
-            text = self.source[begin : self.pos]
-            return Token(TokenKind.INT_LITERAL, text, start, int(text, 16))
-
-        is_float = False
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            is_float = True
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1) in _DIGITS
-            or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() == "f" and is_float:
-            # Accept (and discard) a C float suffix.
-            text = self.source[begin : self.pos]
-            self._advance()
-            return Token(TokenKind.FLOAT_LITERAL, text + "f", start, float(text))
-
-        text = self.source[begin : self.pos]
-        if is_float:
-            return Token(TokenKind.FLOAT_LITERAL, text, start, float(text))
-        return Token(TokenKind.INT_LITERAL, text, start, int(text, 10))
-
-    def _scan_operator(self) -> Token:
-        start = self._location()
-        for spelling, kind in MULTI_CHAR_OPERATORS:
-            if self.source.startswith(spelling, self.pos):
-                self._advance(len(spelling))
-                return Token(kind, spelling, start)
-        char = self._peek()
-        kind = SINGLE_CHAR_TOKENS.get(char)
-        if kind is None:
-            raise LexerError(f"unexpected character {char!r}", start)
-        self._advance()
-        return Token(kind, char, start)
+                raise LexerError(f"unexpected character {text!r}", location)
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def next_token(self) -> Token:
         """Return the next token, producing a final EOF token at the end."""
-        self._skip_trivia()
-        if self._at_end():
-            return Token(TokenKind.EOF, "", self._location())
-        char = self._peek()
-        if char in _IDENT_START:
-            return self._scan_identifier()
-        if char in _DIGITS:
-            return self._scan_number()
-        if char == "." and self._peek(1) in _DIGITS:
-            return self._scan_number()
-        return self._scan_operator()
+        return next(self._tokens, self._eof)
 
     def tokenize(self) -> list[Token]:
-        """Scan the whole buffer and return the tokens ending with EOF."""
-        tokens: list[Token] = []
-        while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
+        """Scan the rest of the buffer and return the tokens ending with EOF."""
+        return [*self._tokens, self._eof]
 
 
 def tokenize(source: str, filename: str = "<source>") -> list[Token]:

@@ -8,7 +8,7 @@ The language is the C subset the paper's applications need: scalar and array
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SourceLocation
 
@@ -101,8 +101,8 @@ KEYWORDS: dict[str, TokenKind] = {
     "const": TokenKind.KW_CONST,
 }
 
-#: Multi-character operators ordered longest-first so the lexer can use
-#: maximal munch by simple linear probing.
+#: Multi-character operators ordered longest-first, so probing them in
+#: order gives maximal munch.
 MULTI_CHAR_OPERATORS: list[tuple[str, TokenKind]] = [
     ("<<=", TokenKind.SHL_ASSIGN),
     (">>=", TokenKind.SHR_ASSIGN),
@@ -168,12 +168,12 @@ COMPOUND_ASSIGN_BASE: dict[TokenKind, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexeme with its source position.
 
-    ``value`` carries the decoded payload: the identifier string, the
-    ``int``/``float`` literal value, or the operator spelling.
+    ``value`` carries the decoded payload: the identifier string or the
+    ``int``/``float`` literal value (``None`` for keywords, operators
+    and EOF).  A tuple record, like :class:`SourceLocation`.
     """
 
     kind: TokenKind

@@ -123,12 +123,9 @@ class CDFG:
         return stale
 
     def verify(self) -> None:
+        """Structural CFG checks; block DFGs are acyclic by construction."""
         for cfg in self.cfgs.values():
             cfg.verify()
-        for key in self.all_block_keys():
-            dfg = self.dfg(key)
-            if not dfg.is_acyclic():
-                raise ValueError(f"DFG for {key} contains a cycle")
 
     def __str__(self) -> str:
         lines = [f"CDFG ({self.block_count} basic blocks)"]

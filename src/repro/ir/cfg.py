@@ -89,6 +89,18 @@ class ControlFlowGraph:
             if label in other.successor_labels()
         ]
 
+    def predecessor_map(self) -> dict[str, list[str]]:
+        """``predecessors(label)`` for every block, built in one O(E) sweep.
+
+        Same lists, same order; a CBR whose two targets coincide is one
+        predecessor entry, not two.
+        """
+        preds: dict[str, list[str]] = {label: [] for label in self.blocks}
+        for label, block in self.blocks.items():
+            for successor in set(block.successor_labels()):
+                preds.setdefault(successor, []).append(label)
+        return preds
+
     def exit_labels(self) -> list[str]:
         """Blocks ending in RET (or falling off — should not happen)."""
         exits = []

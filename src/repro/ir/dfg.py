@@ -144,6 +144,9 @@ class DataFlowGraph:
                     self.live_in_scalars.add(operand.name)
 
     def _add_edge(self, src: int, dst: int, kind: str) -> None:
+        # Producers are recorded before their consumer, so src <= dst; a
+        # CALL passing one array twice would be its own barrier.  Every
+        # edge thus runs forward and the DFG is acyclic by construction.
         if src == dst:
             return
         self.graph.add_edge(src, dst, kind=kind)

@@ -25,10 +25,9 @@ class DominatorTree:
         assert entry is not None
         idom: dict[str, str | None] = {label: None for label in self.rpo}
         idom[entry] = entry
+        all_preds = self.cfg.predecessor_map()
         preds = {
-            label: [
-                p for p in self.cfg.predecessors(label) if p in self._rpo_index
-            ]
+            label: [p for p in all_preds[label] if p in self._rpo_index]
             for label in self.rpo
         }
         changed = True

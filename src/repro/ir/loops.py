@@ -42,7 +42,8 @@ class LoopForest:
 
     def _find_loops(self) -> None:
         loops_by_header: dict[str, NaturalLoop] = {}
-        reachable = set(self.cfg.reverse_post_order())
+        reachable = set(self.dom.rpo)
+        preds = self.cfg.predecessor_map()
         for label in reachable:
             for successor in self.cfg.successors(label):
                 if successor in reachable and self.dom.dominates(successor, label):
@@ -50,10 +51,13 @@ class LoopForest:
                         successor, NaturalLoop(successor, {successor})
                     )
                     loop.back_edges.append((label, successor))
-                    self._collect_body(loop, label)
+                    self._collect_body(loop, label, preds)
         self.loops = sorted(loops_by_header.values(), key=lambda x: x.header)
 
-    def _collect_body(self, loop: NaturalLoop, tail: str) -> None:
+    @staticmethod
+    def _collect_body(
+        loop: NaturalLoop, tail: str, preds: dict[str, list[str]]
+    ) -> None:
         """Blocks that can reach the back edge tail without passing the
         header — the classic natural-loop body computation."""
         stack = [tail]
@@ -62,7 +66,7 @@ class LoopForest:
             if label in loop.body:
                 continue
             loop.body.add(label)
-            stack.extend(self.cfg.predecessors(label))
+            stack.extend(preds[label])
 
     # ------------------------------------------------------------------
     # Queries

@@ -20,8 +20,8 @@ passes (fold / copy-propagate / DCE) preserve basic-block structure; the
 The pipeline drivers (:func:`optimize_cfg`, :func:`optimize_cdfg`)
 iterate local+global passes to a fixed point and — when the IR sanitizer
 is enabled (:func:`repro.ir.verify.set_sanitizer`) — re-verify the IR
-after every iteration, so a buggy pass is caught at the iteration that
-broke the CDFG instead of deep inside a mapper.
+after every iteration that changed it, so a buggy pass is caught at the
+iteration that broke the CDFG instead of deep inside a mapper.
 """
 
 from __future__ import annotations
@@ -333,16 +333,21 @@ def optimize_cfg(
 
     ``verify=None`` defers to the module sanitizer switch
     (:func:`repro.ir.verify.sanitizer_enabled`); when active, the IR is
-    re-verified after every pass iteration and a
+    re-verified after every pass iteration that changed it and a
     :class:`~repro.ir.verify.VerificationError` pinpoints the iteration
-    that corrupted it.
+    that corrupted it.  The state handed in is its producer's to verify
+    (:func:`~repro.ir.cdfg.build_cdfg` does), so a function no pass
+    touches is never re-verified here.
     """
     sanitize = sanitizer_enabled() if verify is None else verify
     totals = _empty_totals()
     for iteration in range(max_iterations):
         changed = 0
+        first_sweep = 0
         for block in cfg:
-            _merge(totals, run_block_passes(block))
+            local = run_block_passes(block)
+            _merge(totals, local)
+            first_sweep += sum(local.values())
         if global_passes:
             branches = simplify_constant_branches(cfg)
             unreachable = len(eliminate_unreachable_blocks(cfg))
@@ -357,7 +362,9 @@ def optimize_cfg(
                 local = run_block_passes(block)
                 _merge(totals, local)
                 changed += sum(local.values())
-        if sanitize:
+        # The exit test leaves the first sweep out: counting it would
+        # only add a no-op iteration to functions it already cleaned.
+        if sanitize and changed + first_sweep:
             _sanitize_cfg(cfg, f"pass pipeline iteration {iteration}")
         if changed == 0:
             break

@@ -25,10 +25,13 @@ The checks, in dependency order:
    their block; every local scalar read is definitely assigned along all
    paths from the entry (:class:`repro.ir.dataflow.DefiniteAssignment`);
    loop headers found by :class:`repro.ir.loops.LoopForest` dominate
-   their loop bodies; per-block DFGs are acyclic.
+   their loop bodies.
 
 Dataflow checks only run for functions whose structure verified clean —
-dominators over a CFG with dangling edges are meaningless.
+dominators over a CFG with dangling edges are meaningless.  Per-block
+DFGs need no check: :class:`repro.ir.dfg.DataFlowGraph` only draws an
+edge from an earlier instruction to a later one, so they are acyclic by
+construction.
 
 The module-level *sanitizer switch* gates the verification wired into
 hot paths (CDFG construction, the pass pipeline, the block compiler):
@@ -608,21 +611,6 @@ def verify_cdfg(cdfg: CDFG) -> VerificationReport:
                         "index",
                         function_name,
                         label,
-                        block.bb_id,
-                    )
-                )
-    if report.ok:
-        # DFGs are only meaningful over structurally clean blocks.
-        for key in cdfg.all_block_keys():
-            dfg = cdfg.dfg(key)
-            if not dfg.is_acyclic():
-                block = cdfg.block(key)
-                report.diagnostics.append(
-                    Diagnostic(
-                        "cyclic-dfg",
-                        "block data-flow graph contains a cycle",
-                        key.function,
-                        key.label,
                         block.bb_id,
                     )
                 )

@@ -37,6 +37,9 @@ _MAX_BODY_BYTES = 1 << 20
 class _Handler(BaseHTTPRequestHandler):
     daemon: "ServeDaemon"  # injected by ServeDaemon via class attribute
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, a keep-alive
+    # request sent right after a reply waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing

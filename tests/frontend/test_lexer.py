@@ -1,13 +1,31 @@
-"""Lexer unit tests."""
+"""Lexer unit tests, plus differential tests against the oracle walk."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.frontend import Lexer, LexerError, tokenize
-from repro.frontend.tokens import TokenKind
+from oracles import oracle_tokenize
+from repro.frontend import Lexer, LexerError, SourceLocation, tokenize
+from repro.frontend.tokens import (
+    MULTI_CHAR_OPERATORS,
+    SINGLE_CHAR_TOKENS,
+    Token,
+    TokenKind,
+)
+from repro.workloads import jpeg_source, ofdm_source
+from repro.workloads.synthetic import synthetic_program_source
 
 
 def kinds(source):
     return [t.kind for t in tokenize(source)[:-1]]  # drop EOF
+
+
+def scan(lex, source):
+    """The token list, or the LexerError's (message, location)."""
+    try:
+        return lex(source)
+    except LexerError as error:
+        return error.message, error.location
 
 
 class TestLiterals:
@@ -170,3 +188,83 @@ class TestTriviaAndPositions:
             TokenKind.INT_LITERAL,
             TokenKind.EOF,
         ]
+
+
+def located(tokens):
+    return [(t.kind, t.text, t.location.line, t.location.column, t.value)
+            for t in tokens]
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize(
+        "source,expected",
+        [
+            ("1.5e", [(TokenKind.FLOAT_LITERAL, "1.5", 1, 1, 1.5),
+                      (TokenKind.IDENT, "e", 1, 4, "e"),
+                      (TokenKind.EOF, "", 1, 5, None)]),
+            ("1f", [(TokenKind.INT_LITERAL, "1", 1, 1, 1),
+                    (TokenKind.IDENT, "f", 1, 2, "f"),
+                    (TokenKind.EOF, "", 1, 3, None)]),
+            ("1.e5", ("unexpected character '.'",
+                      SourceLocation(1, 2, "<source>"))),
+            ("x\n// no newline", [(TokenKind.IDENT, "x", 1, 1, "x"),
+                                  (TokenKind.EOF, "", 2, 14, None)]),
+        ],
+        ids=["float-then-ident", "int-then-ident", "dot-exponent-error",
+             "comment-at-eof"],
+    )
+    def test_edge_case(self, source, expected):
+        result = scan(tokenize, source)
+        if isinstance(result, list):
+            result = located(result)
+        assert result == expected
+        assert scan(oracle_tokenize, source) == scan(tokenize, source)
+
+    def test_records_are_tuples(self):
+        token = tokenize("x", filename="a.c")[0]
+        assert isinstance(token, Token)
+        assert token == (TokenKind.IDENT, "x", (1, 1, "a.c"), "x")
+        assert str(token) == "IDENT('x')@a.c:1:1"
+        assert SourceLocation(1, 9) < SourceLocation(2, 1)
+        assert hash(token.location) == hash((1, 1, "a.c"))
+
+    def test_next_token_keeps_returning_eof(self):
+        lexer = Lexer("x")
+        assert lexer.next_token().kind is TokenKind.IDENT
+        assert lexer.next_token().kind is TokenKind.EOF
+        assert lexer.next_token().kind is TokenKind.EOF
+        assert [t.kind for t in lexer.tokenize()] == [TokenKind.EOF]
+
+
+class TestOracle:
+    """The master-regex lexer against the character walk it replaced."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            jpeg_source(),
+            ofdm_source(),
+            *(synthetic_program_source(seed, 2 + seed % 7, 2 + seed % 5)
+              for seed in range(50)),
+        ],
+        ids=["jpeg", "ofdm", *(f"minic-{seed}" for seed in range(50))],
+    )
+    def test_programs_lex_identically(self, source):
+        tokens = tokenize(source, "app.c")
+        assert tokens == oracle_tokenize(source, "app.c")
+        assert tokens[-1].kind is TokenKind.EOF
+
+    _FRAGMENTS = sorted(
+        {spelling for spelling, _ in MULTI_CHAR_OPERATORS}
+        | set(SINGLE_CHAR_TOKENS)
+        | {
+            "x", "_a1", "int", "for", "e", "E", "f", "0", "7", "42", "0x",
+            "0X1f", "1e", "e+", "-3", ".", "$", "é", " ", "\t", "\n", "\r\n",
+            "// c", "/* c */", "/*", "*/", "/* a\nb */",
+        }
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join))
+    def test_strings_lex_identically(self, source):
+        assert scan(tokenize, source) == scan(oracle_tokenize, source)

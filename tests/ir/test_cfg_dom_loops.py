@@ -160,3 +160,119 @@ class TestCDFGNumbering:
 
     def test_verify(self, sample_cdfg):
         sample_cdfg.verify()
+
+
+# ----------------------------------------------------------------------
+# The linear-time analyses against quadratic, set-based references
+# ----------------------------------------------------------------------
+PROGRAMS = [
+    f"{name}{suffix}"
+    for name in ["jpeg", "ofdm", *(f"minic-{seed}" for seed in range(12))]
+    for suffix in ("", "-opt")
+]
+
+
+@pytest.fixture(scope="module", params=PROGRAMS)
+def program_cfgs(request):
+    """Every CFG of JPEG, OFDM or a generated program, raw or optimized."""
+    from repro.ir import optimize_cdfg
+    from repro.workloads import jpeg_source, ofdm_source
+    from repro.workloads.synthetic import synthetic_program_source
+
+    name, optimized, _ = request.param.partition("-opt")
+    if name == "jpeg":
+        source = jpeg_source()
+    elif name == "ofdm":
+        source = ofdm_source()
+    else:
+        seed = int(name.removeprefix("minic-"))
+        source = synthetic_program_source(seed, 2 + seed % 7)
+    cdfg = cdfg_from_source(source, f"{name}.c")
+    if optimized:
+        optimize_cdfg(cdfg)
+    return list(cdfg.cfgs.values())
+
+
+def reference_dominators(cfg):
+    """dom(n) = {n} ∪ ⋂ dom(p) over reachable predecessors, to a fixed point."""
+    reachable = cfg.reachable_labels()
+    dom = {label: set(reachable) for label in reachable}
+    dom[cfg.entry_label] = {cfg.entry_label}
+    changed = True
+    while changed:
+        changed = False
+        for label in reachable - {cfg.entry_label}:
+            preds = [p for p in cfg.predecessors(label) if p in reachable]
+            new = {label} | set.intersection(*(dom[p] for p in preds))
+            if new != dom[label]:
+                dom[label] = new
+                changed = True
+    return dom
+
+
+def reference_idom(dom, entry):
+    """The strict dominator closest to each block: the one with one
+    fewer dominator than the block itself."""
+    idom = {entry: entry}
+    for label, dominators in dom.items():
+        if label != entry:
+            (closest,) = [
+                d for d in dominators - {label}
+                if len(dom[d]) == len(dominators) - 1
+            ]
+            idom[label] = closest
+    return idom
+
+
+def reference_loops(cfg, dom):
+    """Natural loops found through ``predecessors()``: header -> body."""
+    loops = {}
+    for tail in dom:
+        for header in cfg.successors(tail):
+            if header in dom and header in dom[tail]:
+                body = loops.setdefault(header, {header})
+                stack = [tail]
+                while stack:
+                    label = stack.pop()
+                    if label not in body:
+                        body.add(label)
+                        stack.extend(cfg.predecessors(label))
+    return loops
+
+
+class TestLinearAnalyses:
+    def test_predecessor_map_matches_predecessors(self, program_cfgs):
+        for cfg in program_cfgs:
+            assert cfg.predecessor_map() == {
+                label: cfg.predecessors(label) for label in cfg.blocks
+            }
+
+    def test_cbr_with_equal_targets_is_one_predecessor(self):
+        from repro.ir import Const, ControlFlowGraph, Instruction, Opcode
+
+        cfg = ControlFlowGraph("g")
+        head, tail = cfg.new_block(), cfg.new_block()
+        head.append(
+            Instruction(Opcode.CBR, operands=(Const(1),),
+                        targets=(tail.label, tail.label))
+        )
+        tail.append(Instruction(Opcode.RET))
+        assert cfg.predecessors(tail.label) == [head.label]
+        assert cfg.predecessor_map() == {head.label: [], tail.label: [head.label]}
+
+    def test_idom_matches_set_reference(self, program_cfgs):
+        for cfg in program_cfgs:
+            dom = reference_dominators(cfg)
+            assert DominatorTree(cfg).idom == reference_idom(
+                dom, cfg.entry_label
+            )
+
+    def test_loops_match_reference(self, program_cfgs):
+        loops = 0
+        for cfg in program_cfgs:
+            forest = LoopForest(cfg)
+            expected = reference_loops(cfg, reference_dominators(cfg))
+            assert forest.headers() == sorted(expected)
+            assert {loop.header: loop.body for loop in forest.loops} == expected
+            loops += forest.loop_count
+        assert loops > 0

@@ -230,3 +230,76 @@ class TestPipeline:
         cdfg = cdfg_from_source("int f() { int a = 1 + 1; return a; }")
         totals = optimize_cdfg(cdfg)
         assert set(totals) == set(PASS_TOTAL_KEYS)
+
+
+class TestPipelineVerification:
+    """The pipeline verifies each state it produces, and only those."""
+
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        from repro.ir import passes
+
+        calls = []
+        original = passes.verify_cfg
+
+        def counting(cfg, cdfg=None):
+            calls.append(cfg.function_name)
+            return original(cfg, cdfg)
+
+        monkeypatch.setattr(passes, "verify_cfg", counting)
+        return calls
+
+    def test_untouched_function_is_not_reverified(self, verify_calls):
+        cdfg = cdfg_from_source("int f(int x) { return x; }")
+        totals = optimize_cdfg(cdfg, verify=True)
+        assert sum(totals.values()) == 0
+        assert verify_calls == []
+
+    def test_one_changing_iteration_is_verified_once(self, verify_calls):
+        cdfg = cdfg_from_source("int f() { int a = 1 + 1; return a; }")
+        totals = optimize_cdfg(cdfg, verify=True)
+        assert totals["folded"] == 1
+        assert verify_calls == ["f"]
+
+    def test_corrupting_pass_is_caught_at_its_iteration(self, monkeypatch):
+        from repro.ir import VerificationError, passes
+
+        original = passes.eliminate_dead_code_global
+
+        def retarget_entry(cfg):
+            removed = original(cfg)
+            entry = cfg.entry
+            entry.instructions[-1] = Instruction(Opcode.BR, targets=("nowhere",))
+            return removed + 1
+
+        monkeypatch.setattr(passes, "eliminate_dead_code_global", retarget_entry)
+        cdfg = cdfg_from_source(
+            "int f(int x) { if (x > 0) { x = x + 1; } return x; }"
+        )
+        with pytest.raises(VerificationError) as caught:
+            optimize_cdfg(cdfg, verify=True)
+        assert "pass pipeline iteration 0" in str(caught.value)
+        assert [d.code for d in caught.value.diagnostics] == ["dangling-successor"]
+
+
+def _dfg_programs():
+    from repro.workloads import jpeg_source, minic_cdfg, ofdm_source
+
+    yield "jpeg", cdfg_from_source(jpeg_source(), "jpeg_enc.c")
+    yield "ofdm", cdfg_from_source(ofdm_source(), "ofdm_tx.c")
+    for seed in range(20):
+        yield f"minic-{seed}", minic_cdfg(seed)
+
+
+def test_dfg_edges_run_forward():
+    """Every DFG edge goes from an earlier instruction to a later one, so
+    a block DFG cannot contain a cycle (why the verifier has no DFG
+    cycle check)."""
+    edges = 0
+    for name, cdfg in _dfg_programs():
+        for key in cdfg.all_block_keys():
+            dfg = cdfg.dfg(key)
+            backward = [(u, v) for u, v in dfg.graph.edges if not u < v]
+            assert backward == [], f"{name} {key}"
+            edges += dfg.graph.number_of_edges()
+    assert edges > 0

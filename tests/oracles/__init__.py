@@ -1,5 +1,6 @@
 """Reference implementations the production code is tested against."""
 
+from .lexer import tokenize as oracle_tokenize
 from .object_substrate import (
     CostState,
     GreedyTrajectory,
@@ -14,4 +15,5 @@ __all__ = [
     "ObjectPartitioner",
     "full_rescan",
     "object_partitioner",
+    "oracle_tokenize",
 ]

@@ -147,6 +147,24 @@ class TestEndpoints:
         assert status == 404
         assert payload["error"]["code"] == "not-found"
 
+    def test_keep_alive_requests_do_not_stall(self, daemon):
+        # A reply goes out as two writes (headers, body).  With Nagle's
+        # algorithm on, each request sent right after a reply waits
+        # ~40 ms for the client's delayed ACK: ten took ~400 ms.
+        host, port = daemon.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", "/healthz")
+                reply = connection.getresponse()
+                assert reply.status == 200
+                assert json.loads(reply.read()) == {"ok": True}
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.2, f"ten keep-alive requests took {elapsed:.3f} s"
+
 
 class TestBackpressure:
     def test_queue_full_is_429_with_retry_after(self):

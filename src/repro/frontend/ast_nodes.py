@@ -16,6 +16,8 @@ from .errors import SourceLocation, UNKNOWN_LOCATION
 class Type(enum.Enum):
     """Scalar element types supported by the language."""
 
+    # Members compare by identity, so hashing by identity (in C) agrees.
+    __hash__ = object.__hash__
     INT = "int"
     FLOAT = "float"
     VOID = "void"
@@ -97,6 +99,8 @@ class BinaryOp(enum.Enum):
     """Binary operators, annotated with the hardware operator class used by
     the static analysis weight model (ALU vs MUL vs DIV)."""
 
+    # Members compare by identity, so hashing by identity (in C) agrees.
+    __hash__ = object.__hash__
     ADD = "+"
     SUB = "-"
     MUL = "*"
@@ -118,6 +122,8 @@ class BinaryOp(enum.Enum):
 
 
 class UnaryOp(enum.Enum):
+    # Members compare by identity, so hashing by identity (in C) agrees.
+    __hash__ = object.__hash__
     NEG = "-"
     NOT = "!"
     BNOT = "~"

@@ -16,6 +16,9 @@ from .errors import SourceLocation
 class TokenKind(enum.Enum):
     """Every terminal the lexer can produce."""
 
+    # Members compare by identity, so hashing by identity (in C) agrees.
+    __hash__ = object.__hash__
+
     # Literals and identifiers
     IDENT = "identifier"
     INT_LITERAL = "int literal"

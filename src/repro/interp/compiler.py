@@ -8,7 +8,11 @@ whole ``repro.explore`` sweeps, because each profiling run interprets
 hundreds of thousands of instructions.
 
 This module translates each basic block *once* into a single specialized
-Python function:
+Python function.  :func:`compile_cdfg` generates every block's source
+eagerly, so the source is a snapshot of the IR state it fingerprinted
+(and, with the sanitizer on, verified up front); the builtin
+``compile()`` and ``exec`` of a block run on its first entry, so blocks
+that never execute cost only their codegen:
 
 * operand accessors are resolved at compile time — a ``Temp`` becomes a
   list index, a local scalar a dict item, a global a lookup in the shared
@@ -148,7 +152,7 @@ class CompiledFunction:
         temp_count: int,
     ) -> None:
         self.name = name
-        self.entry: tuple | None = None  # linked after block codegen
+        self.entry: tuple | None = None  # linked at codegen, rebound on entry
         self.params = params
         self.local_arrays = local_arrays
         self.temp_count = temp_count
@@ -399,7 +403,8 @@ class _FunctionCompiler:
         self.global_array_names = global_array_names
         # Shared exec namespace: block functions resolve their successor
         # objects (``_blk_<label>``) through it at call time, which makes
-        # forward references and loops link without a second pass.
+        # forward references and loops link without a second pass, and
+        # picks up each block's compiled tuple once its first entry ran.
         self.namespace: dict = {
             "_call": _call,
             "_cdiv": c_div,
@@ -614,7 +619,7 @@ class _FunctionCompiler:
         )
 
     # -- block compilation ---------------------------------------------
-    def _compile_block(self, label: str) -> tuple:
+    def _compile_block(self, cfunc: CompiledFunction, label: str) -> tuple:
         block = self.cfg.block(label)
         self._lines = []
         self._array_vars = {}
@@ -637,28 +642,43 @@ class _FunctionCompiler:
             prelude.append("    ga = env.global_arrays")
         header = "def _block_fn(env, t, s, fa):"
         source = "\n".join([header, *prelude, *self._lines])
-        code = compile(source, f"<compiled {self.cfg.function_name}/{label}>", "exec")
-        exec(code, self.namespace)
-        execute = self.namespace.pop("_block_fn")
 
         slot = len(self.program.slots)
+        n_steps = len(block.instructions)
         self.program.slots.append(
             BlockInfo(
                 slot=slot,
                 bb_id=block.bb_id,
                 function=self.cfg.function_name,
                 label=label,
-                instruction_count=len(block.instructions),
+                instruction_count=n_steps,
                 memory_access_count=block.memory_access_count(),
             )
         )
-        return (execute, len(block.instructions), slot)
+        namespace = self.namespace
+        filename = f"<compiled {self.cfg.function_name}/{label}>"
+        is_entry = label == self.cfg.entry_label
+
+        def first_entry(env, t, s, fa):
+            # Compile on first entry, then rebind the block (and the
+            # function entry) to the compiled tuple.  Two threads racing
+            # here both compile equal code.
+            scope: dict = {}
+            exec(compile(source, filename, "exec"), namespace, scope)
+            execute = scope["_block_fn"]
+            compiled = (execute, n_steps, slot)
+            namespace[f"_blk_{label}"] = compiled
+            if is_entry:
+                cfunc.entry = compiled
+            return execute(env, t, s, fa)
+
+        return (first_entry, n_steps, slot)
 
     def compile(self) -> CompiledFunction:
         cfunc = self.function_spec()
         order = self.cfg.reverse_post_order()
         for label in order:
-            block_obj = self._compile_block(label)
+            block_obj = self._compile_block(cfunc, label)
             self.namespace[f"_blk_{label}"] = block_obj
             if label == self.cfg.entry_label:
                 cfunc.entry = block_obj
@@ -705,6 +725,11 @@ def compile_cdfg(
     recompile while repeated ``Interpreter`` constructions stay cheap.
     ``fingerprint`` lets a caller that already hashed this exact CDFG
     state (e.g. the profile cache's key computation) skip re-hashing.
+
+    Every block's Python source is generated here, from the CDFG state
+    as it is now (a later mutation cannot leak into the program), and
+    with the sanitizer on that state is verified first.  Each block's
+    builtin ``compile()`` runs on its first entry, inside the run.
     """
     if fingerprint is None:
         fingerprint = cdfg_fingerprint(cdfg)

@@ -14,8 +14,9 @@ Two execution engines share this front door:
   reference implementation.
 * ``mode="compiled"`` — the block-compiled fast path
   (:mod:`repro.interp.compiler`): each basic block is translated once into
-  a single specialized Python function, and profiling is counter-only
-  (block-entry counts; per-instruction statistics derived statically).
+  a single specialized Python function (compiled on its first entry), and
+  profiling is counter-only (block-entry counts; per-instruction
+  statistics derived statically).
   Bit-identical results, ≫5x the throughput.
 * ``mode="auto"`` (default) — compiled when the hook is passive (the null
   hook or a plain :class:`~repro.interp.profiler.BlockProfiler`, whose
@@ -109,7 +110,10 @@ class Interpreter:
     omitted, the first compiled run compiles (or revalidates) the CDFG
     and the result is memoized on this instance; construct a fresh
     ``Interpreter`` after mutating the IR (the walker engine, by
-    contrast, always sees mutations immediately).
+    contrast, always sees mutations immediately).  The program's block
+    sources were generated by ``compile_cdfg``, so it runs the IR state
+    of that call even after a mutation; each block's builtin
+    ``compile()`` happens on its first entry, during a run.
     """
 
     cdfg: CDFG

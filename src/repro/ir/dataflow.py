@@ -52,10 +52,9 @@ class DataflowAnalysis:
 
     Subclasses define the direction, the meet operator (``may`` joins
     with union, ``must`` with intersection), the boundary value and the
-    per-block ``gen``/``kill`` sets; :meth:`solve` runs the worklist to a
-    fixed point.  The default transfer function is the standard
-    ``gen ∪ (x − kill)``; override :meth:`transfer` for non-gen/kill
-    problems.
+    per-block ``gen``/``kill`` sets; :meth:`solve` computes each block's
+    sets once and sweeps the transfer function ``gen ∪ (x − kill)`` to a
+    fixed point.
     """
 
     #: "forward" propagates entry→exit, "backward" exit→entry.
@@ -77,9 +76,6 @@ class DataflowAnalysis:
     def kill(self, block: BasicBlock) -> frozenset:
         raise NotImplementedError
 
-    def transfer(self, block: BasicBlock, values: frozenset) -> frozenset:
-        return self.gen(block) | (values - self.kill(block))
-
     # ------------------------------------------------------------------
     # Solver
     # ------------------------------------------------------------------
@@ -88,7 +84,9 @@ class DataflowAnalysis:
 
         ``in``/``out`` are always oriented in *execution* order: for a
         backward analysis ``in_sets[b]`` is the value at the top of the
-        block and ``out_sets[b]`` the value at the bottom.
+        block and ``out_sets[b]`` the value at the bottom.  Raises
+        ``RuntimeError`` if ``max_iterations`` sweeps do not reach the
+        fixed point: a partial result (say, liveness) is not sound.
         """
         order = list(cfg.reverse_post_order())
         labels = set(order)
@@ -109,20 +107,21 @@ class DataflowAnalysis:
         before = {label: initial for label in order}
         after = {label: initial for label in order}
 
-        sweep = order if forward else list(reversed(order))
         sources = preds if forward else succs
+        sweep: list[tuple[str, list[str], bool, frozenset, frozenset]] = []
+        for label in order if forward else reversed(order):
+            block = cfg.block(label)
+            is_boundary = (
+                label == cfg.entry_label if forward else self._is_exit(block)
+            )
+            gen, kill = self.gen(block), self.kill(block)
+            sweep.append((label, sources[label], is_boundary, gen, kill))
         iterations = 0
         changed = True
         while changed and iterations < max_iterations:
             changed = False
             iterations += 1
-            for label in sweep:
-                block = cfg.block(label)
-                incoming = sources[label]
-                is_boundary = (
-                    (forward and label == cfg.entry_label)
-                    or (not forward and self._is_exit(block))
-                )
+            for label, incoming, is_boundary, gen, kill in sweep:
                 merged: frozenset | None = None
                 for src in incoming:
                     contribution = after[src] if forward else before[src]
@@ -142,7 +141,7 @@ class DataflowAnalysis:
                     )
                 else:
                     value = merged
-                transferred = self.transfer(block, value)
+                transferred = gen | (value - kill)
                 if forward:
                     if value != before[label] or transferred != after[label]:
                         before[label], after[label] = value, transferred
@@ -151,6 +150,11 @@ class DataflowAnalysis:
                     if value != after[label] or transferred != before[label]:
                         after[label], before[label] = value, transferred
                         changed = True
+        if changed:
+            raise RuntimeError(
+                f"{type(self).__name__} did not converge on "
+                f"{cfg.function_name!r} within {max_iterations} sweeps"
+            )
         return DataflowResult(
             in_sets=dict(before), out_sets=dict(after), iterations=iterations
         )

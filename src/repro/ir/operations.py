@@ -23,6 +23,8 @@ from ..frontend.errors import SourceLocation, UNKNOWN_LOCATION
 class OpClass(enum.Enum):
     """Hardware operator class used for weights, area and scheduling."""
 
+    # Members compare by identity, so hashing by identity (in C) agrees.
+    __hash__ = object.__hash__
     ALU = "alu"          # add/sub/logic/shift/compare — weight 1
     MUL = "mul"          # multiply — weight 2
     DIV = "div"          # divide/modulo — weight 4 (absent from paper DFGs)
@@ -34,6 +36,9 @@ class OpClass(enum.Enum):
 
 class Opcode(enum.Enum):
     """Every operation the lowering can emit."""
+
+    # Members compare by identity, so hashing by identity (in C) agrees.
+    __hash__ = object.__hash__
 
     # Arithmetic / logic (value-producing)
     ADD = ("add", OpClass.ALU)
@@ -84,14 +89,8 @@ class Opcode(enum.Enum):
     def __init__(self, mnemonic: str, op_class: OpClass) -> None:
         self.mnemonic = mnemonic
         self.op_class = op_class
-
-    @property
-    def is_control(self) -> bool:
-        return self.op_class is OpClass.CONTROL
-
-    @property
-    def is_memory(self) -> bool:
-        return self.op_class is OpClass.MEM
+        self.is_control = op_class is OpClass.CONTROL
+        self.is_memory = op_class is OpClass.MEM
 
     @property
     def produces_value(self) -> bool:

@@ -65,19 +65,22 @@ def fold_constants_in_block(block: BasicBlock) -> int:
     folded = 0
     new_instructions: list[Instruction] = []
     for ins in block.instructions:
-        operands = tuple(
-            known.get(op, op) if isinstance(op, Temp) else op
-            for op in ins.operands
-        )
-        ins = Instruction(
-            ins.opcode,
-            dest=ins.dest,
-            operands=operands,
-            targets=ins.targets,
-            callee=ins.callee,
-            result_type=ins.result_type,
-            location=ins.location,
-        )
+        operands = ins.operands
+        if known:
+            operands = tuple(
+                known.get(op, op) if isinstance(op, Temp) else op
+                for op in operands
+            )
+            if operands != ins.operands:
+                ins = Instruction(
+                    ins.opcode,
+                    dest=ins.dest,
+                    operands=operands,
+                    targets=ins.targets,
+                    callee=ins.callee,
+                    result_type=ins.result_type,
+                    location=ins.location,
+                )
         if (
             ins.opcode in FOLDABLE_OPCODES
             and isinstance(ins.dest, Temp)

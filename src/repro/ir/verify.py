@@ -25,7 +25,8 @@ The checks, in dependency order:
    their block; every local scalar read is definitely assigned along all
    paths from the entry (:class:`repro.ir.dataflow.DefiniteAssignment`);
    loop headers found by :class:`repro.ir.loops.LoopForest` dominate
-   their loop bodies.
+   their loop bodies (checked only when some block is unreachable, as
+   no reachable block can fail it).
 
 Dataflow checks only run for functions whose structure verified clean —
 dominators over a CFG with dangling edges are meaningless.  Per-block
@@ -222,6 +223,7 @@ class _Checker:
         self.cdfg = cdfg
         self.function = cfg.function_name
         self.diagnostics: list[Diagnostic] = []
+        self.has_unreachable = False  # set by check_structure
 
     def report(
         self,
@@ -297,6 +299,7 @@ class _Checker:
         if not has_return:
             self.report("missing-return", "function has no RET block")
         reachable = _safe_reachable(cfg)
+        self.has_unreachable = len(reachable) < len(cfg.blocks)
         for label in cfg.blocks:
             if label not in reachable:
                 self.report(
@@ -479,7 +482,10 @@ class _Checker:
     def check_dataflow(self) -> None:
         self._check_temps()
         self._check_definite_assignment()
-        self._check_loops()
+        # A natural loop's header dominates every reachable block of its
+        # body, so only an unreachable block can fail the loop check.
+        if self.has_unreachable:
+            self._check_loops()
 
     def _check_temps(self) -> None:
         for block in self.cfg.blocks.values():

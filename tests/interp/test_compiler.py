@@ -5,6 +5,10 @@ workload — same return values, step counts, block counts, array state,
 global state, block frequencies and raised exceptions.
 """
 
+import builtins
+import sys
+import threading
+
 import pytest
 
 from repro.frontend.ast_nodes import ArrayType, Type
@@ -17,11 +21,13 @@ from repro.interp import (
     compile_cdfg,
     run_function,
 )
-from repro.ir import cdfg_from_source
+from repro.interp import compiler as compiler_module
+from repro.ir import Const, Instruction, Opcode, cdfg_from_source
 from repro.workloads import (
     BITS_PER_SYMBOL,
     JPEGEncoderApp,
     OFDMTransmitterApp,
+    minic_input,
     random_bits,
     synthetic_program_source,
 )
@@ -425,3 +431,166 @@ class TestCompilationCache:
         c = cdfg_from_source("int f() { return 1 + 3; }")
         assert cdfg_fingerprint(a) == cdfg_fingerprint(b)
         assert cdfg_fingerprint(a) != cdfg_fingerprint(c)
+
+
+LAZY_SOURCE = """
+int unused(int x) {
+    int y = x * 3;
+    if (y > 5) { y = y - 5; }
+    return y;
+}
+
+int depth(int n) {
+    if (n <= 0) { return 0; }
+    int r = depth(n - 1);
+    return r + n;
+}
+
+int f(int n) {
+    int s = 1;
+    if (n > 100) {
+        s = s + 40;
+    } else {
+        s = s + depth(n);
+    }
+    return s;
+}
+"""
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Filenames passed to ``compile`` by the block compiler, in order."""
+    seen: list[str] = []
+
+    def counting_compile(source, filename, mode):
+        seen.append(filename)
+        return builtins.compile(source, filename, mode)
+
+    monkeypatch.setattr(
+        compiler_module, "compile", counting_compile, raising=False
+    )
+    return seen
+
+
+def profiled_run(cdfg, program, fn, *args):
+    profiler = BlockProfiler()
+    result = Interpreter(
+        cdfg, profiler, mode="compiled", compiled_program=program
+    ).run(fn, *args)
+    return result, profiler
+
+
+class TestFirstEntryCompilation:
+    def test_only_entered_blocks_compile(self, compiles):
+        cdfg = cdfg_from_source(LAZY_SOURCE, "lazy.c")
+        program = compile_cdfg(cdfg)
+        assert compiles == []
+        result, profiler = profiled_run(cdfg, program, "f", 4)
+        entered = {
+            f"<compiled {p.function}/{p.label}>"
+            for p in profiler.profiles.values()
+        }
+        # depth() recurses into blocks whose first call has not returned;
+        # each block still compiles exactly once.
+        assert sorted(compiles) == sorted(entered)
+        assert len(entered) < len(program.slots)
+        assert not any("unused/" in name for name in compiles)
+        compiles.clear()
+        assert profiled_run(cdfg, program, "f", 4)[0] == result
+        assert compiles == []
+
+    def test_recursive_blocks_match_walker(self):
+        cdfg = cdfg_from_source(LAZY_SOURCE, "lazy.c")
+        for n in (0, 1, 9, 200):
+            walker = BlockProfiler()
+            expected = Interpreter(cdfg, walker, mode="walker").run("f", n)
+            result, profiler = profiled_run(
+                cdfg, compile_cdfg(cdfg, force=True), "f", n
+            )
+            assert result == expected
+            assert profiler.frequencies() == walker.frequencies()
+
+    def test_entry_block_that_heads_a_loop(self):
+        # Fold the do-while latch into the body and make the body the
+        # entry: the entry block then branches back to itself.
+        cdfg = cdfg_from_source(
+            "int f(int n) { do { n = n - 1; } while (n > 0); return n; }"
+        )
+        cfg = cdfg.cfg("f")
+        body, latch = cfg.blocks["do_body1"], cfg.blocks["do_latch2"]
+        body.instructions[-1:] = [
+            *latch.instructions[:-1],
+            Instruction(
+                Opcode.CBR,
+                operands=latch.terminator.operands,
+                targets=("do_body1", "do_exit3"),
+            ),
+        ]
+        del cfg.blocks["entry0"], cfg.blocks["do_latch2"]
+        cfg.entry_label = "do_body1"
+        cdfg.prune_removed_blocks()
+        for n in (1, 5):
+            walker = BlockProfiler()
+            expected = Interpreter(cdfg, walker, mode="walker").run("f", n)
+            result, profiler = profiled_run(
+                cdfg, compile_cdfg(cdfg, force=True), "f", n
+            )
+            assert result == expected
+            assert profiler.frequencies() == walker.frequencies()
+            assert expected.blocks_executed == n + 1
+
+    def test_threads_share_one_program(self):
+        # Four threads (more than cores) run each program together behind
+        # a barrier, 20 times; every time the program is fresh, so they
+        # race through the first-entry compiles of the same blocks.
+        cdfg = cdfg_from_source(synthetic_program_source(3, 8, 6), "synth.c")
+        data = minic_input(3)
+
+        def outcome(program):
+            result, profiler = profiled_run(cdfg, program, "entry", data)
+            return result, profiler.frequencies()
+
+        expected = outcome(compile_cdfg(cdfg, force=True))
+        programs = [compile_cdfg(cdfg, force=True) for _ in range(20)]
+        barrier = threading.Barrier(4)
+        outcomes: list[list] = [[] for _ in range(4)]
+
+        def worker(index):
+            for program in programs:
+                barrier.wait(timeout=30)
+                outcomes[index].append(outcome(program))
+
+        threads = [
+            threading.Thread(target=worker, args=(index,)) for index in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == [[expected] * 20] * 4
+
+    def test_program_runs_its_codegen_snapshot(self):
+        cdfg = cdfg_from_source(LAZY_SOURCE, "lazy.c")
+        program = compile_cdfg(cdfg)
+        assert profiled_run(cdfg, program, "f", 3)[0].return_value == 7
+        # The n > 100 side has not run yet; change its constant.
+        then_block = next(
+            block
+            for block in cdfg.cfg("f")
+            if any(Const(40) in ins.operands for ins in block.instructions)
+        )
+        for ins in then_block.instructions:
+            ins.operands = tuple(
+                Const(99) if op == Const(40) else op for op in ins.operands
+            )
+        pinned = Interpreter(cdfg, mode="compiled", compiled_program=program)
+        assert pinned.run("f", 200).return_value == 41
+        assert Interpreter(cdfg, mode="compiled").run("f", 200).return_value == 100
+        assert Interpreter(cdfg, mode="walker").run("f", 200).return_value == 100

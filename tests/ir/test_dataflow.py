@@ -158,3 +158,13 @@ class TestDefiniteAssignment:
         for block in cfg:
             gen = analysis.gen(block)
             assert gen <= result.live_in(block.label) | gen
+
+
+class TestConvergence:
+    @pytest.mark.parametrize(
+        "analysis", [LivenessAnalysis, ReachingDefinitions, DefiniteAssignment]
+    )
+    def test_sweep_budget_exhausted_raises(self, loop_cfg, analysis):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            analysis().solve(loop_cfg, max_iterations=1)
+        assert analysis().solve(loop_cfg).iterations > 1

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+import repro.ir.verify as verify_module
 from repro.ir import (
+    BasicBlock,
     Const,
     Instruction,
+    LoopForest,
     Opcode,
     Temp,
     VarRef,
@@ -228,3 +231,31 @@ class TestSanitizerSwitch:
         # build path runs assert_verified when the sanitizer is on
         cdfg = cdfg_from_source("int f(int x) { return x + 1; }")
         assert verify_cdfg(cdfg).ok
+
+
+# ----------------------------------------------------------------------
+# Loop-header dominance
+# ----------------------------------------------------------------------
+class TestLoopHeaderDominance:
+    def test_unreachable_block_into_loop_body_fires(self, cdfg):
+        cfg = cdfg.cfg("main")
+        loop = LoopForest(cfg).loops[0]
+        body = next(label for label in sorted(loop.body) if label != loop.header)
+        cfg.blocks["dead"] = BasicBlock(
+            "dead", [Instruction(Opcode.BR, targets=(body,))]
+        )
+        report = verify_cdfg(cdfg)
+        diag = find(report, "loop-header-dominance")[0]
+        assert diag.label == "dead"
+        assert loop.header in diag.message
+        assert find(report, "unreachable-block")[0].label == "dead"
+
+    def test_fully_reachable_cfg_builds_no_dominator_tree(
+        self, cdfg, monkeypatch
+    ):
+        def refuse(cfg):
+            raise AssertionError(f"DominatorTree built for {cfg.function_name}")
+
+        monkeypatch.setattr(verify_module, "DominatorTree", refuse)
+        assert verify_cdfg(cdfg).ok
+        assert verify_cdfg(JPEGEncoderApp().cdfg).ok

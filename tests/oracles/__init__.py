@@ -1,5 +1,11 @@
 """Reference implementations the production code is tested against."""
 
+from .ir_routines import (
+    PerSweepDefiniteAssignment,
+    PerSweepLiveness,
+    PerSweepReachingDefinitions,
+)
+from .ir_routines import fold_constants_in_block as oracle_fold_constants
 from .lexer import tokenize as oracle_tokenize
 from .object_substrate import (
     CostState,
@@ -13,7 +19,11 @@ __all__ = [
     "CostState",
     "GreedyTrajectory",
     "ObjectPartitioner",
+    "PerSweepDefiniteAssignment",
+    "PerSweepLiveness",
+    "PerSweepReachingDefinitions",
     "full_rescan",
     "object_partitioner",
+    "oracle_fold_constants",
     "oracle_tokenize",
 ]

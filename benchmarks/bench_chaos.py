@@ -58,19 +58,22 @@ def gate_factor() -> float:
 
 def run_load(config: ServerConfig, jobs: int):
     """Submit ``jobs`` identical greedy jobs, await all, return
-    ``(payloads, latencies, wall_seconds, stats)``."""
+    ``(payloads, latencies, wall_seconds, stats)``.
+
+    The jobs queue before ``start()``, so the dispatcher takes them as
+    one batch and every fault plan addresses one pooled group.
+    """
     started = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with Server(config) as server:
-            job_ids = [
-                server.submit(
-                    JobRequest(
-                        workload=WORKLOAD, fraction=0.5, algorithm=GREEDY
-                    )
-                )
-                for __ in range(jobs)
-            ]
+        server = Server(config)
+        job_ids = [
+            server.submit(
+                JobRequest(workload=WORKLOAD, fraction=0.5, algorithm=GREEDY)
+            )
+            for __ in range(jobs)
+        ]
+        with server:
             records = [
                 server.await_result(job_id, timeout=300.0)
                 for job_id in job_ids
@@ -97,7 +100,7 @@ def baseline():
     if "baseline" not in _metrics:
         jobs = job_count()
         payloads, latencies, wall, __ = run_load(
-            ServerConfig(workers=4, batch_window_seconds=0.05), jobs
+            ServerConfig(workers=4), jobs
         )
         assert all(p["state"] == "done" for p in payloads)
         _metrics["baseline"] = {
@@ -125,7 +128,6 @@ def test_crashed_workers_recover_bit_identical():
     payloads, latencies, wall, stats = run_load(
         ServerConfig(
             workers=4,
-            batch_window_seconds=0.05,
             task_retries=2,
             retry_backoff_seconds=0.01,
             fault_plan=plan,
@@ -161,7 +163,6 @@ def test_flaky_tasks_retry_bit_identical():
     payloads, latencies, wall, stats = run_load(
         ServerConfig(
             workers=4,
-            batch_window_seconds=0.05,
             task_retries=2,
             retry_backoff_seconds=0.01,
             fault_plan=plan,
@@ -195,7 +196,7 @@ def test_slow_faults_inflate_p99_boundedly():
     injected = sum(1 for s in plan.specs if s.kind == "slow")
     assert injected >= 1, "seeded plan injected nothing; raise the rate"
     payloads, latencies, wall, stats = run_load(
-        ServerConfig(workers=4, batch_window_seconds=0.05, fault_plan=plan),
+        ServerConfig(workers=4, fault_plan=plan),
         jobs,
     )
     assert all(p["state"] == "done" for p in payloads)

@@ -100,7 +100,6 @@ def run_load(requests, workers=2, submit_threads=4):
     config = ServerConfig(
         workers=workers,
         queue_capacity=max(len(requests) * 2, 64),
-        batch_window_seconds=0.02,
     )
     job_ids: list[int] = []
     id_lock = threading.Lock()

@@ -346,18 +346,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--workers", type=int, default=1,
-        help="process fan-out per batch; 1 runs jobs in the dispatcher "
-        "thread (default 1)",
+        help="processes per batch group of several jobs, each group on "
+        "a freshly forked pool; there is no batching pause, a batch is "
+        "whatever queued while the dispatcher was busy; 1 runs every "
+        "job in the dispatcher thread (default 1)",
     )
     srv.add_argument(
         "--queue-capacity", type=int, default=256,
         help="bounded job queue size; submissions beyond it get a "
         "retry-after rejection (default 256)",
-    )
-    srv.add_argument(
-        "--batch-window", type=float, default=0.005,
-        help="seconds the dispatcher waits for concurrent submissions "
-        "to coalesce into one batch (default 0.005)",
     )
     srv.add_argument(
         "--cache-capacity", type=int, default=8,
@@ -882,7 +879,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServerConfig(
             workers=args.workers,
             queue_capacity=args.queue_capacity,
-            batch_window_seconds=args.batch_window,
             cache_capacity=args.cache_capacity,
             default_timeout_seconds=args.default_timeout,
             profile_cache_dir=args.profile_cache_dir,

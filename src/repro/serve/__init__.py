@@ -5,9 +5,9 @@ partitioning decisions as infrastructure.  Jobs (workload spec ×
 platform spec × constraint × algorithm) queue into a bounded queue,
 batch by their (workload × platform) fingerprint onto one priced
 :class:`~repro.partition.packed.PackedCostTable` held in a
-capacity-bounded LRU, and fan out over the shared
-:func:`repro.parallel.map_tasks` pool — with structured backpressure,
-per-job queue timeouts, and graceful drain.
+capacity-bounded LRU, and fan out over a freshly forked
+:func:`repro.parallel.map_tasks` pool per multi-job group — with
+structured backpressure, per-job queue timeouts, and graceful drain.
 
 Two entry points:
 
@@ -19,6 +19,7 @@ Two entry points:
 from .cache import LruCache, PricedTableCache
 from .daemon import ServeDaemon, run_daemon
 from .jobs import (
+    ExpiredJobError,
     JobError,
     JobRecord,
     JobRequest,
@@ -29,6 +30,7 @@ from .jobs import (
 from .server import Server, ServerConfig, ServerStoppedError
 
 __all__ = [
+    "ExpiredJobError",
     "JobError",
     "JobRecord",
     "JobRequest",

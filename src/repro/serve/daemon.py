@@ -9,7 +9,9 @@ Endpoints::
     POST /jobs        submit one job (JSON body)  -> 202 {"job_id": N}
                       malformed/invalid           -> 400 {"error": ...}
                       queue full                  -> 429 + Retry-After
-    GET  /jobs/<id>   poll one job                -> 200 payload | 404
+    GET  /jobs/<id>   poll one job                -> 200 payload
+                      id never issued             -> 404 unknown-job
+                      finished, record dropped    -> 404 expired
     GET  /stats       server counters and caches  -> 200
     GET  /healthz     liveness                    -> 200 {"ok": true}
     POST /shutdown    begin a graceful drain      -> 202

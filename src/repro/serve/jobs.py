@@ -16,7 +16,9 @@ outcomes leave as plain-dict payloads (:meth:`JobRecord.to_payload`) so
 the in-process API and the HTTP API serve byte-identical answers.
 Failures are *structured*: every terminal error carries a stable
 ``code`` (``timeout``, ``cancelled``, ``queue-full``, ``invalid-request``,
-``job-failed``) next to its human-readable message.
+``job-failed``) next to its human-readable message; a poll answers
+``unknown-job`` for an id never issued and ``expired`` for a finished
+job whose record the server no longer keeps.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from ..search.base import AlgorithmSpec
 from ..specs import algorithm_spec_from_text, workload_spec_from_text
 
 __all__ = [
+    "ExpiredJobError",
     "JobError",
     "JobRecord",
     "JobRequest",
@@ -71,6 +74,12 @@ class UnknownJobError(JobError):
     """A poll/await named a job id the server never issued."""
 
     code = "unknown-job"
+
+
+class ExpiredJobError(UnknownJobError):
+    """A poll/await named a finished job whose record was dropped."""
+
+    code = "expired"
 
 
 class QueueFullError(JobError):

@@ -7,17 +7,23 @@ queue.  The HTTP daemon (:mod:`repro.serve.daemon`) is a thin shell
 over this class, so tests and the load bench drive the identical code
 path without a port.
 
-**Batching.**  The dispatcher drains the queue in gulps (after a short
-``batch_window_seconds`` accumulation pause), groups the drained jobs
-by their (workload spec × platform spec) pair fingerprint, and resolves
-each group against the shared LRU caches — so N concurrent jobs on one
-pair cost **one** workload build and **one** priced
+**Batching.**  There is no accumulation pause: the moment the
+dispatcher is free it takes everything queued as one batch, so a lone
+job on an idle server starts at once, and jobs that arrive while a
+batch runs form the next one — batches grow with the load.  A batch is
+grouped by (workload spec × platform spec) pair fingerprint and each
+group resolves against the shared LRU caches, so N concurrent jobs on
+one pair cost **one** workload build and **one** priced
 :class:`~repro.partition.packed.PackedCostTable`
 (``cost_table_builds`` rises once), however the jobs interleaved at
-submission.  Each group then fans out over the existing
-:func:`repro.parallel.map_tasks` process pool when ``workers > 1``
-(tables are picklable, so workers price nothing), or runs in the
-dispatcher thread when ``workers == 1``.
+submission.  Once its table is resolved, a group also takes the jobs
+on its pair that queued after the batch was taken (most often while
+that table was priced), so a burst on one pair fans out once instead
+of once per batch it straddles.  With ``workers > 1`` each group of
+several jobs fans out over a freshly forked
+:func:`repro.parallel.map_tasks` process pool (tables are picklable,
+so workers price nothing); a group of one job, or any group when
+``workers == 1``, runs in the dispatcher thread.
 
 **Determinism.**  A job's result depends only on its own request plus
 the deterministic table, never on its neighbours in a batch, so cycle
@@ -39,6 +45,13 @@ server makes jobs wait).
 **Shutdown.**  ``shutdown(drain=True)`` stops intake, lets the
 dispatcher finish everything queued, and joins it; ``drain=False``
 cancels the queue instead.  Both leave every job in a terminal state.
+
+**Retention.**  The server keeps the records of at most
+:data:`RETAINED_FINISHED_JOBS` finished jobs and forgets the one that
+finished earliest first; queued and running jobs are never dropped.  A
+poll of a forgotten id raises :class:`~repro.serve.jobs.ExpiredJobError`
+(code ``expired``); an id the server never issued stays
+:class:`~repro.serve.jobs.UnknownJobError` (``unknown-job``).
 """
 
 from __future__ import annotations
@@ -62,6 +75,7 @@ from ..search import make_partitioner
 from ..search.base import AlgorithmSpec
 from .cache import PricedTableCache
 from .jobs import (
+    ExpiredJobError,
     JobError,
     JobRecord,
     JobRequest,
@@ -69,7 +83,16 @@ from .jobs import (
     UnknownJobError,
 )
 
-__all__ = ["Server", "ServerConfig", "ServerStoppedError"]
+__all__ = [
+    "RETAINED_FINISHED_JOBS",
+    "Server",
+    "ServerConfig",
+    "ServerStoppedError",
+]
+
+#: How many finished job records a server keeps for polling; beyond it
+#: the earliest-finished record is dropped.
+RETAINED_FINISHED_JOBS = 4096
 
 
 class ServerStoppedError(JobError):
@@ -82,15 +105,13 @@ class ServerStoppedError(JobError):
 class ServerConfig:
     """Knobs of one server instance (all bounded and explicit)."""
 
-    #: Process fan-out per batch group; 1 runs jobs in the dispatcher
-    #: thread (no pools, fully deterministic scheduling).
+    #: Process fan-out per batch group of several jobs (each group
+    #: forks a fresh pool); 1 runs every job in the dispatcher thread
+    #: (no pools, fully deterministic scheduling).
     workers: int = 1
     #: Bounded-queue capacity; submissions beyond it are rejected with
     #: a retry-after estimate rather than buffered without limit.
     queue_capacity: int = 256
-    #: How long the dispatcher pauses after waking to let concurrent
-    #: submissions pile into one batch.  0 disables the pause.
-    batch_window_seconds: float = 0.005
     #: LRU capacity of the workload/table caches (entries per cache).
     cache_capacity: int = 8
     #: Default per-job queue timeout when a request carries none;
@@ -128,8 +149,6 @@ class ServerConfig:
             raise ValueError("workers must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if self.batch_window_seconds < 0:
-            raise ValueError("batch_window_seconds must be >= 0")
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
         if (
@@ -260,6 +279,8 @@ class Server:
         self._wakeup = threading.Condition(self._lock)
         self._queue: deque[JobRecord] = deque()
         self._jobs: dict[int, JobRecord] = {}
+        #: Retained finished job ids, earliest finished first.
+        self._finished: deque[int] = deque()
         self._next_id = 1
         self._started = False
         self._stopping = False
@@ -415,10 +436,21 @@ class Server:
         return self.submit(JobRequest.from_payload(payload))
 
     def record(self, job_id: int) -> JobRecord:
-        """The live record of a job (raises :class:`UnknownJobError`)."""
+        """The live record of a job.
+
+        Raises :class:`ExpiredJobError` for a finished job whose record
+        was dropped and :class:`UnknownJobError` for an id never issued.
+        """
         with self._lock:
             record = self._jobs.get(job_id)
+            issued = 0 < job_id < self._next_id
         if record is None:
+            if issued:
+                raise ExpiredJobError(
+                    f"job {job_id} finished and its record expired "
+                    f"(the server keeps the last {RETAINED_FINISHED_JOBS} "
+                    "finished jobs)"
+                )
             raise UnknownJobError(f"unknown job id {job_id}")
         return record
 
@@ -544,38 +576,40 @@ class Server:
             with self._wakeup:
                 while not self._queue and not self._stopping:
                     self._wakeup.wait()
-                stopping = self._stopping
-                if stopping and not self._drain_on_stop:
-                    cancelled = list(self._queue)
-                    self._queue.clear()
-                elif stopping and not self._queue:
-                    return
-                else:
-                    cancelled = []
-            if stopping and not self._drain_on_stop:
-                for record in cancelled:
+                # Everything queued now is the batch; jobs submitted
+                # while it runs queue up as the next one.
+                batch = list(self._queue)
+                self._queue.clear()
+                cancel = self._stopping and not self._drain_on_stop
+            if cancel:
+                for record in batch:
                     self._finish_error(
                         record, "cancelled", "server shut down without drain"
                     )
                 return
-            # Let concurrent submitters pile into this gulp; skipped
-            # while draining (latency no longer matters, finish fast).
-            if self.config.batch_window_seconds > 0 and not stopping:
-                time.sleep(self.config.batch_window_seconds)
-            with self._wakeup:
-                batch = list(self._queue)
-                self._queue.clear()
-            if batch:
-                self._run_batch(batch)
+            if not batch:  # stopping, and the queue is drained
+                return
+            self._run_batch(batch)
 
     def _run_batch(self, batch: list[JobRecord]) -> None:
         self._counts["batches"] += 1
         telemetry.count("serve_batches")
-        now = time.monotonic()
         groups: dict[
             tuple[WorkloadSpec, PlatformSpec], list[JobRecord]
         ] = {}
-        for record in batch:
+        for record in self._unexpired(batch):
+            groups.setdefault(record.request.pair_key, []).append(record)
+        # Group order follows first arrival within the batch, so a batch
+        # is processed deterministically given its contents.
+        for pair, records in groups.items():
+            self._run_group(pair, records)
+
+    def _unexpired(self, records: list[JobRecord]) -> list[JobRecord]:
+        """``records`` minus the jobs queued past their timeout, which
+        finish with a structured ``timeout`` error instead."""
+        now = time.monotonic()
+        live = []
+        for record in records:
             if record.deadline is not None and now >= record.deadline:
                 self._finish_error(
                     record,
@@ -583,12 +617,24 @@ class Server:
                     f"queued past its {_timeout_of(record):g}s timeout",
                     extra={"timeout_seconds": _timeout_of(record)},
                 )
-                continue
-            groups.setdefault(record.request.pair_key, []).append(record)
-        # Group order follows first arrival within the gulp, so a batch
-        # is processed deterministically given its contents.
-        for pair, records in groups.items():
-            self._run_group(pair, records)
+            else:
+                live.append(record)
+        return live
+
+    def _take_queued(
+        self, pair: tuple[WorkloadSpec, PlatformSpec]
+    ) -> list[JobRecord]:
+        """Remove and return the queued jobs on ``pair`` (none while a
+        shutdown without drain is cancelling the queue)."""
+        with self._lock:
+            if self._stopping and not self._drain_on_stop:
+                return []
+            taken = [r for r in self._queue if r.request.pair_key == pair]
+            if taken:
+                self._queue = deque(
+                    r for r in self._queue if r.request.pair_key != pair
+                )
+        return taken
 
     def _breaker_check(
         self, pair: tuple[WorkloadSpec, PlatformSpec]
@@ -642,6 +688,10 @@ class Server:
                     f"{pair[1].label!r}: {error}",
                 )
             return
+        # Jobs on this pair that queued after the batch was taken (most
+        # often while the table above was priced) join the group, so a
+        # burst on one pair fans out once.
+        records = records + self._unexpired(self._take_queued(pair))
         started = time.monotonic()
         tasks = []
         for record in records:
@@ -758,6 +808,7 @@ class Server:
         if degraded:
             self._robust_counts["degraded_jobs"] += 1
             telemetry.count("serve_jobs_degraded")
+        self._retain(record)
         record.done_event.set()
 
     def _finish_error(
@@ -781,7 +832,16 @@ class Server:
         )
         self._counts[key] += 1
         telemetry.count(f"serve_jobs_{key}")
+        self._retain(record)
         record.done_event.set()
+
+    def _retain(self, record: JobRecord) -> None:
+        """File a finished record, dropping the earliest-finished ones
+        beyond :data:`RETAINED_FINISHED_JOBS`."""
+        with self._lock:
+            self._finished.append(record.job_id)
+            while len(self._finished) > RETAINED_FINISHED_JOBS:
+                self._jobs.pop(self._finished.popleft(), None)
 
 
 def _timeout_of(record: JobRecord) -> float:

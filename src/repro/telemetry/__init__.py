@@ -28,6 +28,14 @@ Design constraints, in order:
 * **Merge by name.**  Two spans with the same name under the same parent
   are one logical phase: merging sums their seconds, call counts and
   counters and recurses into children, preserving first-seen order.
+* **Per-thread nesting.**  The innermost open span lives in a
+  :class:`contextvars.ContextVar`, so each thread nests its own spans:
+  a server's HTTP threads counting submissions never land on a span
+  the dispatcher thread has open.  A thread with no open span records
+  into the current trace's root.  Spans and counters take no lock, so
+  threads that bump one counter on a shared span (such as the root)
+  serialise those bumps themselves, as the server's submit path does
+  under the server's lock.
 
 Typical use::
 
@@ -45,6 +53,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
 __all__ = [
@@ -250,11 +259,15 @@ class Trace:
 
 
 # ----------------------------------------------------------------------
-# Global state: the ambient trace + the dynamic span stack
+# Global state: the ambient trace + each thread's innermost open span
 # ----------------------------------------------------------------------
 _enabled: bool = _env_enabled()
 _TRACE = Trace()
-_STACK: list[Span] = [_TRACE.root]
+#: The innermost open span of the running thread.  Every thread starts
+#: with the empty default, ``None``: "the current trace's root".  Each
+#: open span keeps the token that restores its parent, so the tokens
+#: are the stack.
+_OPEN: ContextVar[Span | None] = ContextVar("repro_open_span", default=None)
 
 
 def enabled() -> bool:
@@ -274,15 +287,17 @@ def get_trace() -> Trace:
 
 
 def current_span() -> Span:
-    """The innermost open span (the trace root when none is open)."""
-    return _STACK[-1]
+    """The calling thread's innermost open span (the trace root when
+    none is open)."""
+    node = _OPEN.get()
+    return _TRACE.root if node is None else node
 
 
 def reset_trace() -> Trace:
     """Drop all recorded data and start a fresh ambient trace."""
     global _TRACE
     _TRACE = Trace()
-    _STACK[:] = [_TRACE.root]
+    _OPEN.set(None)
     return _TRACE
 
 
@@ -295,12 +310,11 @@ def use_trace(trace: Trace) -> Iterator[Trace]:
     recording into the worker's ambient trace would double-count once
     merged per task).
     """
-    saved = _STACK[:]
-    _STACK[:] = [trace.root]
+    token = _OPEN.set(trace.root)
     try:
         yield trace
     finally:
-        _STACK[:] = saved
+        _OPEN.reset(token)
 
 
 class _NullSpan:
@@ -316,28 +330,22 @@ class _NullSpan:
 
 
 class _SpanContext:
-    __slots__ = ("_name", "_node", "_started")
+    __slots__ = ("_name", "_node", "_token", "_started")
 
     def __init__(self, name: str) -> None:
         self._name = name
 
     def __enter__(self) -> Span:
-        node = _STACK[-1].child(self._name)
+        node = current_span().child(self._name)
         self._node = node
-        _STACK.append(node)
+        self._token = _OPEN.set(node)
         self._started = time.perf_counter()
         return node
 
     def __exit__(self, *exc_info: object) -> None:
         self._node.seconds += time.perf_counter() - self._started
         self._node.calls += 1
-        if _STACK[-1] is self._node:
-            _STACK.pop()
-        else:  # pragma: no cover - misnested exits (defensive)
-            try:
-                _STACK.remove(self._node)
-            except ValueError:
-                pass
+        _OPEN.reset(self._token)
 
 
 _NULL_SPAN = _NullSpan()
@@ -363,7 +371,7 @@ def count(name: str, value: int = 1) -> None:
     """Bump a monotonic counter on the innermost open span."""
     if not _enabled:
         return
-    counters = _STACK[-1].counters
+    counters = current_span().counters
     counters[name] = counters.get(name, 0) + value
 
 
@@ -376,7 +384,7 @@ def absorb(trace: Trace | None) -> None:
     """
     if trace is None or not _enabled:
         return
-    node = _STACK[-1]
+    node = current_span()
     node.merge(trace.root)
     # The root carries no timing of its own; merging added 0.0 seconds
     # and 0 calls to ``node``, so only children/counters moved — which

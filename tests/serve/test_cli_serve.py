@@ -6,6 +6,8 @@ and the daemon behind it is covered in-process by test_daemon.py.
 
 import socket
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -33,9 +35,16 @@ def test_zero_queue_capacity_exits_2(capsys):
     assert "queue_capacity must be >= 1" in capsys.readouterr().err
 
 
-def test_negative_batch_window_exits_2(capsys):
-    assert run_cli("serve", "--batch-window", "-0.1", "--port", "0") == 2
-    assert "batch_window_seconds must be >= 0" in capsys.readouterr().err
+def test_batch_window_flag_is_rejected(capsys):
+    # Batches form while the dispatcher is busy; there is no pause to
+    # set.  (An invalid value, so a returning flag fails fast instead
+    # of starting a daemon.)
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("serve", "--batch-window", "-0.1", "--port", "0")
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --batch-window" in (
+        capsys.readouterr().err
+    )
 
 
 def test_negative_default_timeout_exits_2(capsys):

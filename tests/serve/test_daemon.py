@@ -15,14 +15,14 @@ import urllib.request
 
 import pytest
 
+from repro.faults import FaultPlan, FaultSpec
 from repro.serve import ServeDaemon, ServerConfig, ServerStoppedError
+from repro.serve import server as server_module
 
 
 @pytest.fixture
 def daemon():
-    with ServeDaemon(
-        ServerConfig(batch_window_seconds=0), port=0
-    ) as instance:
+    with ServeDaemon(ServerConfig(), port=0) as instance:
         yield instance
 
 
@@ -137,6 +137,18 @@ class TestEndpoints:
         assert status == 404
         assert payload["error"]["code"] == "unknown-job"
 
+    def test_expired_job_is_404(self, daemon, monkeypatch):
+        monkeypatch.setattr(server_module, "RETAINED_FINISHED_JOBS", 1)
+        ids = []
+        for _ in range(2):
+            ids.append(post(daemon, "/jobs", JOB)[1]["job_id"])
+            daemon.server.await_result(ids[-1], timeout=60)
+        status, payload = get(daemon, f"/jobs/{ids[0]}")
+        assert status == 404
+        assert payload["error"]["code"] == "expired"
+        status, payload = get(daemon, f"/jobs/{ids[1]}")
+        assert status == 200 and payload["state"] == "done"
+
     def test_non_integer_job_id_is_400(self, daemon):
         status, payload = get(daemon, "/jobs/abc")
         assert status == 400
@@ -168,12 +180,20 @@ class TestEndpoints:
 
 class TestBackpressure:
     def test_queue_full_is_429_with_retry_after(self):
-        # A wide batch window keeps the dispatcher asleep while we
-        # overfill the 1-slot queue, making the 429 deterministic.
+        # A slow fault holds the dispatcher inside a first job while we
+        # overfill the 1-slot queue behind it, making the 429
+        # deterministic.
+        plan = FaultPlan.of(
+            FaultSpec(task_index=0, attempt=0, kind="slow", seconds=1.0)
+        )
         with ServeDaemon(
-            ServerConfig(queue_capacity=1, batch_window_seconds=0.5),
-            port=0,
+            ServerConfig(queue_capacity=1, fault_plan=plan), port=0,
         ) as daemon:
+            holder = post(daemon, "/jobs", JOB)[1]["job_id"]
+            deadline = time.monotonic() + 30
+            while daemon.server.record(holder).state != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
             first, *_ = post(daemon, "/jobs", JOB)
             assert first == 202
             status, payload, headers = post(daemon, "/jobs", JOB)
@@ -185,9 +205,7 @@ class TestBackpressure:
 
 class TestShutdown:
     def test_shutdown_endpoint_drains(self):
-        daemon = ServeDaemon(
-            ServerConfig(batch_window_seconds=0), port=0
-        ).start()
+        daemon = ServeDaemon(ServerConfig(), port=0).start()
         _, submitted, _ = post(daemon, "/jobs", JOB)
         status, payload, _ = post(daemon, "/shutdown", {})
         assert status == 202 and payload == {"draining": True}
@@ -200,9 +218,7 @@ class TestShutdown:
     def test_sigterm_drains_queued_jobs(self):
         previous_term = signal.getsignal(signal.SIGTERM)
         previous_int = signal.getsignal(signal.SIGINT)
-        daemon = ServeDaemon(
-            ServerConfig(batch_window_seconds=0), port=0
-        )
+        daemon = ServeDaemon(ServerConfig(), port=0)
         try:
             daemon.install_signal_handlers()
             daemon.start()

@@ -48,11 +48,15 @@ def submit_n(server, count, algorithm=GREEDY, workload=WORKLOAD):
 
 
 def run_batch(config, count=4, algorithm=GREEDY, workload=WORKLOAD):
-    server = Server(config).start()
+    """Run ``count`` jobs as one batch: they queue before ``start()``,
+    so the dispatcher takes them together and each plan's
+    ``(task_index, attempt)`` addresses land in one group."""
+    server = Server(config)
+    ids = submit_n(server, count, algorithm, workload)
+    server.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ids = submit_n(server, count, algorithm, workload)
             payloads = [
                 server.await_result(job_id, timeout=120).to_payload()
                 for job_id in ids
@@ -338,9 +342,7 @@ def _post_job(daemon):
 
 class TestDaemonRobustness:
     def test_submit_during_shutdown_is_503_with_retry_after(self):
-        daemon = ServeDaemon(
-            ServerConfig(batch_window_seconds=0), port=0
-        ).start()
+        daemon = ServeDaemon(ServerConfig(), port=0).start()
         try:
             # Stop intake without tearing down the HTTP loop, exactly
             # the drain window a SIGTERM opens.
@@ -359,7 +361,7 @@ class TestDaemonRobustness:
             FaultSpec(task_index=0, attempt=0, kind="slow", seconds=30.0)
         )
         daemon = ServeDaemon(
-            ServerConfig(batch_window_seconds=0, fault_plan=plan),
+            ServerConfig(fault_plan=plan),
             port=0,
             drain_deadline_seconds=0.5,
         ).start()

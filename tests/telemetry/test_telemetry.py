@@ -1,6 +1,9 @@
 """Tests for the span/trace telemetry layer."""
 
 import pickle
+import sys
+import threading
+import time
 
 import pytest
 
@@ -68,6 +71,79 @@ class TestSpans:
             with telemetry.span("hot"):
                 pass
         assert telemetry.get_trace().find("hot").calls == 3
+
+
+class TestThreads:
+    def test_threads_nest_their_own_spans(self):
+        # time.sleep(0) and a short switch interval hand the GIL over
+        # inside every span, so the threads' enters and exits
+        # interleave.  With one process-wide stack they nested under
+        # each other's spans into a deep chain that Span.walk() could
+        # not recurse through.
+        threads, rounds = 4, 200
+        barrier = threading.Barrier(threads)
+
+        def work(tag):
+            barrier.wait(30)
+            for _ in range(rounds):
+                with telemetry.span(f"outer-{tag}"):
+                    time.sleep(0)
+                    telemetry.count("outer_hits")
+                    with telemetry.span("inner"):
+                        time.sleep(0)
+                        telemetry.count("inner_hits", 2)
+
+        workers = [
+            threading.Thread(target=work, args=(tag,))
+            for tag in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+
+        trace = telemetry.get_trace()
+        assert max(depth for depth, _ in trace.root.walk()) <= 2
+        assert sorted(trace.root.children) == [
+            f"outer-{tag}" for tag in range(threads)
+        ]
+        for outer in trace.root.children.values():
+            assert outer.calls == rounds
+            assert outer.counters == {"outer_hits": rounds}
+            assert list(outer.children) == ["inner"]
+            inner = outer.children["inner"]
+            assert inner.calls == rounds
+            assert inner.counters == {"inner_hits": 2 * rounds}
+        assert trace.total_counter("outer_hits") == threads * rounds
+        assert trace.total_counter("inner_hits") == 2 * threads * rounds
+        assert trace.root.counters == {}
+
+    def test_new_thread_records_into_the_root(self):
+        # A thread with no open span of its own counts on the trace
+        # root, not on a span another thread has open.
+        with telemetry.span("dispatch"):
+            other = threading.Thread(target=telemetry.count, args=("jobs",))
+            other.start()
+            other.join(30)
+        assert not other.is_alive()
+        trace = telemetry.get_trace()
+        assert trace.root.counters == {"jobs": 1}
+        assert trace.find("dispatch").counters == {}
+
+    def test_reset_trace_moves_idle_threads_to_the_new_root(self):
+        telemetry.reset_trace()
+        fresh = telemetry.get_trace()
+        other = threading.Thread(target=telemetry.count, args=("late",))
+        other.start()
+        other.join(30)
+        assert not other.is_alive()
+        assert fresh.root.counters == {"late": 1}
 
 
 class TestDisabled:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.dfg import DataFlowGraph
+from ..ir.dfg import DataFlowGraph, DFGNode
 from ..ir.operations import OpClass
 from .cgc import CGC, cgc_node_executable, make_cgc_array
 
@@ -80,25 +80,30 @@ class CGCDatapath:
     # ------------------------------------------------------------------
     def supports_dfg(self, dfg: DataFlowGraph) -> bool:
         """True if every DFG node is executable on this data-path."""
-        for node in dfg.nodes:
-            op_class = node.op_class
-            if op_class in (OpClass.MOVE, OpClass.MEM):
-                continue
-            if not cgc_node_executable(node.opcode):
-                return False
-        return True
+        return _first_unsupported(dfg) is None
 
     def reject_unsupported(self, dfg: DataFlowGraph) -> None:
         """Raise with a precise message when a DFG cannot be mapped."""
-        for node in dfg.nodes:
-            op_class = node.op_class
-            if op_class in (OpClass.MOVE, OpClass.MEM):
-                continue
-            if not cgc_node_executable(node.opcode):
-                raise UnsupportedOperationError(
-                    f"operation {node.opcode.mnemonic!r} (node "
-                    f"{node.node_id}) is not executable on CGC nodes"
-                )
+        node = _first_unsupported(dfg)
+        if node is not None:
+            raise UnsupportedOperationError(
+                f"operation {node.opcode.mnemonic!r} (node "
+                f"{node.node_id}) is not executable on CGC nodes"
+            )
+
+
+#: Classes that never occupy a CGC node: memory ops use the shared ports
+#: and moves are routing.
+_ROUTED = (OpClass.MOVE, OpClass.MEM)
+
+
+def _first_unsupported(dfg: DataFlowGraph) -> DFGNode | None:
+    """The first node the data-path cannot execute, if any."""
+    for node in dfg.nodes:
+        opcode = node.instruction.opcode
+        if opcode.op_class not in _ROUTED and not cgc_node_executable(opcode):
+            return node
+    return None
 
 
 def standard_datapath(cgc_count: int, rows: int = 2, cols: int = 2,

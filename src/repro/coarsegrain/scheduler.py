@@ -24,11 +24,21 @@ Model
 The scheduler records, for every op, its start cycle, duration, chain depth
 and CGC, which makes the result directly bindable (see
 :mod:`repro.coarsegrain.binding`).
+
+Priority is the classic list-scheduling one: longest path to a sink
+(in ops that take time), ties to the earlier instruction.  Each cycle
+places nodes in priority order and makes further passes while a pass
+places something, because a placement can release a successor that
+ranks before it.  The reference form of this scheduler re-sorts and
+retries every unplaced node on every pass; it lives in the test suite's
+oracles, and this one must place every op exactly as it does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from weakref import WeakKeyDictionary
 
 from ..ir.dfg import DataFlowGraph
 from ..ir.operations import ArrayBase, OpClass
@@ -80,45 +90,64 @@ class CGCSchedule:
     # Legality checking
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Assert every resource and dependency constraint holds."""
+        """Assert every resource and dependency constraint holds.
+
+        One pass over the ops counts each cycle's memory accesses, port
+        bookings and per-CGC issues; one pass over the edges checks
+        every dependency.
+        """
         dfg, dp = self.dfg, self.datapath
-        expected = {node.node_id for node in dfg.nodes}
-        if set(self.ops) != expected:
+        ops = self.ops
+        # DFG node ids are the positions 0..n-1 of the block's body.
+        if ops.keys() != set(range(len(dfg.nodes))):
             raise AssertionError("schedule does not cover every DFG node")
 
-        for cycle in range(self.makespan):
-            active = self.ops_in_cycle(cycle)
-            mem_ops = [op for op in active if op.unit == "mem"]
-            if len(mem_ops) > dp.memory_ports:
-                raise AssertionError(
-                    f"cycle {cycle}: {len(mem_ops)} memory ops exceed "
-                    f"{dp.memory_ports} ports"
-                )
-            ports_used = [op.port for op in mem_ops]
-            if len(set(ports_used)) != len(ports_used):
-                raise AssertionError(
-                    f"cycle {cycle}: shared-memory port double-booked"
-                )
-            per_cgc: dict[int, int] = {}
-            for op in active:
-                if op.unit == "node":
-                    assert op.cgc_index is not None
-                    per_cgc[op.cgc_index] = per_cgc.get(op.cgc_index, 0) + 1
-            for cgc_index, used in per_cgc.items():
-                capacity = dp.cgcs[cgc_index].node_count
-                if used > capacity:
-                    raise AssertionError(
-                        f"cycle {cycle}: CGC {cgc_index} issues {used} ops, "
-                        f"capacity {capacity}"
-                    )
+        mem_used: dict[int, int] = {}
+        ports_booked: set[tuple[int, int | None]] = set()
+        issued: dict[tuple[int, int], int] = {}
+        for op in ops.values():
+            if op.unit == "mem":
+                for cycle in range(op.cycle, op.cycle + max(op.duration, 1)):
+                    used = mem_used[cycle] = mem_used.get(cycle, 0) + 1
+                    if used > dp.memory_ports:
+                        raise AssertionError(
+                            f"cycle {cycle}: {used} memory ops exceed "
+                            f"{dp.memory_ports} ports"
+                        )
+                    if (cycle, op.port) in ports_booked:
+                        raise AssertionError(
+                            f"cycle {cycle}: shared-memory port double-booked"
+                        )
+                    ports_booked.add((cycle, op.port))
+            elif op.unit == "node":
+                assert op.cgc_index is not None
+                capacity = dp.cgcs[op.cgc_index].node_count
+                for cycle in range(op.cycle, op.cycle + max(op.duration, 1)):
+                    key = (cycle, op.cgc_index)
+                    used = issued[key] = issued.get(key, 0) + 1
+                    if used > capacity:
+                        raise AssertionError(
+                            f"cycle {cycle}: CGC {op.cgc_index} issues "
+                            f"{used} ops, capacity {capacity}"
+                        )
 
-        for src, dst in dfg.graph.edges():
-            self._check_edge(src, dst)
+        for dst, preds in enumerate(dfg.preds):
+            consumer = ops[dst]
+            for src in preds:
+                producer = ops[src]
+                if producer.end <= consumer.cycle and not (
+                    # A move takes no time, so an edge out of one into the
+                    # same cycle is a chain link like any other.
+                    producer.unit == "move" and producer.cycle == consumer.cycle
+                ):
+                    continue
+                self._check_chain(src, dst, producer, consumer)
 
-    def _check_edge(self, src: int, dst: int) -> None:
-        producer, consumer = self.ops[src], self.ops[dst]
-        if producer.end <= consumer.cycle:
-            return
+    def _check_chain(
+        self, src: int, dst: int, producer: ScheduledOp, consumer: ScheduledOp
+    ) -> None:
+        """An edge whose consumer starts before its producer's result is
+        registered: legal only as a link of an in-cycle chain."""
         if producer.cycle != consumer.cycle:
             raise AssertionError(
                 f"edge {src}->{dst}: consumer starts at {consumer.cycle} "
@@ -129,11 +158,13 @@ class CGCSchedule:
             raise AssertionError(
                 f"edge {src}->{dst}: memory ops cannot chain in-cycle"
             )
-        if consumer.unit == "node" and producer.unit == "node":
-            if producer.cgc_index != consumer.cgc_index:
-                raise AssertionError(
-                    f"edge {src}->{dst}: chain crosses CGC boundary"
-                )
+        if (
+            producer.cgc_index is not None
+            and consumer.cgc_index != producer.cgc_index
+        ):
+            raise AssertionError(
+                f"edge {src}->{dst}: chain crosses CGC boundary"
+            )
         if consumer.unit == "node":
             limit = (
                 self.datapath.cgcs[consumer.cgc_index].chain_depth
@@ -145,167 +176,221 @@ class CGCSchedule:
                     f"edge {src}->{dst}: chain depth {consumer.chain_depth} "
                     f"exceeds limit {limit}"
                 )
-            if producer.chain_depth >= consumer.chain_depth and (
-                producer.unit == "node"
-            ):
+            if producer.chain_depth >= consumer.chain_depth:
                 raise AssertionError(
                     f"edge {src}->{dst}: chain depth not increasing"
                 )
+        elif producer.chain_depth > consumer.chain_depth:
+            raise AssertionError(
+                f"edge {src}->{dst}: chain depth decreases into a move"
+            )
 
 
-def _node_heights(dfg: DataFlowGraph) -> dict[int, int]:
-    """Longest path (in compute+mem ops) from each node to any sink."""
-    heights: dict[int, int] = {}
-    for node in reversed(list(dfg.nodes)):
-        own = 0 if node.op_class is OpClass.MOVE else 1
-        succ_heights = [heights[s] for s in dfg.successors(node.node_id)]
-        heights[node.node_id] = own + max(succ_heights, default=0)
-    return heights
+# Op kinds, as the scheduler dispatches on them; memory kinds sort last.
+_COMPUTE, _MOVE, _MEM, _LOCAL_MEM = 0, 1, 2, 3
+
+
+class _Plan:
+    """What scheduling needs from one DFG, whatever the data-path.
+
+    ``order[r]`` is the node of rank ``r`` in (-height, node id) order
+    and ``rank`` its inverse, so a heap of ranks pops in priority order.
+    ``kinds`` and ``pred_counts`` are indexed by node id.
+    """
+
+    __slots__ = ("order", "rank", "kinds", "pred_counts", "roots")
+
+    def __init__(self, dfg: DataFlowGraph) -> None:
+        kinds = []
+        for node in dfg.nodes:
+            instruction = node.instruction
+            op_class = instruction.opcode.op_class
+            if op_class is OpClass.MEM:
+                # Local scratch buffers live in the data-path's register
+                # bank and respond in one CGC cycle; globals go to the
+                # shared data memory at its own (slower) access time.
+                base = instruction.operands[0]
+                local = isinstance(base, ArrayBase) and base.local
+                kinds.append(_LOCAL_MEM if local else _MEM)
+            else:
+                kinds.append(_MOVE if op_class is OpClass.MOVE else _COMPUTE)
+        # Height: longest path (in compute+mem ops) from a node to a sink.
+        heights = [0] * len(kinds)
+        for node_id in range(len(kinds) - 1, -1, -1):
+            tallest = 0
+            for succ in dfg.succs[node_id]:
+                if heights[succ] > tallest:
+                    tallest = heights[succ]
+            heights[node_id] = tallest + (kinds[node_id] != _MOVE)
+        # A stable sort keeps equal heights in node-id order.
+        order = sorted(range(len(kinds)), key=heights.__getitem__, reverse=True)
+        rank = [0] * len(order)
+        for position, node_id in enumerate(order):
+            rank[node_id] = position
+        self.order = order
+        self.rank = rank
+        self.kinds = kinds
+        self.pred_counts = [len(preds) for preds in dfg.preds]
+        # Ascending, hence already a heap.
+        self.roots = [r for r, node_id in enumerate(order) if not dfg.preds[node_id]]
+
+
+#: One plan per live DFG, shared by every data-path it is priced on.
+_PLANS: WeakKeyDictionary[DataFlowGraph, _Plan] = WeakKeyDictionary()
+
+
+def _plan(dfg: DataFlowGraph) -> _Plan:
+    plan = _PLANS.get(dfg)
+    if plan is None:
+        plan = _PLANS[dfg] = _Plan(dfg)
+    return plan
 
 
 class ListScheduler:
-    """List scheduling with chain-aware per-CGC slot allocation."""
+    """Ready-list scheduling with chain-aware per-CGC slot allocation.
+
+    A node enters the ready heap once all its predecessors are placed,
+    and is tried once per cycle at most:
+
+    * Placing a node releases each successor whose predecessors are now
+      all placed: into the current pass if it ranks after the node, else
+      into the next pass.  A successor waiting on a memory result in
+      flight is parked until the cycle that result lands.
+    * A node that fails stays blocked until the next cycle: within a
+      cycle its predecessors are fixed and free slots and ports only
+      shrink.  A memory op that finds no free port is parked until the
+      first port frees.
+    * A cycle with nothing to try is skipped.
+    """
 
     def __init__(self, dfg: DataFlowGraph, datapath: CGCDatapath):
         self.dfg = dfg
         self.datapath = datapath
         datapath.reject_unsupported(dfg)
-        self.heights = _node_heights(dfg)
+        self.plan = _plan(dfg)
 
     def schedule(self) -> CGCSchedule:
-        result = CGCSchedule(self.dfg, self.datapath)
-        remaining = {node.node_id for node in self.dfg.nodes}
-        # busy-until time of each shared-memory port
-        port_free_at = [0] * self.datapath.memory_ports
+        dfg, plan, dp = self.dfg, self.plan, self.datapath
+        ops: dict[int, ScheduledOp] = {}
+        unplaced = len(plan.order)
+        if not unplaced:
+            return CGCSchedule(dfg, dp, ops)
+        order, rank, kinds = plan.order, plan.rank, plan.kinds
+        preds, succs = dfg.preds, dfg.succs
+        latency = dp.memory_latency
+        slots = [cgc.node_count for cgc in dp.cgcs]
+        limits = [cgc.chain_depth for cgc in dp.cgcs]
+        port_free_at = [0] * dp.memory_ports
+        # Per node: placement, and the first cycle a chained (compute or
+        # move) consumer and a memory consumer may start.
+        cycle_of = [0] * unplaced
+        depth_of = [0] * unplaced
+        cgc_of: list[int | None] = [None] * unplaced
+        chain_ready = [0] * unplaced
+        mem_ready = [0] * unplaced
+        missing = plan.pred_counts.copy()
+        parked: dict[int, list[int]] = {}
+        ready = plan.roots.copy()
         cycle = 0
         # Guard: any DAG schedules within |V| · latency cycles.
-        max_cycles = (2 + self.datapath.memory_latency) * (len(self.dfg) + 8)
-        while remaining:
+        max_cycles = (2 + latency) * (unplaced + 8)
+        while True:
+            free = slots.copy()
+            current: list[int] = ready
+            later: list[int] = []
+            blocked: list[int] = []
+            while True:
+                if not current:
+                    if not later:
+                        break
+                    heapify(later)
+                    current, later = later, []
+                r = heappop(current)
+                n = order[r]
+                kind = kinds[n]
+                if kind >= _MEM:
+                    for port, free_at in enumerate(port_free_at):
+                        if free_at <= cycle:
+                            break
+                    else:
+                        parked.setdefault(min(port_free_at), []).append(r)
+                        continue
+                    duration = 1 if kind == _LOCAL_MEM else latency
+                    port_free_at[port] = end = cycle + duration
+                    cycle_of[n] = cycle
+                    chain_ready[n] = mem_ready[n] = end
+                    ops[n] = ScheduledOp(n, cycle, 0, None, "mem", duration, port)
+                else:
+                    # Predecessors placed this cycle (never memory ops:
+                    # their results land in a later cycle) feed n within
+                    # the cycle, so n extends their chain in their CGC.
+                    depth = 0
+                    cgc: int | None = None
+                    crossed = False
+                    for p in preds[n]:
+                        if cycle_of[p] == cycle:
+                            if depth_of[p] > depth:
+                                depth = depth_of[p]
+                            forced = cgc_of[p]
+                            if forced is not None:
+                                if cgc is None:
+                                    cgc = forced
+                                elif forced != cgc:
+                                    crossed = True
+                    if crossed:
+                        blocked.append(r)
+                        continue
+                    if kind == _MOVE:
+                        # Moves are wires: free, chain-depth transparent.
+                        ops[n] = ScheduledOp(n, cycle, depth, cgc, "move", 0)
+                    else:
+                        depth += 1
+                        if cgc is None:
+                            # Start of a new chain: the CGC with the most
+                            # free slots that satisfies the depth limit.
+                            most = 0
+                            for index, left in enumerate(free):
+                                if left > most and depth <= limits[index]:
+                                    cgc, most = index, left
+                            if cgc is None:
+                                blocked.append(r)
+                                continue
+                        elif free[cgc] <= 0 or depth > limits[cgc]:
+                            blocked.append(r)
+                            continue
+                        free[cgc] -= 1
+                        ops[n] = ScheduledOp(n, cycle, depth, cgc, "node")
+                    cycle_of[n] = chain_ready[n] = cycle
+                    mem_ready[n] = cycle + 1
+                    depth_of[n] = depth
+                    cgc_of[n] = cgc
+                unplaced -= 1
+                for s in succs[n]:
+                    missing[s] -= 1
+                    if missing[s]:
+                        continue
+                    ready_at = mem_ready if kinds[s] >= _MEM else chain_ready
+                    at = 0
+                    for p in preds[s]:
+                        if ready_at[p] > at:
+                            at = ready_at[p]
+                    if at > cycle:
+                        parked.setdefault(at, []).append(rank[s])
+                    elif rank[s] > r:
+                        heappush(current, rank[s])
+                    else:
+                        later.append(rank[s])
+            if not unplaced:
+                return CGCSchedule(dfg, dp, ops)
+            # Next cycle: the blocked nodes and whatever was parked for
+            # it; with nothing to try, skip to the first parked cycle.
+            cycle = cycle + 1 if blocked or not parked else min(parked)
             if cycle > max_cycles:
                 raise RuntimeError(
                     "scheduler failed to converge — internal error"
                 )
-            self._schedule_cycle(cycle, remaining, result, port_free_at)
-            cycle += 1
-        return result
-
-    # ------------------------------------------------------------------
-    def _schedule_cycle(
-        self,
-        cycle: int,
-        remaining: set[int],
-        result: CGCSchedule,
-        port_free_at: list[int],
-    ) -> None:
-        free_slots = {
-            index: cgc.node_count for index, cgc in enumerate(self.datapath.cgcs)
-        }
-        progressed = True
-        while progressed:
-            progressed = False
-            candidates = sorted(
-                remaining,
-                key=lambda n: (-self.heights[n], n),
-            )
-            for node_id in candidates:
-                placement = self._try_place(
-                    node_id, cycle, free_slots, port_free_at, result
-                )
-                if placement is None:
-                    continue
-                result.ops[node_id] = placement
-                remaining.discard(node_id)
-                if placement.unit == "mem":
-                    assert placement.port is not None
-                    port_free_at[placement.port] = placement.end
-                elif placement.unit == "node":
-                    assert placement.cgc_index is not None
-                    free_slots[placement.cgc_index] -= 1
-                progressed = True
-
-    def _try_place(
-        self,
-        node_id: int,
-        cycle: int,
-        free_slots: dict[int, int],
-        port_free_at: list[int],
-        result: CGCSchedule,
-    ) -> ScheduledOp | None:
-        node = self.dfg.node(node_id)
-        op_class = node.op_class
-        preds = self.dfg.predecessors(node_id)
-        in_cycle_preds: list[ScheduledOp] = []
-        for pred in preds:
-            placed = result.ops.get(pred)
-            if placed is None:
-                return None  # dependency not yet scheduled at all
-            if placed.cycle == cycle and placed.unit in ("node", "move"):
-                in_cycle_preds.append(placed)
-            elif placed.end > cycle:
-                return None  # result not available yet (e.g. memory in flight)
-
-        if op_class is OpClass.MOVE:
-            # Moves are wires: free, chain-depth transparent.
-            depth = max((p.chain_depth for p in in_cycle_preds), default=0)
-            cgcs = {
-                p.cgc_index for p in in_cycle_preds if p.cgc_index is not None
-            }
-            if len(cgcs) > 1:
-                return None
-            cgc_index = cgcs.pop() if cgcs else None
-            return ScheduledOp(
-                node_id, cycle, depth, cgc_index, "move", duration=0
-            )
-
-        if op_class is OpClass.MEM:
-            if in_cycle_preds:
-                return None  # address/value must come from earlier cycles
-            # Local scratch buffers live in the data-path's register bank
-            # and respond in one CGC cycle; globals go to the shared data
-            # memory at its own (slower) access time.
-            base = node.instruction.operands[0]
-            is_local = isinstance(base, ArrayBase) and base.local
-            duration = 1 if is_local else self.datapath.memory_latency
-            for port, free_at in enumerate(port_free_at):
-                if free_at <= cycle:
-                    return ScheduledOp(
-                        node_id,
-                        cycle,
-                        0,
-                        None,
-                        "mem",
-                        duration=duration,
-                        port=port,
-                    )
-            return None
-
-        # Compute op (ALU/MUL).
-        depth = 1 + max((p.chain_depth for p in in_cycle_preds), default=0)
-        forced_cgcs = {
-            p.cgc_index for p in in_cycle_preds if p.cgc_index is not None
-        }
-        if len(forced_cgcs) > 1:
-            return None  # chain would span two CGCs
-        if forced_cgcs:
-            cgc_index = forced_cgcs.pop()
-            if free_slots[cgc_index] <= 0:
-                return None
-            if depth > self.datapath.cgcs[cgc_index].chain_depth:
-                return None
-            return ScheduledOp(node_id, cycle, depth, cgc_index, "node")
-        # Start of a new chain: pick the CGC with the most free slots that
-        # satisfies the depth limit.
-        best: int | None = None
-        for index, slots in free_slots.items():
-            if slots <= 0:
-                continue
-            if depth > self.datapath.cgcs[index].chain_depth:
-                continue
-            if best is None or slots > free_slots[best]:
-                best = index
-        if best is None:
-            return None
-        return ScheduledOp(node_id, cycle, depth, best, "node")
+            ready = blocked + parked.pop(cycle, [])
+            heapify(ready)
 
 
 def schedule_dfg(dfg: DataFlowGraph, datapath: CGCDatapath) -> CGCSchedule:

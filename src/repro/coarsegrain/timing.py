@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ..ir.dfg import DataFlowGraph
 from ..platform.characterization import HardwareCharacterization
 from .datapath import CGCDatapath
-from .scheduler import CGCSchedule, schedule_dfg
+from .scheduler import schedule_dfg
 
 
 @dataclass(frozen=True)
@@ -37,40 +37,40 @@ class CoarseGrainBlockTiming:
         return characterization.cgc_ticks_to_fpga_cycles(self.cgc_cycles)
 
 
-def _schedule_rows_used(schedule: CGCSchedule) -> int:
-    """Peak rows occupied: per cycle, each CGC needs ``ceil(ops/cols)``
-    rows for its compute ops; the footprint is the max over cycles of the
-    sum over CGCs.
-
-    One pass over the ops (O(ops × duration)) instead of rescanning the
-    whole schedule per cycle — this runs on every block mapping.
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for op in schedule.ops.values():
-        if op.unit != "node" or op.cgc_index is None:
-            continue
-        for cycle in range(op.cycle, op.cycle + max(op.duration, 1)):
-            key = (cycle, op.cgc_index)
-            counts[key] = counts.get(key, 0) + 1
-    rows_by_cycle: dict[int, int] = {}
-    for (cycle, cgc_index), used in counts.items():
-        cols = schedule.datapath.cgcs[cgc_index].geometry.cols
-        rows_by_cycle[cycle] = rows_by_cycle.get(cycle, 0) + -(-used // cols)
-    return max(rows_by_cycle.values(), default=0)
-
-
 def block_cgc_timing(
     dfg: DataFlowGraph, datapath: CGCDatapath
 ) -> CoarseGrainBlockTiming:
-    """Schedule one block on the data-path and extract its latency."""
+    """Schedule one block on the data-path and extract its latency.
+
+    ``rows_used`` is the peak over cycles of the rows the schedule
+    occupies: in a cycle, each CGC needs ``ceil(ops/cols)`` rows for its
+    compute ops.  One pass over the ops gathers every figure, because
+    this runs on every block mapping.
+    """
     schedule = schedule_dfg(dfg, datapath)
-    compute = sum(1 for op in schedule.ops.values() if op.unit == "node")
-    memory = sum(1 for op in schedule.ops.values() if op.unit == "mem")
+    compute = memory = makespan = 0
+    issued: dict[tuple[int, int], int] = {}
+    for op in schedule.ops.values():
+        end = op.cycle + max(op.duration, 1)
+        if end > makespan:
+            makespan = end
+        if op.unit == "mem":
+            memory += 1
+        elif op.unit == "node":
+            compute += 1
+            if op.cgc_index is not None:
+                for cycle in range(op.cycle, end):
+                    key = (cycle, op.cgc_index)
+                    issued[key] = issued.get(key, 0) + 1
+    rows_by_cycle: dict[int, int] = {}
+    for (cycle, cgc_index), used in issued.items():
+        cols = datapath.cgcs[cgc_index].geometry.cols
+        rows_by_cycle[cycle] = rows_by_cycle.get(cycle, 0) + -(-used // cols)
     return CoarseGrainBlockTiming(
-        cgc_cycles=schedule.makespan,
+        cgc_cycles=makespan,
         compute_ops=compute,
         memory_ops=memory,
-        rows_used=_schedule_rows_used(schedule),
+        rows_used=max(rows_by_cycle.values(), default=0),
     )
 
 

@@ -103,7 +103,7 @@ class TemporalPartitioning:
                     "partition index decreased along level order"
                 )
             last_partition = partition
-        for src, dst in self.dfg.graph.edges():
+        for src, dst in self.dfg.edges():
             if self.assignment[src] > self.assignment[dst]:
                 raise AssertionError(
                     f"dependency {src}->{dst} crosses partitions backwards"

@@ -2,15 +2,13 @@
 
 One :class:`ControlFlowGraph` per function.  Provides the traversals the
 rest of the pipeline relies on (reverse post-order for dataflow, reachable
-sets for cleanup) plus a NetworkX export for analyses and debugging.
+sets for cleanup).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import networkx as nx
 
 from ..frontend.ast_nodes import ArrayType, Type
 from .basicblock import BasicBlock
@@ -158,16 +156,6 @@ class ControlFlowGraph:
         visit(self.entry_label)
         order.reverse()
         return order
-
-    def to_networkx(self) -> "nx.DiGraph":
-        """Export the CFG as a NetworkX DiGraph (nodes = labels)."""
-        graph = nx.DiGraph(function=self.function_name)
-        for label, block in self.blocks.items():
-            graph.add_node(label, size=len(block), bb_id=block.bb_id)
-        for label in self.blocks:
-            for successor in self.successors(label):
-                graph.add_edge(label, successor)
-        return graph
 
     # ------------------------------------------------------------------
     # Validation

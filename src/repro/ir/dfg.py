@@ -15,8 +15,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .basicblock import BasicBlock
 from .operations import (
     ArrayBase,
@@ -48,12 +46,17 @@ class DFGNode:
 
 
 class DataFlowGraph:
-    """Dependency DAG over the body (non-terminator) ops of one block."""
+    """Dependency DAG over the body (non-terminator) ops of one block.
+
+    Edges are stored per node as ``preds[n]`` and ``succs[n]``: tuples of
+    node ids without duplicates, in the order each edge was first drawn.
+    """
 
     def __init__(self, block: BasicBlock) -> None:
         self.block = block
         self.nodes: list[DFGNode] = []
-        self.graph = nx.DiGraph()
+        self.preds: tuple[tuple[int, ...], ...] = ()
+        self.succs: tuple[tuple[int, ...], ...] = ()
         self.live_in_scalars: set[str] = set()
         self.live_out_scalars: set[str] = set()
         self.arrays_read: set[str] = set()
@@ -68,8 +71,18 @@ class DataFlowGraph:
     def _build(self) -> None:
         body = self.block.body
         self.nodes = [DFGNode(i, ins) for i, ins in enumerate(body)]
-        for node in self.nodes:
-            self.graph.add_node(node.node_id)
+        # Dicts as ordered sets: a repeated edge keeps its first position.
+        preds: list[dict[int, None]] = [{} for _ in body]
+        succs: list[dict[int, None]] = [{} for _ in body]
+
+        def add_edge(src: int, dst: int) -> None:
+            # Producers are recorded before their consumer, so src <= dst;
+            # a CALL passing one array twice would be its own barrier.
+            # Every edge thus runs forward and the DFG is acyclic by
+            # construction.
+            if src != dst:
+                preds[dst][src] = None
+                succs[src][dst] = None
 
         temp_def: dict[Temp, int] = {}
         var_def: dict[str, int] = {}
@@ -83,11 +96,11 @@ class DataFlowGraph:
                 if isinstance(operand, Temp):
                     producer = temp_def.get(operand)
                     if producer is not None:
-                        self._add_edge(producer, node.node_id, "data")
+                        add_edge(producer, node.node_id)
                 elif isinstance(operand, VarRef):
                     producer = var_def.get(operand.name)
                     if producer is not None:
-                        self._add_edge(producer, node.node_id, "data")
+                        add_edge(producer, node.node_id)
                     else:
                         self.live_in_scalars.add(operand.name)
                 elif isinstance(operand, ArrayBase):
@@ -105,16 +118,16 @@ class DataFlowGraph:
                 assert isinstance(base, ArrayBase)
                 store = last_store.get(base.name)
                 if store is not None:
-                    self._add_edge(store, node.node_id, "mem")
+                    add_edge(store, node.node_id)
                 loads_since_store.setdefault(base.name, []).append(node.node_id)
             elif ins.opcode is Opcode.STORE:
                 base = ins.operands[0]
                 assert isinstance(base, ArrayBase)
                 store = last_store.get(base.name)
                 if store is not None:
-                    self._add_edge(store, node.node_id, "mem")
+                    add_edge(store, node.node_id)
                 for load in loads_since_store.get(base.name, []):
-                    self._add_edge(load, node.node_id, "mem")
+                    add_edge(load, node.node_id)
                 loads_since_store[base.name] = []
                 last_store[base.name] = node.node_id
             elif ins.opcode is Opcode.CALL:
@@ -123,9 +136,9 @@ class DataFlowGraph:
                     if isinstance(operand, ArrayBase):
                         store = last_store.get(operand.name)
                         if store is not None:
-                            self._add_edge(store, node.node_id, "mem")
+                            add_edge(store, node.node_id)
                         for load in loads_since_store.get(operand.name, []):
-                            self._add_edge(load, node.node_id, "mem")
+                            add_edge(load, node.node_id)
                         loads_since_store[operand.name] = []
                         last_store[operand.name] = node.node_id
 
@@ -143,13 +156,8 @@ class DataFlowGraph:
                 if isinstance(operand, VarRef) and operand.name not in var_def:
                     self.live_in_scalars.add(operand.name)
 
-    def _add_edge(self, src: int, dst: int, kind: str) -> None:
-        # Producers are recorded before their consumer, so src <= dst; a
-        # CALL passing one array twice would be its own barrier.  Every
-        # edge thus runs forward and the DFG is acyclic by construction.
-        if src == dst:
-            return
-        self.graph.add_edge(src, dst, kind=kind)
+        self.preds = tuple(tuple(ids) for ids in preds)
+        self.succs = tuple(tuple(ids) for ids in succs)
 
     # ------------------------------------------------------------------
     # Queries
@@ -163,14 +171,18 @@ class DataFlowGraph:
     def __iter__(self) -> Iterator[DFGNode]:
         return iter(self.nodes)
 
-    def predecessors(self, node_id: int) -> list[int]:
-        return list(self.graph.predecessors(node_id))
+    def predecessors(self, node_id: int) -> tuple[int, ...]:
+        return self.preds[node_id]
 
-    def successors(self, node_id: int) -> list[int]:
-        return list(self.graph.successors(node_id))
+    def successors(self, node_id: int) -> tuple[int, ...]:
+        return self.succs[node_id]
 
-    def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.graph)
+    def has_edge(self, src: int, dst: int) -> bool:
+        return dst in self.succs[src]
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Every (src, dst) pair, by source node, then successor order."""
+        return [(src, dst) for src, ids in enumerate(self.succs) for dst in ids]
 
     def topological_order(self) -> list[int]:
         # Node ids follow instruction order, which is already a valid
@@ -262,18 +274,6 @@ class DataFlowGraph:
         traffic already counted as LOAD/STORE operations.
         """
         return len(self.live_in_scalars) + len(self.live_out_scalars)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """A labelled copy of the dependency graph for external tooling."""
-        graph = nx.DiGraph(block=self.block.label)
-        for node in self.nodes:
-            graph.add_node(
-                node.node_id,
-                opcode=node.opcode.mnemonic,
-                op_class=node.op_class.value,
-            )
-        graph.add_edges_from(self.graph.edges(data=True))
-        return graph
 
 
 @dataclass

@@ -133,7 +133,7 @@ class TestScheduler:
 
     def test_chain_stays_in_one_cgc(self):
         schedule = schedule_dfg(chain_dfg(10), standard_datapath(2))
-        for src, dst in schedule.dfg.graph.edges():
+        for src, dst in schedule.dfg.edges():
             a, b = schedule.ops[src], schedule.ops[dst]
             if a.cycle == b.cycle:
                 assert a.cgc_index == b.cgc_index

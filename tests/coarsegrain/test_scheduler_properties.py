@@ -2,10 +2,11 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_schedule_dfg
 
 from repro.coarsegrain import bind_schedule, schedule_dfg
 from repro.coarsegrain.datapath import CGCDatapath
-from repro.coarsegrain.cgc import make_cgc_array
+from repro.coarsegrain.cgc import CGC, CGCGeometry, make_cgc_array
 from repro.workloads import SyntheticBlockProfile, generate_dfg
 
 profiles = st.builds(
@@ -32,9 +33,21 @@ serial_profiles = st.builds(
     serial_memory=st.just(True),
 )
 
+geometries = st.sampled_from(
+    [CGCGeometry(2, 2), CGCGeometry(2, 3), CGCGeometry(4, 2), CGCGeometry(1, 3)]
+)
+
+#: 1–3 identical CGCs, or 2–3 CGCs of mixed shapes (chain depths differ).
+cgc_arrays = st.one_of(
+    st.integers(1, 3).map(lambda n: make_cgc_array(n)),
+    st.lists(geometries, min_size=2, max_size=3).map(
+        lambda shapes: [CGC(index, shape) for index, shape in enumerate(shapes)]
+    ),
+)
+
 datapaths = st.builds(
     CGCDatapath,
-    cgcs=st.integers(1, 3).map(lambda n: make_cgc_array(n)),
+    cgcs=cgc_arrays,
     memory_ports=st.integers(1, 3),
     register_bank_size=st.just(256),
     memory_latency=st.integers(1, 4),
@@ -54,6 +67,18 @@ def test_schedule_always_legal(profile, datapath):
 def test_schedule_legal_on_serial_blocks(profile, datapath):
     schedule = schedule_dfg(generate_dfg(profile), datapath)
     schedule.validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    profile=st.one_of(profiles, serial_profiles), datapath=datapaths
+)
+def test_schedule_equals_reference(profile, datapath):
+    """The ready-list scheduler places every op as the reference does:
+    same fields, same ``ops`` insertion order."""
+    dfg = generate_dfg(profile)
+    ops = schedule_dfg(dfg, datapath).ops
+    assert list(ops.items()) == list(oracle_schedule_dfg(dfg, datapath).ops.items())
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,10 @@
 """API-surface and cross-cutting behaviour tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -38,6 +43,27 @@ class TestPackageExports:
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestDependencies:
+    def test_library_does_not_import_networkx(self):
+        """networkx is a test-only dependency: no library entry point may
+        pull it in (the tests' graph views import it themselves)."""
+        code = (
+            "import sys, repro, repro.serve.daemon, repro.explore, "
+            "repro.suite, repro.reporting; "
+            "print('networkx' in sys.modules)"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestResultTypes:

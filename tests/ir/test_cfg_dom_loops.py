@@ -1,6 +1,7 @@
 """CFG structure, dominators, natural loops and CDFG numbering tests."""
 
 import pytest
+from nx_views import to_networkx
 
 from repro.ir import (
     DominatorTree,
@@ -52,7 +53,7 @@ class TestCFG:
             assert loopy_cfg.block(label).terminator.opcode is Opcode.RET
 
     def test_networkx_roundtrip(self, loopy_cfg):
-        graph = loopy_cfg.to_networkx()
+        graph = to_networkx(loopy_cfg)
         assert graph.number_of_nodes() == len(loopy_cfg)
 
     def test_verify_passes(self, loopy_cfg):

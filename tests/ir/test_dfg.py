@@ -1,5 +1,7 @@
 """Data-flow graph construction and level tests."""
 
+from nx_views import is_acyclic, to_networkx
+
 from repro.frontend.ast_nodes import Type
 from repro.ir import (
     ArrayBase,
@@ -35,7 +37,7 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert dfg.graph.has_edge(0, 1)
+        assert dfg.has_edge(0, 1)
 
     def test_var_def_use_edge(self):
         block = block_of(
@@ -45,7 +47,7 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert dfg.graph.has_edge(0, 1)
+        assert dfg.has_edge(0, 1)
 
     def test_live_in_scalar_detected(self):
         block = block_of(
@@ -70,7 +72,7 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert dfg.graph.has_edge(0, 1)
+        assert dfg.has_edge(0, 1)
 
     def test_load_store_war_edge(self):
         a = ArrayBase("a", Type.INT)
@@ -81,7 +83,7 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert dfg.graph.has_edge(0, 1)
+        assert dfg.has_edge(0, 1)
 
     def test_store_store_waw_edge(self):
         a = ArrayBase("a", Type.INT)
@@ -92,7 +94,7 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert dfg.graph.has_edge(0, 1)
+        assert dfg.has_edge(0, 1)
 
     def test_different_arrays_independent(self):
         a, b = ArrayBase("a", Type.INT), ArrayBase("b", Type.INT)
@@ -103,11 +105,11 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert not dfg.graph.has_edge(0, 1)
+        assert not dfg.has_edge(0, 1)
 
     def test_acyclic(self, sample_cdfg):
         for key in sample_cdfg.all_block_keys():
-            assert sample_cdfg.dfg(key).is_acyclic()
+            assert is_acyclic(sample_cdfg.dfg(key))
 
 
 class TestLevels:
@@ -201,5 +203,5 @@ class TestStatistics:
 
     def test_networkx_export(self, sample_cdfg):
         key = sample_cdfg.all_block_keys()[0]
-        graph = sample_cdfg.dfg(key).to_networkx()
+        graph = to_networkx(sample_cdfg.dfg(key))
         assert graph.number_of_nodes() == len(sample_cdfg.dfg(key))

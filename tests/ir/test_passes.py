@@ -299,7 +299,7 @@ def test_dfg_edges_run_forward():
     for name, cdfg in _dfg_programs():
         for key in cdfg.all_block_keys():
             dfg = cdfg.dfg(key)
-            backward = [(u, v) for u, v in dfg.graph.edges if not u < v]
+            backward = [(u, v) for u, v in dfg.edges() if not u < v]
             assert backward == [], f"{name} {key}"
-            edges += dfg.graph.number_of_edges()
+            edges += len(dfg.edges())
     assert edges > 0

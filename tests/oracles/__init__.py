@@ -1,5 +1,10 @@
 """Reference implementations the production code is tested against."""
 
+from .cgc_scheduler import (
+    RetryListScheduler,
+    oracle_schedule_dfg,
+    validate_per_cycle,
+)
 from .ir_routines import (
     PerSweepDefiniteAssignment,
     PerSweepLiveness,
@@ -22,8 +27,11 @@ __all__ = [
     "PerSweepDefiniteAssignment",
     "PerSweepLiveness",
     "PerSweepReachingDefinitions",
+    "RetryListScheduler",
     "full_rescan",
     "object_partitioner",
     "oracle_fold_constants",
+    "oracle_schedule_dfg",
     "oracle_tokenize",
+    "validate_per_cycle",
 ]

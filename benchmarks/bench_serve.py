@@ -244,6 +244,9 @@ def test_serve_load_batches_collapse_and_gate(capsys, tmp_path):
         )
         + "\n"
     )
+    payload = json.loads(BENCH_PATH.read_text())
+    assert payload["serve"]["cost_table_builds"] >= 1
+    assert SuiteRun.from_json_dict(payload["suite_run"]).scenario_names()
 
     baseline = json.loads(BASELINE_PATH.read_text())["serve"]
     factor = float(os.environ.get("REPRO_SERVE_GATE_FACTOR", "4.0"))
@@ -338,12 +341,3 @@ def test_gate_detects_injected_regressions():
     jittery = dict(baseline, p99_seconds=0.2)
     tiny_baseline = dict(baseline, p99_seconds=0.001)
     assert gate_failures(jittery, tiny_baseline, factor=4.0) == []
-
-
-def test_bench_artifact_is_readable():
-    """BENCH_serve.json (written above) parses and carries the run."""
-    if not BENCH_PATH.exists():  # ordering safety on partial runs
-        return
-    payload = json.loads(BENCH_PATH.read_text())
-    assert payload["serve"]["cost_table_builds"] >= 1
-    assert SuiteRun.from_json_dict(payload["suite_run"]).scenario_names()

@@ -62,6 +62,9 @@ def test_suite_runs_green_and_matches_baseline(capsys):
     assert_no_regressions(comparison)
 
     run.write_json(BENCH_PATH)
+    payload = json.loads(BENCH_PATH.read_text())
+    assert payload["results"]
+    assert read_run_json(BENCH_PATH).scenario_names()
     with capsys.disabled():
         print(f"\n[bench_suite] {comparison.summary()}")
         print(f"[bench_suite] results -> {BENCH_PATH}")
@@ -246,12 +249,3 @@ def test_phase_breakdowns_reconcile_with_wall_time():
                 f"{phase_sum:.6f}s > wall {result.wall_time_seconds:.6f}s"
             )
             assert all(seconds >= 0.0 for _, seconds in result.phases)
-
-
-def test_bench_artifact_is_readable():
-    """BENCH_suite.json (written above) loads as a suite run."""
-    if not BENCH_PATH.exists():  # ordering safety on partial runs
-        return
-    payload = json.loads(BENCH_PATH.read_text())
-    assert payload["results"]
-    assert read_run_json(BENCH_PATH).scenario_names()

@@ -366,10 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default per-job queue timeout in seconds (default: none)",
     )
     srv.add_argument(
-        "--profile-cache-dir", default=None,
-        help="on-disk profile cache directory for measured workloads",
-    )
-    srv.add_argument(
         "--task-retries", type=int, default=0,
         help="retries per failed job task before reporting the failure "
         "(default 0)",
@@ -881,7 +877,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             queue_capacity=args.queue_capacity,
             cache_capacity=args.cache_capacity,
             default_timeout_seconds=args.default_timeout,
-            profile_cache_dir=args.profile_cache_dir,
             task_retries=args.task_retries,
             retry_backoff_seconds=args.retry_backoff,
             search_deadline_seconds=args.search_deadline,

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..interp.cache import ProfileCache
-from ..interp.interpreter import Interpreter
-from ..interp.profiler import BlockProfiler
 from ..ir.cdfg import CDFG
 
 
@@ -48,28 +46,17 @@ def profile_cdfg(
     entry: str,
     *args: object,
     cache: ProfileCache | None = None,
-    mode: str = "auto",
 ) -> DynamicProfile:
     """Run ``entry`` on one representative input under profiling.
 
-    ``mode`` selects the interpreter engine (``"auto"`` uses the
-    block-compiled counter-only fast path).  Passing a
-    :class:`~repro.interp.cache.ProfileCache` memoizes the run
-    content-keyed on (CDFG fingerprint, entry, args); cached execution
-    is always counter-only compiled, so combining a cache with
-    ``mode="walker"`` is rejected rather than silently ignored.
+    The run goes through ``cache`` (a fresh
+    :class:`~repro.interp.cache.ProfileCache` when None), content-keyed
+    on (CDFG fingerprint, entry, args), and executes under the
+    block-compiled counter-only profiler on a miss.
     """
-    if cache is not None:
-        if mode not in ("auto", "compiled"):
-            raise ValueError(
-                "a ProfileCache always executes in compiled mode; "
-                f"mode={mode!r} cannot be honored — drop the cache to "
-                "profile under the walker"
-            )
-        return cache.profile(cdfg, entry, *args)
-    profiler = BlockProfiler()
-    Interpreter(cdfg, profiler, mode=mode).run(entry, *args)
-    return DynamicProfile(frequencies=profiler.frequencies(), runs=1)
+    if cache is None:
+        cache = ProfileCache()
+    return cache.profile(cdfg, entry, *args)
 
 
 def profile_cdfg_many(
@@ -78,22 +65,12 @@ def profile_cdfg_many(
     input_sets: list[tuple],
     *,
     cache: ProfileCache | None = None,
-    mode: str = "auto",
 ) -> DynamicProfile:
-    """Accumulate frequencies across several representative inputs."""
-    if cache is not None:
-        if mode not in ("auto", "compiled"):
-            raise ValueError(
-                "a ProfileCache always executes in compiled mode; "
-                f"mode={mode!r} cannot be honored — drop the cache to "
-                "profile under the walker"
-            )
-        # One CDFG fingerprint for the whole batch.
-        return cache.profile_many(cdfg, entry, input_sets)
-    combined = DynamicProfile()
-    for args in input_sets:
-        combined.merge(profile_cdfg(cdfg, entry, *args, mode=mode))
-    return combined
+    """Accumulate frequencies across several representative inputs
+    (one CDFG fingerprint for the whole batch)."""
+    if cache is None:
+        cache = ProfileCache()
+    return cache.profile_many(cdfg, entry, input_sets)
 
 
 @dataclass

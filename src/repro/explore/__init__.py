@@ -14,10 +14,9 @@ Three layers:
   annealing — see :mod:`repro.search`).
   ``WorkloadSpec.ofdm_measured()`` / ``WorkloadSpec.jpeg_measured()``
   profile the real mini-C applications under the block-compiled
-  interpreter instead of using the calibrated Table 1 statistics; pass
-  ``explore(..., profile_cache_dir=...)`` to share those profiling runs
-  across worker processes and repeat invocations via the content-keyed
-  on-disk cache (:mod:`repro.interp.cache`);
+  interpreter instead of using the calibrated Table 1 statistics; the
+  table resolver that builds them profiles through its content-keyed,
+  in-memory cache (:mod:`repro.interp.cache`);
 * :mod:`repro.explore.runner` — :func:`explore`, which fans the grid out
   across worker processes; each task sweeps every constraint of one
   (workload, platform, algorithm) triple on a single partitioner so cost

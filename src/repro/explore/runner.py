@@ -23,7 +23,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from ..interp.cache import ProfileCache
 from ..parallel import map_tasks
 from ..partition.costs import CostStats
 from ..partition.engine import EngineConfig
@@ -61,7 +60,7 @@ def _run_task(
     in the outcome.
     """
     if resolver is None:
-        resolver = process_resolver(task.profile_cache_dir)
+        resolver = process_resolver()
     config = task.engine_config or EngineConfig()
     outcome = _TaskOutcome()
     pricing_stats = CostStats()
@@ -99,19 +98,15 @@ def explore(
     *,
     max_workers: int | None = None,
     engine_config: EngineConfig | None = None,
-    profile_cache_dir: str | None = None,
 ) -> ExplorationReport:
     """Sweep the whole design space, fanning tasks out across processes.
 
     ``max_workers=None`` sizes the pool to ``min(tasks, cpu_count)``;
     ``max_workers=1`` forces a serial in-process run.  Results come back
     in grid order (workloads × platforms × constraint fractions)
-    regardless of worker scheduling.  ``profile_cache_dir`` enables the
-    shared on-disk profile cache for measured workload specs, so worker
-    processes (and repeat invocations) never re-profile an identical
-    program.
+    regardless of worker scheduling.
     """
-    tasks = space.tasks(engine_config, profile_cache_dir)
+    tasks = space.tasks(engine_config)
     started = time.perf_counter()
     workers = max_workers
     if workers is None:
@@ -121,9 +116,7 @@ def explore(
     def run_serially(serial_tasks) -> list[_TaskOutcome]:
         # A resolver scoped to this call: the coordinating process is
         # long lived and must not accumulate every workload explored.
-        resolver = TableResolver(
-            profile_cache=ProfileCache(directory=profile_cache_dir)
-        )
+        resolver = TableResolver()
         return [_run_task(task, resolver) for task in serial_tasks]
 
     # The shared fan-out contract (repro.parallel): an unusable pool or

@@ -200,14 +200,11 @@ class WorkloadSpec:
         return None
 
     def _build_measured(self, profile_cache) -> ApplicationWorkload:
-        """Profile the real mini-C application through the (optionally
-        shared, on-disk) content-keyed profile cache."""
-        from ..interp.cache import default_profile_cache
+        """Profile the real mini-C application through ``profile_cache``
+        (the app's own fresh cache when None)."""
         from ..ir.verify import assert_verified, sanitizer_enabled
         from ..partition.workload import workload_from_cdfg
 
-        if profile_cache is None:
-            profile_cache = default_profile_cache()
         params = dict(self.params)
         if self.kind == "ofdm-measured":
             from ..workloads.ofdm import (
@@ -284,17 +281,12 @@ class ExplorationTask:
     Constraint-independent search state (the greedy move trajectory, a
     cached annealing walk) is additionally shared across the
     constraints of each algorithm.
-
-    ``profile_cache_dir`` points measured workload specs at a shared
-    on-disk profile cache so parallel workers (and later runs) profile
-    each distinct program at most once.
     """
 
     workload: WorkloadSpec
     platform: PlatformSpec
     constraint_fractions: tuple[float, ...]
     engine_config: EngineConfig | None = None
-    profile_cache_dir: str | None = None
     algorithms: tuple[AlgorithmSpec, ...] = (AlgorithmSpec.greedy(),)
 
 
@@ -335,9 +327,7 @@ class DesignSpace:
         )
 
     def tasks(
-        self,
-        engine_config: EngineConfig | None = None,
-        profile_cache_dir: str | None = None,
+        self, engine_config: EngineConfig | None = None
     ) -> list[ExplorationTask]:
         return [
             ExplorationTask(
@@ -345,7 +335,6 @@ class DesignSpace:
                 platform=platform,
                 constraint_fractions=self.constraint_fractions,
                 engine_config=engine_config,
-                profile_cache_dir=profile_cache_dir,
                 algorithms=(algorithm,),
             )
             for workload, platform, algorithm in itertools.product(

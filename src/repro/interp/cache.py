@@ -1,4 +1,4 @@
-"""Content-keyed profile/workload cache for dynamic analysis.
+"""Content-keyed, in-memory profile cache for dynamic analysis.
 
 Profiling a program on a representative input is deterministic: the same
 CDFG, entry point and arguments always produce the same per-block
@@ -6,18 +6,13 @@ execution frequencies.  This module keys that computation by content —
 
     sha256(CDFG fingerprint ‖ entry ‖ argument digest)
 
-— so ``repro.explore`` workers, repeated bench runs and CI stop
-re-profiling identical programs.  Frequencies are the only dynamic fact
-stored; full :class:`~repro.interp.profiler.BlockProfile` records are
-derived statically on the way out
+— so repeated profiling of one program within a process (a resolver
+rebuilding an evicted workload, a superset of OFDM symbols, equivalent
+CDFG instances built from one source) runs the interpreter once.
+Frequencies are the only dynamic fact stored; full
+:class:`~repro.interp.profiler.BlockProfile` records are derived
+statically on the way out
 (:func:`~repro.interp.profiler.profiles_from_frequencies`).
-
-Two layers:
-
-* an in-memory dict (always on);
-* an opt-in on-disk layer (``ProfileCache(directory=...)``): one small
-  JSON file per key, written atomically, shared between processes.  A
-  corrupt or unreadable file is treated as a miss.
 
 Because the key includes the CDFG fingerprint, any semantic mutation of
 the program (changed constant, added instruction, retargeted branch)
@@ -31,18 +26,12 @@ outputs (not statistics) should run the interpreter directly.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .. import telemetry
 from ..ir.cdfg import CDFG
 from .compiler import cdfg_fingerprint
 from .values import ArrayStorage
-
-#: Bump when the stored record layout changes; mismatched files are misses.
-_DISK_FORMAT_VERSION = 1
 
 
 def args_digest(args: tuple) -> str:
@@ -104,62 +93,23 @@ class CachedProfile:
     steps: int
     blocks_executed: int
 
-    def to_json(self) -> dict:
-        return {
-            "version": _DISK_FORMAT_VERSION,
-            "frequencies": {str(k): v for k, v in self.frequencies.items()},
-            "steps": self.steps,
-            "blocks_executed": self.blocks_executed,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CachedProfile | None":
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("version") != _DISK_FORMAT_VERSION:
-            return None
-        try:
-            frequencies = {
-                int(k): int(v) for k, v in payload["frequencies"].items()
-            }
-            return cls(
-                frequencies=frequencies,
-                steps=int(payload["steps"]),
-                blocks_executed=int(payload["blocks_executed"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters, split by layer."""
+    """Hit/miss counters."""
 
-    memory_hits: int = 0
-    disk_hits: int = 0
+    hits: int = 0
     misses: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
 
 
 @dataclass
 class ProfileCache:
-    """Content-keyed cache of profiling runs (memory + optional disk).
+    """Content-keyed, in-memory cache of profiling runs."""
 
-    ``directory=None`` keeps the cache purely in-memory; passing a path
-    enables the shared on-disk layer (created on first write).
-    """
-
-    directory: str | Path | None = None
-    max_steps: int = 200_000_000
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         self._memory: dict[str, CachedProfile] = {}
-        if self.directory is not None:
-            self.directory = Path(self.directory)
 
     # ------------------------------------------------------------------
     # Core lookup
@@ -182,21 +132,14 @@ class ProfileCache:
         key = profile_key(cdfg, entry, args, fingerprint)
         record = self._memory.get(key)
         if record is not None:
-            self.stats.memory_hits += 1
+            self.stats.hits += 1
             telemetry.count("profile_cache_hits")
-            return record
-        record = self._load_disk(key)
-        if record is not None:
-            self.stats.disk_hits += 1
-            telemetry.count("profile_cache_hits")
-            self._memory[key] = record
             return record
         self.stats.misses += 1
         telemetry.count("profile_cache_misses")
         with telemetry.span("profile"):
             record = self._execute(cdfg, entry, args, fingerprint)
         self._memory[key] = record
-        self._store_disk(key, record)
         return record
 
     def _execute(
@@ -211,11 +154,7 @@ class ProfileCache:
         program = compile_cdfg(cdfg, fingerprint=fingerprint)
         profiler = BlockProfiler()
         result = Interpreter(
-            cdfg,
-            profiler,
-            max_steps=self.max_steps,
-            mode="compiled",
-            compiled_program=program,
+            cdfg, profiler, mode="compiled", compiled_program=program
         ).run(entry, *args)
         return CachedProfile(
             frequencies=profiler.frequencies(),
@@ -261,61 +200,6 @@ class ProfileCache:
         record = self.get_or_run(cdfg, entry, *args)
         return profiles_from_frequencies(cdfg, record.frequencies)
 
-    # ------------------------------------------------------------------
-    # Disk layer
-    # ------------------------------------------------------------------
-    def _disk_path(self, key: str) -> Path | None:
-        if self.directory is None:
-            return None
-        return Path(self.directory) / f"{key}.json"
-
-    def _load_disk(self, key: str) -> CachedProfile | None:
-        path = self._disk_path(key)
-        if path is None:
-            return None
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        return CachedProfile.from_json(payload)
-
-    def _store_disk(self, key: str, record: CachedProfile) -> None:
-        path = self._disk_path(key)
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(json.dumps(record.to_json()))
-            os.replace(tmp, path)
-        except OSError:
-            # The disk layer is best-effort; a read-only or full volume
-            # degrades to memory-only caching.
-            pass
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
     def __len__(self) -> int:
         return len(self._memory)
 
-
-#: Environment variable naming a shared on-disk profile-cache directory.
-#: CI exports it so ``actions/cache`` can persist profiling work between
-#: runs; anything building measured workloads without an explicit cache
-#: (CLI one-shots, serve workers, benches) picks it up automatically.
-PROFILE_CACHE_DIR_ENV = "REPRO_PROFILE_CACHE_DIR"
-
-
-def default_profile_cache() -> ProfileCache:
-    """A fresh cache honouring :data:`PROFILE_CACHE_DIR_ENV`.
-
-    With the variable unset this is a plain in-memory cache — identical
-    to what callers got before the hook existed.  The in-memory layer is
-    per-instance either way; only the disk layer is shared.
-    """
-    directory = os.environ.get(PROFILE_CACHE_DIR_ENV)
-    return ProfileCache(directory=directory or None)

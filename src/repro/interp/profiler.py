@@ -77,15 +77,13 @@ class BlockProfiler:
         self._current = None
 
 
-def profile_run(
-    cdfg: CDFG, function: str, *args, mode: str = "auto"
-) -> BlockProfiler:
+def profile_run(cdfg: CDFG, function: str, *args) -> BlockProfiler:
     """Run ``function`` once under profiling and return the profiler."""
     from .interpreter import Interpreter
 
     profiler = BlockProfiler()
     with telemetry.span("profile"):
-        Interpreter(cdfg, profiler, mode=mode).run(function, *args)
+        Interpreter(cdfg, profiler).run(function, *args)
     return profiler
 
 

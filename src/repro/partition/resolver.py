@@ -29,11 +29,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Generic, TypeVar
 
 from .. import telemetry
-from ..interp.cache import ProfileCache, default_profile_cache
+from ..interp.cache import ProfileCache
 from ..platform.soc import HybridPlatform
 from .costs import CostModel, CostStats
 from .packed import PackedCostTable
@@ -115,13 +114,13 @@ class TableResolver:
     """Workload and priced-table LRU layers behind :meth:`resolve`.
 
     Measured workload specs profile through :attr:`profile_cache`
-    (content-keyed, so repeated profiling of one program collapses).
+    (content-keyed, so rebuilding an evicted workload, or a second spec
+    over the same program and inputs, does not re-run the profiler).
     """
 
     def __init__(
         self,
         capacity: int = RESOLVER_CAPACITY,
-        profile_cache: ProfileCache | None = None,
         counter_prefix: str = "resolver",
     ) -> None:
         self.workloads: LruCache[WorkloadSpec, ApplicationWorkload] = (
@@ -130,11 +129,7 @@ class TableResolver:
         self.tables: LruCache[
             tuple[WorkloadSpec, PlatformSpec, bool], PackedCostTable
         ] = LruCache(capacity, f"{counter_prefix}_table_cache")
-        self.profile_cache = (
-            profile_cache
-            if profile_cache is not None
-            else default_profile_cache()
-        )
+        self.profile_cache = ProfileCache()
 
     def workload(self, spec: WorkloadSpec) -> ApplicationWorkload:
         """The built workload of ``spec`` (cached)."""
@@ -187,19 +182,9 @@ class TableResolver:
 _process_resolver: TableResolver | None = None
 
 
-def process_resolver(profile_cache_dir: str | None = None) -> TableResolver:
-    """The calling process's shared resolver (pool workers grow their own).
-
-    ``profile_cache_dir`` points its profile cache at a shared on-disk
-    directory; profiles are content-keyed, so workloads the resolver
-    already built stay valid when the directory changes.
-    """
+def process_resolver() -> TableResolver:
+    """The calling process's shared resolver (pool workers grow their own)."""
     global _process_resolver
     if _process_resolver is None:
         _process_resolver = TableResolver()
-    resolver = _process_resolver
-    if profile_cache_dir is not None and (
-        resolver.profile_cache.directory != Path(profile_cache_dir)
-    ):
-        resolver.profile_cache = ProfileCache(directory=profile_cache_dir)
-    return resolver
+    return _process_resolver

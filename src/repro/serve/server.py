@@ -69,7 +69,6 @@ from ..partition.packed import PackedCostTable
 from ..partition.result import PartitionResult
 from ..partition.workload import ApplicationWorkload
 from ..explore.space import PlatformSpec, WorkloadSpec
-from ..interp.cache import ProfileCache, default_profile_cache
 from ..partition.resolver import process_resolver
 from ..search import make_partitioner
 from ..search.base import AlgorithmSpec
@@ -117,9 +116,6 @@ class ServerConfig:
     #: Default per-job queue timeout when a request carries none;
     #: ``None`` means queued jobs wait indefinitely.
     default_timeout_seconds: float | None = None
-    #: On-disk directory for the shared profile cache (measured
-    #: workloads); ``None`` keeps profiling results in memory only.
-    profile_cache_dir: str | None = None
     #: Extra executions allowed per crashed/errored job task (0 = fail
     #: on the first counted failure, the historical behaviour).
     task_retries: int = 0
@@ -263,17 +259,8 @@ class Server:
 
     def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
-        # An explicit directory wins; otherwise honour the shared
-        # REPRO_PROFILE_CACHE_DIR hook (memory-only when unset).
-        profile_cache = (
-            ProfileCache(directory=self.config.profile_cache_dir)
-            if self.config.profile_cache_dir is not None
-            else default_profile_cache()
-        )
         self.caches = PricedTableCache(
-            capacity=self.config.cache_capacity,
-            profile_cache=profile_cache,
-            counter_prefix="serve",
+            capacity=self.config.cache_capacity, counter_prefix="serve"
         )
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)

@@ -188,9 +188,9 @@ class JPEGEncoderApp:
     """Runnable wrapper: compile once, encode frames, profile.
 
     Execution uses the block-compiled interpreter fast path; profiling
-    runs are memoized through ``profile_cache`` (a fresh in-memory
-    :class:`ProfileCache` by default — pass one with a directory to share
-    profiles across processes and runs).
+    runs are memoized through ``profile_cache`` (a fresh
+    :class:`ProfileCache` by default — pass a shared one to reuse
+    profiles across app instances).
     """
 
     def __init__(self, profile_cache: ProfileCache | None = None) -> None:

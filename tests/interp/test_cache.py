@@ -1,13 +1,21 @@
-"""Content-keyed profile cache: hits, invalidation, and the disk layer."""
+"""Content-keyed profile cache: hits, invalidation, and the one
+profiling path checked against the walker interpreter."""
 
-import json
-
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.dynamic_analysis import profile_cdfg, profile_cdfg_many
-from repro.interp import ProfileCache, args_digest, profile_key
+from repro.interp import (
+    BlockProfiler,
+    Interpreter,
+    ProfileCache,
+    args_digest,
+    profile_key,
+)
 from repro.ir import cdfg_from_source
 from repro.ir.operations import Const
+from repro.ir.passes import optimize_cdfg
+from repro.workloads.synthetic import minic_input, synthetic_program_source
 
 LOOP_SRC = """
 int f(int n) {
@@ -30,14 +38,7 @@ class TestMemoryLayer:
         second = cache.profile(cdfg, "f", 10)
         assert first.frequencies == second.frequencies
         assert cache.stats.misses == 1
-        assert cache.stats.memory_hits == 1
-
-    def test_profile_matches_uncached_run(self):
-        cache = ProfileCache()
-        cdfg = loop_cdfg()
-        cached = cache.profile(cdfg, "f", 10)
-        direct = profile_cdfg(cdfg, "f", 10)
-        assert cached.frequencies == direct.frequencies
+        assert cache.stats.hits == 1
 
     def test_different_args_miss(self):
         cache = ProfileCache()
@@ -61,7 +62,7 @@ class TestMemoryLayer:
         cache.profile(loop_cdfg(), "f", 10)
         cache.profile(loop_cdfg(), "f", 10)
         assert cache.stats.misses == 1
-        assert cache.stats.memory_hits == 1
+        assert cache.stats.hits == 1
 
     def test_mutated_cdfg_misses(self):
         cache = ProfileCache()
@@ -96,18 +97,10 @@ class TestMemoryLayer:
             cdfg, "f", [(3,), (5,), (3,)], cache=cache
         )
         assert cache.stats.misses == 2  # (3,) cached after the first run
-        assert cache.stats.memory_hits == 1
+        assert cache.stats.hits == 1
         direct = profile_cdfg_many(cdfg, "f", [(3,), (5,), (3,)])
         assert combined.frequencies == direct.frequencies
         assert combined.runs == direct.runs == 3
-
-    def test_walker_mode_with_cache_rejected(self):
-        cache = ProfileCache()
-        cdfg = loop_cdfg()
-        with pytest.raises(ValueError):
-            profile_cdfg(cdfg, "f", 5, cache=cache, mode="walker")
-        with pytest.raises(ValueError):
-            profile_cdfg_many(cdfg, "f", [(5,)], cache=cache, mode="walker")
 
     def test_block_profiles_derived(self):
         cache = ProfileCache()
@@ -134,63 +127,6 @@ class TestArgsDigest:
         )
 
 
-class TestDiskLayer:
-    def test_round_trip_across_cache_instances(self, tmp_path):
-        cdfg = loop_cdfg()
-        writer = ProfileCache(directory=tmp_path)
-        first = writer.profile(cdfg, "f", 10)
-        assert writer.stats.misses == 1
-        assert len(list(tmp_path.glob("*.json"))) == 1
-
-        reader = ProfileCache(directory=tmp_path)
-        second = reader.profile(cdfg, "f", 10)
-        assert reader.stats.disk_hits == 1
-        assert reader.stats.misses == 0
-        assert first.frequencies == second.frequencies
-
-    def test_disk_hit_promoted_to_memory(self, tmp_path):
-        cdfg = loop_cdfg()
-        ProfileCache(directory=tmp_path).profile(cdfg, "f", 7)
-        reader = ProfileCache(directory=tmp_path)
-        reader.profile(cdfg, "f", 7)
-        reader.profile(cdfg, "f", 7)
-        assert reader.stats.disk_hits == 1
-        assert reader.stats.memory_hits == 1
-
-    def test_corrupt_file_is_a_miss(self, tmp_path):
-        cdfg = loop_cdfg()
-        key = profile_key(cdfg, "f", (10,))
-        (tmp_path / f"{key}.json").write_text("{not json")
-        cache = ProfileCache(directory=tmp_path)
-        profile = cache.profile(cdfg, "f", 10)
-        assert cache.stats.misses == 1
-        assert profile.frequencies  # re-profiled and rewritten
-        payload = json.loads((tmp_path / f"{key}.json").read_text())
-        assert payload["frequencies"]
-
-    def test_version_mismatch_is_a_miss(self, tmp_path):
-        cdfg = loop_cdfg()
-        cache = ProfileCache(directory=tmp_path)
-        cache.profile(cdfg, "f", 10)
-        key = profile_key(cdfg, "f", (10,))
-        path = tmp_path / f"{key}.json"
-        payload = json.loads(path.read_text())
-        payload["version"] = 999
-        path.write_text(json.dumps(payload))
-        reader = ProfileCache(directory=tmp_path)
-        reader.profile(cdfg, "f", 10)
-        assert reader.stats.misses == 1
-
-    def test_clear_memory_keeps_disk(self, tmp_path):
-        cdfg = loop_cdfg()
-        cache = ProfileCache(directory=tmp_path)
-        cache.profile(cdfg, "f", 10)
-        cache.clear_memory()
-        assert len(cache) == 0
-        cache.profile(cdfg, "f", 10)
-        assert cache.stats.disk_hits == 1
-
-
 class TestWorkloadIntegration:
     def test_jpeg_profile_image_cached(self):
         from repro.workloads import JPEGEncoderApp
@@ -202,7 +138,7 @@ class TestWorkloadIntegration:
         second = app.profile_image(image)
         assert first.frequencies == second.frequencies
         assert app.profile_cache.stats.misses == 1
-        assert app.profile_cache.stats.memory_hits == 1
+        assert app.profile_cache.stats.hits == 1
 
     def test_ofdm_symbol_superset_reuses_prefix(self):
         from repro.workloads import (
@@ -216,13 +152,13 @@ class TestWorkloadIntegration:
         one = app.profile_symbols(symbols[:1])
         all_three = app.profile_symbols(symbols)
         assert app.profile_cache.stats.misses == 3  # not 4
-        assert app.profile_cache.stats.memory_hits == 1
+        assert app.profile_cache.stats.hits == 1
         hot_one = dict(one.hottest(3))
         hot_three = dict(all_three.hottest(3))
         for bb_id, freq in hot_one.items():
             assert hot_three[bb_id] == 3 * freq
 
-    def test_explore_measured_workload_uses_disk_cache(self, tmp_path):
+    def test_explore_measured_workload_repeats_identically(self):
         from repro.explore import (
             DesignSpace,
             PlatformSpec,
@@ -235,13 +171,8 @@ class TestWorkloadIntegration:
             platforms=(PlatformSpec(afpga=1500, cgc_count=2),),
             constraint_fractions=(0.8,),
         )
-        first = explore(
-            space, max_workers=1, profile_cache_dir=str(tmp_path)
-        )
-        assert len(list(tmp_path.glob("*.json"))) == 1
-        second = explore(
-            space, max_workers=1, profile_cache_dir=str(tmp_path)
-        )
+        first = explore(space, max_workers=1)
+        second = explore(space, max_workers=1)
         assert first.results == second.results
         result = first.results[0]
         assert result.workload == "ofdm-transmitter-measured-s1"
@@ -260,30 +191,56 @@ class TestWorkloadIntegration:
         )
 
 
-class TestDefaultProfileCacheEnv:
-    """The REPRO_PROFILE_CACHE_DIR hook (CI's actions/cache hinge)."""
+def walker_frequencies(cdfg, entry, input_sets):
+    """Block counts of the tree-walking reference interpreter, summed
+    over ``input_sets``."""
+    profiler = BlockProfiler()
+    for args in input_sets:
+        Interpreter(cdfg, profiler, mode="walker").run(entry, *args)
+    return profiler.frequencies()
 
-    def test_env_unset_is_memory_only(self, monkeypatch):
-        from repro.interp.cache import default_profile_cache
 
-        monkeypatch.delenv("REPRO_PROFILE_CACHE_DIR", raising=False)
-        assert default_profile_cache().directory is None
+class TestProfilesMatchWalker:
+    """``profile_cdfg`` runs one path (a content-keyed cache over the
+    block-compiled counter-only engine); the walker is its reference."""
 
-    def test_env_names_the_disk_layer(self, monkeypatch, tmp_path):
-        from pathlib import Path
-
-        from repro.interp.cache import default_profile_cache
-
-        monkeypatch.setenv("REPRO_PROFILE_CACHE_DIR", str(tmp_path))
-        assert default_profile_cache().directory == Path(tmp_path)
-
-    def test_measured_build_writes_through_env_cache(
-        self, monkeypatch, tmp_path
+    @given(
+        seed=st.integers(0, 63),
+        mixers=st.integers(2, 8),
+        rounds=st.integers(2, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_optimized_program_profile_matches_walker(
+        self, seed, mixers, rounds
     ):
-        from repro.explore import WorkloadSpec
-
-        monkeypatch.setenv("REPRO_PROFILE_CACHE_DIR", str(tmp_path))
-        WorkloadSpec.ofdm_measured(symbols=1).build()
-        assert list(tmp_path.glob("*.json")), (
-            "measured build ignored REPRO_PROFILE_CACHE_DIR"
+        # The flow-minic item shape: generate, lower, optimize, profile.
+        cdfg = cdfg_from_source(
+            synthetic_program_source(seed, mixers, rounds)
         )
+        optimize_cdfg(cdfg)
+        args = (minic_input(seed),)
+        profile = profile_cdfg(cdfg, "entry", *args, cache=ProfileCache())
+        assert profile.frequencies == walker_frequencies(
+            cdfg, "entry", [args]
+        )
+
+    def test_ofdm_profile_symbols_match_walker(self):
+        from repro.workloads import (
+            BITS_PER_SYMBOL,
+            OFDMTransmitterApp,
+            random_bits,
+        )
+        from repro.workloads.ofdm import CP_LEN, FFT_SIZE
+
+        app = OFDMTransmitterApp()
+        symbols = [random_bits(BITS_PER_SYMBOL, seed=s) for s in (1, 2, 1)]
+        profile = app.profile_symbols(symbols)
+        out_len = FFT_SIZE + CP_LEN
+        input_sets = [
+            ([int(b) for b in bits], [0] * out_len, [0] * out_len)
+            for bits in symbols
+        ]
+        assert profile.frequencies == walker_frequencies(
+            app.cdfg, "ofdm_symbol", input_sets
+        )
+        assert profile.runs == 3

@@ -78,14 +78,16 @@ def test_capacity_must_be_positive():
         TableResolver(capacity=0)
 
 
-def test_process_resolver_follows_the_profile_cache_dir(
-    monkeypatch, tmp_path
-):
-    """Pool workers get their explore task's profile directory without
-    dropping what their resolver already built."""
-    monkeypatch.setattr(resolver_module, "_process_resolver", None)
-    resolver = process_resolver()
+def test_profiles_outlive_workload_eviction():
+    """An evicted measured workload rebuilds from the resolver's profile
+    cache instead of re-running the interpreter."""
+    resolver = TableResolver(capacity=1)
+    measured = (WorkloadSpec.ofdm_measured(symbols=1), PLATFORM)
+    resolver.resolve(measured)
     resolver.resolve((SPECS[0], PLATFORM))
-    assert process_resolver(str(tmp_path)) is resolver
-    assert resolver.profile_cache.directory == tmp_path
-    assert (SPECS[0], PLATFORM, False) in resolver.tables
+    assert measured[0] not in resolver.workloads
+    resolver.resolve(measured)
+    stats = resolver.stats()
+    assert stats["workloads"]["misses"] == 3
+    assert stats["profile_misses"] == 1
+    assert stats["profile_hits"] == 1

@@ -18,9 +18,10 @@ import pytest
 from repro.coarsegrain import schedule_dfg, standard_datapath
 from repro.coarsegrain.cgc import make_cgc_array
 from repro.coarsegrain.datapath import CGCDatapath
-from repro.partition import EngineConfig, PartitioningEngine
+from repro.partition import EngineConfig
 from repro.platform import SharedMemory, paper_platform
 from repro.reporting import scaled_constraint
+from repro.search import GreedyPartitioner
 from repro.workloads import (
     OFDM_TIMING_CONSTRAINT,
     PAPER_TABLE2_OFDM,
@@ -34,10 +35,10 @@ def test_ablation_configuration_caching(benchmark, ofdm, capsys):
     the area sensitivity of the initial cycles collapses."""
     def initial_ratio(charge):
         config = EngineConfig(charge_single_partition_reconfig=charge)
-        small = PartitioningEngine(
+        small = GreedyPartitioner(
             ofdm, paper_platform(1500, 2), config=config
         ).initial_cycles()
-        large = PartitioningEngine(
+        large = GreedyPartitioner(
             ofdm, paper_platform(5000, 2), config=config
         ).initial_cycles()
         return small / large
@@ -104,7 +105,7 @@ def test_ablation_communication_cost(benchmark, ofdm, capsys):
                 read_latency=read_latency, write_latency=read_latency
             )
         )
-        return PartitioningEngine(ofdm, platform).run(constraint)
+        return GreedyPartitioner(ofdm, platform).run(constraint)
 
     cheap = benchmark(run, 1)
     expensive = run(8)
@@ -125,7 +126,7 @@ def test_ablation_clock_ratio(benchmark, ofdm, ratio, capsys):
 
     def run():
         platform = paper_platform(1500, 2, clock_ratio=ratio)
-        return PartitioningEngine(ofdm, platform).run(constraint)
+        return GreedyPartitioner(ofdm, platform).run(constraint)
 
     result = benchmark(run)
     with capsys.disabled():

@@ -1,8 +1,9 @@
 """Scaling bench: warm constraint sweeps and parallel grids.
 
-The engine prices every block once into a packed table and warm-starts
-each constraint of a sweep from the cached greedy trajectory, so a
-(constraints × moves) sweep touches each block's cost O(1) times.  This
+The greedy partitioner prices every block once into a packed table and
+warm-starts each constraint of a sweep from the cached greedy
+trajectory, so a (constraints × moves) sweep touches each block's cost
+O(1) times.  This
 bench times a warm 6-constraint sweep over a 120-block synthetic
 workload and checks that extra constraints add no pricing work; the
 slow (opt-in) bench fans a full design-space grid out across worker
@@ -12,9 +13,9 @@ processes.
 import pytest
 
 from repro.explore import DesignSpace, WorkloadSpec, explore
-from repro.partition import PartitioningEngine
 from repro.platform import paper_platform
 from repro.reporting import render_exploration
+from repro.search import GreedyPartitioner
 from repro.workloads import synthetic_application
 
 CONSTRAINT_FRACTIONS = (0.95, 0.9, 0.8, 0.7, 0.6, 0.5)
@@ -27,23 +28,23 @@ def big_synthetic():
 
 def test_incremental_sweep_speed(benchmark, big_synthetic):
     """Wall-clock of a warm 6-constraint sweep on 120 blocks."""
-    engine = PartitioningEngine(big_synthetic, paper_platform(3000, 2))
-    initial = engine.initial_cycles()
+    partitioner = GreedyPartitioner(big_synthetic, paper_platform(3000, 2))
+    initial = partitioner.initial_cycles()
     constraints = [max(1, round(initial * f)) for f in CONSTRAINT_FRACTIONS]
-    engine.run(1)  # build trajectory once; bench measures warm replays
+    partitioner.run(1)  # build trajectory once; bench measures warm replays
 
-    results = benchmark(engine.sweep, constraints)
+    results = benchmark(partitioner.sweep, constraints)
     assert len(results) == len(constraints)
 
 
 def test_warm_start_adds_no_evaluations(big_synthetic):
     """Extra constraints after the first sweep are free replays."""
-    engine = PartitioningEngine(big_synthetic, paper_platform(3000, 2))
-    initial = engine.initial_cycles()
-    engine.run(1)
-    lookups = engine.stats.contribution_lookups
-    engine.sweep([max(1, round(initial * f)) for f in CONSTRAINT_FRACTIONS])
-    assert engine.stats.contribution_lookups == lookups
+    partitioner = GreedyPartitioner(big_synthetic, paper_platform(3000, 2))
+    initial = partitioner.initial_cycles()
+    partitioner.run(1)
+    lookups = partitioner.stats.contribution_lookups
+    partitioner.sweep([max(1, round(initial * f)) for f in CONSTRAINT_FRACTIONS])
+    assert partitioner.stats.contribution_lookups == lookups
 
 
 @pytest.mark.slow

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.partition import PartitioningEngine
 from repro.platform import paper_platform
 from repro.reporting import render_partition_table, reproduce_table3, scaled_constraint
+from repro.search import GreedyPartitioner
 from repro.workloads import JPEG_TIMING_CONSTRAINT, PAPER_TABLE3_JPEG
 
 CONFIGS = [(row.afpga, row.cgc_count) for row in PAPER_TABLE3_JPEG]
@@ -20,11 +20,11 @@ def test_table3_configuration(benchmark, jpeg, afpga, cgc_count):
         if (r.afpga, r.cgc_count) == (afpga, cgc_count)
     )
 
-    def run_engine():
-        engine = PartitioningEngine(jpeg, paper_platform(afpga, cgc_count))
-        return engine.run(constraint)
+    def run_greedy():
+        partitioner = GreedyPartitioner(jpeg, paper_platform(afpga, cgc_count))
+        return partitioner.run(constraint)
 
-    result = benchmark(run_engine)
+    result = benchmark(run_greedy)
     assert result.constraint_met
     assert result.moved_bb_ids == list(paper_row.moved_bbs) == [6, 2, 1]
 

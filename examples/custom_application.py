@@ -3,13 +3,13 @@
 Shows every stage explicitly on a 2-D convolution kernel written in the
 mini-C subset: parse -> semantic check -> CDFG -> interpret/profile ->
 static analysis -> kernel ordering -> fine/coarse-grain mapping ->
-partitioning engine.
+the Figure 2 partitioning loop.
 
 Run:  python examples/custom_application.py
 """
 
 from repro import (
-    PartitioningEngine,
+    GreedyPartitioner,
     WeightModel,
     cdfg_from_source,
     extract_kernels,
@@ -70,11 +70,11 @@ def main() -> None:
         f"CGC {coarse.cgc_cycles} CGC-cycles/invocation"
     )
 
-    # Step 4: the partitioning engine against a timing constraint.
+    # Step 4: the Figure 2 partitioning loop against a timing constraint.
     workload = workload_from_cdfg(cdfg, profile, "conv3x3")
-    engine = PartitioningEngine(workload, platform)
-    initial = engine.initial_cycles()
-    result = engine.run(int(initial * 0.55))
+    partitioner = GreedyPartitioner(workload, platform)
+    initial = partitioner.initial_cycles()
+    result = partitioner.run(int(initial * 0.55))
     print(f"step 4 — {result.summary()}")
 
 

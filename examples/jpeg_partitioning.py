@@ -7,7 +7,7 @@ encodes a test frame, profiles it and partitions the result.
 Run:  python examples/jpeg_partitioning.py
 """
 
-from repro import PartitioningEngine, paper_platform, workload_from_cdfg
+from repro import GreedyPartitioner, paper_platform, workload_from_cdfg
 from repro.reporting import (
     render_partition_table,
     render_table1,
@@ -43,9 +43,9 @@ def partition_real_encoder() -> None:
     profile = app.profile_image(image)
     workload = workload_from_cdfg(app.cdfg, profile, "jpeg-minic")
     platform = paper_platform(1500, 2)
-    engine = PartitioningEngine(workload, platform)
-    initial = engine.initial_cycles()
-    result = engine.run(int(initial * 0.97))
+    partitioner = GreedyPartitioner(workload, platform)
+    initial = partitioner.initial_cycles()
+    result = partitioner.run(int(initial * 0.97))
 
     print(f"all-FPGA: {initial} cycles; after partitioning: "
           f"{result.final_cycles} cycles "

@@ -3,7 +3,7 @@
 Two parts:
 
 1. The calibrated workload (exact Table 1 statistics) through the
-   partitioning engine on all four platform configurations of §4 —
+   Figure 2 partitioning loop on all four platform configurations of §4 —
    regenerating Table 2's rows.
 2. The *real* mini-C OFDM transmitter (QAM -> IFFT64 -> cyclic prefix)
    compiled, interpreted, profiled and partitioned end to end, showing the
@@ -12,7 +12,7 @@ Two parts:
 Run:  python examples/ofdm_partitioning.py
 """
 
-from repro import PartitioningEngine, paper_platform, workload_from_cdfg
+from repro import GreedyPartitioner, paper_platform, workload_from_cdfg
 from repro.reporting import (
     render_partition_table,
     render_table1,
@@ -45,9 +45,9 @@ def partition_real_transmitter() -> None:
     workload = workload_from_cdfg(app.cdfg, profile, "ofdm-minic")
 
     platform = paper_platform(1500, 2)
-    engine = PartitioningEngine(workload, platform)
-    initial = engine.initial_cycles()
-    result = engine.run(int(initial * 0.5))
+    partitioner = GreedyPartitioner(workload, platform)
+    initial = partitioner.initial_cycles()
+    result = partitioner.run(int(initial * 0.5))
 
     print(f"all-FPGA: {initial} cycles; after partitioning: "
           f"{result.final_cycles} cycles "

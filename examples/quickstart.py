@@ -8,7 +8,7 @@ constraint.
 Run:  python examples/quickstart.py
 """
 
-from repro import PartitioningEngine, paper_platform
+from repro import GreedyPartitioner, paper_platform
 from repro.partition import ApplicationWorkload, BlockWorkload
 from repro.workloads import generate_dfg, make_profile
 
@@ -47,13 +47,13 @@ def main() -> None:
     platform = paper_platform(afpga=1500, cgc_count=2)
     print(f"platform: {platform.describe()}")
 
-    engine = PartitioningEngine(workload, platform)
-    initial = engine.initial_cycles()
+    partitioner = GreedyPartitioner(workload, platform)
+    initial = partitioner.initial_cycles()
     print(f"all-FPGA execution time: {initial} cycles")
 
     constraint = int(initial * 0.4)
     print(f"timing constraint:       {constraint} cycles")
-    result = engine.run(constraint)
+    result = partitioner.run(constraint)
 
     print()
     print(result.summary())

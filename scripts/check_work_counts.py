@@ -14,7 +14,8 @@ Usage::
     python scripts/check_work_counts.py [ROW_JSON]
 
 ``ROW_JSON`` defaults to ``perfbench/out/result-flow-minic-s1-t1.json``,
-the row the traced run above writes.
+the row the traced run above writes; a traced ``dse-grid`` run writes
+``perfbench/out/result-dse-grid-s1-t1.json``.
 
 Standard library only, so it runs before (or without) installing the
 package.

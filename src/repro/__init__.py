@@ -17,7 +17,7 @@ every substrate it depends on:
   partitioning algorithm with its timing model (steps 2, Eq. 4);
 * :mod:`repro.coarsegrain` — the CGC data-path of ref. [6]: list
   scheduling, binding and timing (step 5, Eq. 3);
-* :mod:`repro.partition` — the partitioning engine loop (step 4, Eq. 2);
+* :mod:`repro.partition` — Eq. 2 pricing on packed cost tables (step 4);
 * :mod:`repro.platform` — the generic hybrid platform of Figure 1;
 * :mod:`repro.workloads` — the OFDM transmitter and JPEG encoder
   (mini-C implementations + Table 1-calibrated synthetic models) plus a
@@ -27,23 +27,24 @@ every substrate it depends on:
 * :mod:`repro.explore` — parallel design-space exploration: declarative
   (workload × platform × constraint × algorithm) grids fanned out across
   worker processes on top of the packed cost tables;
-* :mod:`repro.search` — pluggable partitioning algorithms (greedy,
-  exhaustive, multi-start, simulated annealing) over shared packed
-  cost tables, with Pareto-front multi-objective analysis;
+* :mod:`repro.search` — the Figure 2 greedy loop
+  (:class:`~repro.search.GreedyPartitioner`) and the other pluggable
+  partitioning algorithms (exhaustive, multi-start, simulated
+  annealing) over shared packed cost tables, with Pareto-front
+  multi-objective analysis;
 * :mod:`repro.suite` — named end-to-end scenario registry, batched
   runner, persistent SQLite/JSON result store and the thresholded
   regression comparison CI gates on.
 
 Quickstart::
 
-    from repro import partition_application, paper_platform
+    from repro import GreedyPartitioner, paper_platform
     from repro.workloads import ofdm_workload
 
-    result = partition_application(
-        ofdm_workload(), paper_platform(afpga=1500, cgc_count=2),
-        timing_constraint=35_000,
+    partitioner = GreedyPartitioner(
+        ofdm_workload(), paper_platform(afpga=1500, cgc_count=2)
     )
-    print(result.summary())
+    print(partitioner.run(timing_constraint=35_000).summary())
 """
 
 from .analysis import (
@@ -72,10 +73,7 @@ from .partition import (
     ApplicationWorkload,
     BlockWorkload,
     EngineConfig,
-    EngineStats,
-    PartitioningEngine,
     PartitionResult,
-    partition_application,
     workload_from_cdfg,
 )
 from .platform import HybridPlatform, paper_platform
@@ -88,6 +86,7 @@ from .reporting import (
 )
 from .search import (
     AlgorithmSpec,
+    GreedyPartitioner,
     Partitioner,
     VisitedConfiguration,
     make_partitioner,
@@ -116,16 +115,15 @@ __all__ = [
     "DesignSpace",
     "DynamicProfile",
     "EngineConfig",
-    "EngineStats",
     "ExplorationReport",
     "ExplorationResult",
     "FPGADevice",
+    "GreedyPartitioner",
     "HybridPlatform",
     "Interpreter",
     "KernelInfo",
     "PartitionResult",
     "Partitioner",
-    "PartitioningEngine",
     "PlatformSpec",
     "RegressionThresholds",
     "ResultStore",
@@ -146,7 +144,6 @@ __all__ = [
     "paper_platform",
     "pareto_front",
     "parse_program",
-    "partition_application",
     "partition_dfg",
     "profile_cdfg",
     "reproduce_headline_claims",

@@ -475,26 +475,31 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         reconfig_cycles=args.reconfig_cycles,
     )
     algorithm = args.algorithm
-    if args.shards is not None or args.prune:
-        if algorithm.name != "exhaustive":
-            print(
-                "error: --shards/--prune apply to the exhaustive "
-                f"algorithm only (got {algorithm.label!r})",
-                file=sys.stderr,
-            )
-            return 2
-        merged = dict(algorithm.params)
-        if args.shards is not None:
-            merged["shards"] = args.shards
-        if args.prune:
-            merged["prune"] = True
-        algorithm = AlgorithmSpec(
-            name="exhaustive", params=tuple(sorted(merged.items()))
+    exact_flags = args.shards is not None or args.prune
+    if exact_flags and algorithm.name != "exhaustive":
+        print(
+            "error: --shards/--prune apply to the exhaustive "
+            f"algorithm only (got {algorithm.label!r})",
+            file=sys.stderr,
         )
-    config = EngineConfig(
-        max_kernels_moved=args.max_kernels,
-        search_workers=args.search_workers,
-    )
+        return 2
+    try:
+        if exact_flags:
+            merged = dict(algorithm.params)
+            if args.shards is not None:
+                merged["shards"] = args.shards
+            if args.prune:
+                merged["prune"] = True
+            algorithm = AlgorithmSpec(
+                name="exhaustive", params=tuple(sorted(merged.items()))
+            )
+        config = EngineConfig(
+            max_kernels_moved=args.max_kernels,
+            search_workers=args.search_workers,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     partitioner = make_partitioner(
         algorithm, workload, platform, config=config
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..parallel import map_tasks
 from ..partition.costs import CostStats
@@ -112,12 +113,10 @@ def explore(
     if workers is None:
         workers = min(len(tasks), os.cpu_count() or 1)
     workers = max(1, workers)
-
-    def run_serially(serial_tasks) -> list[_TaskOutcome]:
-        # A resolver scoped to this call: the coordinating process is
-        # long lived and must not accumulate every workload explored.
-        resolver = TableResolver()
-        return [_run_task(task, resolver) for task in serial_tasks]
+    # Serial tasks share a resolver scoped to this call: the
+    # coordinating process is long lived and must not accumulate every
+    # workload explored.
+    resolver = TableResolver()
 
     # The shared fan-out contract (repro.parallel): an unusable pool or
     # a worker dying mid-grid falls back to a serial run; genuine task
@@ -127,7 +126,7 @@ def explore(
         tasks,
         workers,
         what="exploration grid",
-        serial_runner=run_serially,
+        serial_runner=partial(_run_task, resolver=resolver),
     )
 
     report = ExplorationReport(

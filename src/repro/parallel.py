@@ -64,7 +64,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
 )
 from concurrent.futures import wait as futures_wait
-from typing import Callable, Iterable, MutableMapping, Sequence, TypeVar
+from typing import Callable, Iterable, MutableMapping, TypeVar
 
 from repro import telemetry
 from repro.faults import (
@@ -177,7 +177,7 @@ class _MapRun:
         plan: FaultPlan | None,
         failure_mode: str,
         counters: MutableMapping[str, int] | None,
-        serial_runner: Callable[[Sequence[_Task]], list[_Result]] | None,
+        serial_runner: Callable[[_Task], _Result] | None,
     ) -> None:
         self.fn = fn
         self.tasks = tasks
@@ -187,7 +187,8 @@ class _MapRun:
         self.plan = plan
         self.failure_mode = failure_mode
         self.counters = counters
-        self.serial_runner = serial_runner
+        #: What a serial attempt calls instead of ``fn`` (see map_tasks).
+        self.serial_fn = serial_runner or fn
         n = len(tasks)
         self.results: list[object] = [_MISSING] * n
         self.traces: list[telemetry.Trace | None] = [None] * n
@@ -258,11 +259,6 @@ class _MapRun:
     # ------------------------------------------------------------------
     # Serial execution (workers == 1, pool fallback, crash exhaustion)
     # ------------------------------------------------------------------
-    def call_serially(self, index: int) -> object:
-        if self.serial_runner is not None:
-            return self.serial_runner([self.tasks[index]])[0]
-        return self.fn(self.tasks[index])
-
     def run_one_serial(self, index: int) -> None:
         while True:
             delay = self.policy.backoff_for(self.failures[index])
@@ -292,7 +288,7 @@ class _MapRun:
                 else:
                     if spec is not None and spec.kind in ("slow", "hang"):
                         time.sleep(spec.seconds)
-                    value = self.call_serially(index)
+                    value = self.serial_fn(self.tasks[index])
             except WorkerCrashError as error:
                 self.disturbed[index] = True
                 if self.rebuild_budget > 0:
@@ -504,7 +500,7 @@ def map_tasks(
     max_workers: int,
     *,
     what: str = "tasks",
-    serial_runner: Callable[[Sequence[_Task]], list[_Result]] | None = None,
+    serial_runner: Callable[[_Task], _Result] | None = None,
     policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     failure_mode: str = "raise",
@@ -513,8 +509,10 @@ def map_tasks(
     """``[fn(t) for t in tasks]`` across worker processes, in task order.
 
     Returns ``(results, workers_used)``.  ``max_workers <= 1`` or a
-    single task runs serially in-process; ``serial_runner`` overrides
-    the serial path (callers use it to thread per-call caches through
+    single task runs serially in-process, under the same supervision
+    (retries, fault plan, failure reports) as a pooled run;
+    ``serial_runner`` is the per-task callable a serial attempt runs
+    instead of ``fn`` (callers use it to thread per-call caches through
     instead of repickling state per task).  An unusable pool (surfaced
     at construction or by the warm-up probe) falls back to a serial run
     with a warning.
@@ -539,25 +537,12 @@ def map_tasks(
         raise ValueError(
             f"failure_mode must be 'raise' or 'report', got {failure_mode!r}"
         )
-    active = policy or RetryPolicy()
-    plain = (
-        policy is None
-        and fault_plan is None
-        and failure_mode == "raise"
-        and counters is None
-    )
-
-    def run_serially_legacy() -> list[_Result]:
-        if serial_runner is not None:
-            return serial_runner(tasks)
-        return [fn(task) for task in tasks]
-
     run = _MapRun(
         fn,
         tasks,
         max(1, max_workers),
         what,
-        active,
+        policy or RetryPolicy(),
         fault_plan,
         failure_mode,
         counters,
@@ -565,8 +550,6 @@ def map_tasks(
     )
     workers = run.workers
     if workers == 1 or len(tasks) <= 1:
-        if plain:
-            return run_serially_legacy(), 1
         run.run_serial(range(len(tasks)))
         return run.results, 1  # type: ignore[return-value]
     try:
@@ -578,8 +561,6 @@ def map_tasks(
             RuntimeWarning,
             stacklevel=2,
         )
-        if plain:
-            return run_serially_legacy(), 1
         run.run_serial(range(len(tasks)))
         return run.results, 1  # type: ignore[return-value]
     # Absorb the final successful attempt's subtrace per task, in task

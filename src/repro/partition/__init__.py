@@ -1,4 +1,9 @@
-"""Partitioning engine (paper §3.4, Figure 2 flow) and its data types."""
+"""Pricing and data types of the partitioning flow (paper §3.4, Figure 2).
+
+The Figure 2 loop itself runs as
+:class:`~repro.search.greedy.GreedyPartitioner` on the packed cost
+tables priced here.
+"""
 
 from .comm import (
     CommunicationCost,
@@ -11,12 +16,7 @@ from .costs import (
     CostModel,
     CostStats,
 )
-from .engine import (
-    EngineConfig,
-    EngineStats,
-    PartitioningEngine,
-    partition_application,
-)
+from .engine import EngineConfig
 from .packed import (
     PackedCostTable,
     PackedGreedyTrajectory,
@@ -39,16 +39,13 @@ __all__ = [
     "CostModel",
     "CostStats",
     "EngineConfig",
-    "EngineStats",
     "PackedCostTable",
     "PackedGreedyTrajectory",
     "PackedVisitLog",
     "PartitionResult",
     "PartitionStep",
-    "PartitioningEngine",
     "TableResolver",
     "kernel_communication",
-    "partition_application",
     "total_communication_cycles",
     "workload_from_cdfg",
 ]

@@ -7,8 +7,7 @@ block's contribution.  :class:`CostModel` prices blocks on both fabrics
 (Figure 3 temporal partitioning, the CGC list scheduler, the t_comm
 model) and caches the per-block :class:`BlockContribution` terms;
 :meth:`~repro.partition.packed.PackedCostTable.from_model` packs them into
-the flat columns the engine and every :mod:`repro.search` algorithm run
-on.
+the flat columns every :mod:`repro.search` algorithm runs on.
 
 Timebase: everything is accumulated in CGC ticks
 (``1 FPGA cycle = clock_ratio ticks``) so arithmetic stays integral;
@@ -61,8 +60,7 @@ def split_ticks_single_rounding(
 class CostStats:
     """Work counters shared by everything pricing blocks on a model.
 
-    Any object with these three attributes works as a sink (the engine
-    passes its :class:`~repro.partition.engine.EngineStats`).
+    Any object with these three attributes works as a sink.
     """
 
     #: Per-block contributions actually *computed* (contribution-cache

@@ -5,7 +5,7 @@ kernel is priced, a candidate configuration is nothing but a *bitmask*
 over the kernels (bit i set = kernel i moved to the coarse-grain fabric)
 and its cost is a handful of integer additions.  This module packs the
 per-block terms of a :class:`~repro.partition.costs.CostModel` into flat
-columns, so the engine and the search hot loops run on plain ints:
+columns, so the search hot loops run on plain ints:
 
 * :class:`PackedCostTable` — per-kernel ``fpga_ticks`` / ``cgc_ticks`` /
   ``comm_ticks`` / ``move_delta`` / ``cgc_rows`` columns in canonical
@@ -25,9 +25,12 @@ columns, so the engine and the search hot loops run on plain ints:
   :class:`~repro.search.pareto.VisitedConfiguration` records lazily so
   recording a configuration in a million-subset enumeration costs two
   list appends.
+* :class:`ShapeReduction` — the lossless per-(moved, rows) Pareto
+  reduction a visit log folds into, and the one place the Pareto
+  incumbent rule is written.
 * :class:`PackedGreedyTrajectory` — the constraint-independent Figure 2
-  decision sequence computed on the columns, which the engine and the
-  greedy partitioner both replay through
+  decision sequence computed on the columns, which the greedy
+  partitioner replays through
   :func:`~repro.partition.trajectory.replay_entries`.
 
 Timebase and rounding are shared with :class:`CostModel`: everything in
@@ -37,6 +40,7 @@ rounding at the boundary.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Iterable, Iterator, MutableSequence
 
 from .. import telemetry
@@ -283,6 +287,59 @@ class PackedCostTable:
         )
 
 
+class ShapeReduction:
+    """The lossless ``(moved, rows) -> (min cycles, mask)`` Pareto reduction.
+
+    For a fixed (moved, rows) shape, any configuration with more cycles
+    is dominated by that shape's min-cycles one, so only the per-shape
+    minimum can reach the Pareto front.  This is the one home of the
+    Pareto incumbent rule: the fewest cycles per shape, exact cycle ties
+    to the lexicographically smallest BB tuple.  The working set stays
+    at O(distinct shapes) — a few dozen — however many visits stream
+    through, and folding is order-independent (the rule is a
+    deterministic minimum), so shard summaries merge in any order.
+    """
+
+    __slots__ = ("best", "_ratio", "_rows_used", "_bb_ids_of", "_decoded")
+
+    def __init__(self, table: PackedCostTable) -> None:
+        #: (moved_count, rows_used) -> (total_cycles, mask).
+        self.best: dict[tuple[int, int], tuple[int, int]] = {}
+        self._ratio = table.clock_ratio
+        self._rows_used = table.rows_used
+        self._bb_ids_of = table.bb_ids_of
+        self._decoded: dict[int, tuple[int, ...]] = {}
+
+    def add(self, total_ticks: int, mask: int) -> None:
+        """Fold one visited configuration."""
+        key = (mask.bit_count(), self._rows_used(mask))
+        cycles = -(-total_ticks // self._ratio)
+        incumbent = self.best.get(key)
+        # Early-out for the common dominated visit; merge decides.
+        if incumbent is None or cycles <= incumbent[0]:
+            self.merge(key, cycles, mask)
+
+    def merge(self, key: tuple[int, int], cycles: int, mask: int) -> None:
+        """Fold one ``(moved, rows) -> (cycles, mask)`` entry."""
+        incumbent = self.best.get(key)
+        if (
+            incumbent is None
+            or cycles < incumbent[0]
+            or (
+                cycles == incumbent[0]
+                and mask != incumbent[1]
+                and self._ids(mask) < self._ids(incumbent[1])
+            )
+        ):
+            self.best[key] = (cycles, mask)
+
+    def _ids(self, mask: int) -> tuple[int, ...]:
+        ids = self._decoded.get(mask)
+        if ids is None:
+            ids = self._decoded[mask] = self._bb_ids_of(mask)
+        return ids
+
+
 class PackedVisitLog:
     """Visited configurations as (total_ticks, mask) columns.
 
@@ -291,92 +348,55 @@ class PackedVisitLog:
     duplicate-free by construction (the Gray-code walk never revisits a
     mask), where a million-entry seen-set would dominate the cost of
     the search itself.  The columns default to plain lists (masks can
-    exceed 64 bits on kernel-rich workloads); an enumeration walk whose
-    values provably fit may swap them for packed int64 ``array``\\ s.
+    exceed 64 bits on kernel-rich workloads); a walk whose values
+    provably fit hands over packed int64 ``array`` columns, which
+    :meth:`absorb_columns` adopts.
 
     Reduced mode (``drop_visits``): 2^32-scale sharded/pruned walks
     cannot afford per-visit columns at all, so the log can instead fold
-    every visit straight into the lossless ``(moved, rows) ->
-    (min cycles, mask)`` reduction that feeds the Pareto staircase
-    sweep — bit-identical fronts and best-config tracking, O(distinct
-    shapes) memory, but no per-visit ``entries()`` replay.  The fold
-    uses the exact incumbent rule of
-    :func:`repro.search.pareto.reduce_columns_to_best` (min cycles,
-    ties to the lexicographically smallest BB tuple), so full and
-    reduced logs of the same visited set produce identical fronts.
+    every visit straight into a :class:`ShapeReduction` — bit-identical
+    fronts and best-config tracking, O(distinct shapes) memory, but no
+    per-visit ``entries()`` replay.  Full and reduced logs of the same
+    visited set produce identical fronts, because the full log's front
+    goes through the same reduction.
     """
 
-    __slots__ = (
-        "ticks",
-        "masks",
-        "_seen",
-        "keep_visits",
-        "visit_count",
-        "best_by_shape",
-        "_table",
-        "_decoded",
-    )
+    __slots__ = ("ticks", "masks", "_seen", "visit_count", "reduction")
 
     def __init__(self) -> None:
         self.ticks: MutableSequence[int] = []
         self.masks: MutableSequence[int] = []
         self._seen: set[int] = set()
-        #: False once ``drop_visits`` switched the log to reduced mode.
-        self.keep_visits = True
         #: Configurations recorded in reduced mode (columns track their
-        #: own length while ``keep_visits`` holds).
+        #: own length until then).
         self.visit_count = 0
-        #: (moved_count, rows_used) -> (total_cycles, mask), reduced.
-        self.best_by_shape: dict[tuple[int, int], tuple[int, int]] = {}
-        self._table: "PackedCostTable | None" = None
-        self._decoded: dict[int, tuple[int, ...]] = {}
+        #: The reduction every visit folds into once ``drop_visits``
+        #: switched the log to reduced mode; None while it keeps columns.
+        self.reduction: ShapeReduction | None = None
 
     def __len__(self) -> int:
-        if self.keep_visits:
+        if self.reduction is None:
             return len(self.masks)
         return self.visit_count
 
-    # ------------------------------------------------------------------
-    # Reduced-mode fold (the reduce_columns_to_best incumbent rule)
-    # ------------------------------------------------------------------
-    def _bb_tuple(self, mask: int) -> tuple[int, ...]:
-        ids = self._decoded.get(mask)
-        if ids is None:
-            assert self._table is not None
-            ids = self._table.bb_ids_of(mask)
-            self._decoded[mask] = ids
-        return ids
+    @property
+    def reduced(self) -> bool:
+        return self.reduction is not None
 
-    def _fold_entry(
-        self, key: tuple[int, int], cycles: int, mask: int
-    ) -> None:
-        incumbent = self.best_by_shape.get(key)
-        if incumbent is None or cycles < incumbent[0]:
-            self.best_by_shape[key] = (cycles, mask)
-        elif (
-            cycles == incumbent[0]
-            and mask != incumbent[1]
-            and self._bb_tuple(mask) < self._bb_tuple(incumbent[1])
-        ):
-            self.best_by_shape[key] = (cycles, mask)
-
-    def _fold(self, total_ticks: int, mask: int) -> None:
-        table = self._table
-        assert table is not None
-        cycles = -(-total_ticks // table.clock_ratio)
-        self._fold_entry((mask.bit_count(), table.rows_used(mask)), cycles,
-                         mask)
+    @property
+    def best_by_shape(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """(moved_count, rows_used) -> (total_cycles, mask), reduced."""
+        return {} if self.reduction is None else self.reduction.best
 
     def drop_visits(self, table: PackedCostTable) -> None:
         """Switch to reduced mode in place, folding any columns already
         recorded (idempotent)."""
-        if not self.keep_visits:
+        if self.reduction is not None:
             return
-        self._table = table
-        self.keep_visits = False
+        self.reduction = ShapeReduction(table)
         self.visit_count = len(self.masks)
         for total_ticks, mask in zip(self.ticks, self.masks, strict=True):
-            self._fold(total_ticks, mask)
+            self.reduction.add(total_ticks, mask)
         self.ticks = []
         self.masks = []
 
@@ -387,37 +407,45 @@ class PackedVisitLog:
         if mask in self._seen:
             return
         self._seen.add(mask)
-        if self.keep_visits:
+        if self.reduction is None:
             self.ticks.append(total_ticks)
             self.masks.append(mask)
         else:
             self.visit_count += 1
-            self._fold(total_ticks, mask)
+            self.reduction.add(total_ticks, mask)
 
     def record_unchecked(self, total_ticks: int, mask: int) -> None:
-        if self.keep_visits:
+        if self.reduction is None:
             self.ticks.append(total_ticks)
             self.masks.append(mask)
         else:
             self.visit_count += 1
-            self._fold(total_ticks, mask)
+            self.reduction.add(total_ticks, mask)
 
     # ------------------------------------------------------------------
     # Shard-summary merges (deterministic: the fold rule is a minimum)
     # ------------------------------------------------------------------
     def absorb_columns(
-        self, ticks: Iterable[int], masks: Iterable[int]
+        self, ticks: MutableSequence[int], masks: MutableSequence[int]
     ) -> None:
-        """Fold (or append) one shard's duplicate-free visit columns."""
-        if self.keep_visits:
+        """Append (or fold) one walk segment's duplicate-free columns.
+
+        Packed int64 segment columns are adopted, not copied into the
+        lists: 2^n boxed ints would dominate a walk's memory (n=24 →
+        ~1.3 GB).  The entries recorded so far move in front of them.
+        """
+        if self.reduction is not None:
+            add = self.reduction.add
+            for total_ticks, mask in zip(ticks, masks, strict=True):
+                add(total_ticks, mask)
+            self.visit_count += len(masks)
+        elif isinstance(ticks, array) and isinstance(self.ticks, list):
+            ticks[:0] = array("q", self.ticks)
+            masks[:0] = array("q", self.masks)
+            self.ticks, self.masks = ticks, masks
+        else:
             self.ticks.extend(ticks)
             self.masks.extend(masks)
-        else:
-            count = self.visit_count
-            for total_ticks, mask in zip(ticks, masks, strict=True):
-                count += 1
-                self._fold(total_ticks, mask)
-            self.visit_count = count
 
     def absorb_reduced(
         self,
@@ -425,20 +453,21 @@ class PackedVisitLog:
         best_items: Iterable[tuple[tuple[int, int], tuple[int, int]]],
     ) -> None:
         """Merge one shard's already-reduced ``best_by_shape`` summary."""
-        if self.keep_visits:
+        if self.reduction is None:
             raise ValueError(
                 "absorb_reduced needs a reduced-mode log; call "
                 "drop_visits first"
             )
         self.visit_count += visit_count
+        merge = self.reduction.merge
         for key, (cycles, mask) in best_items:
-            self._fold_entry(key, cycles, mask)
+            merge(key, cycles, mask)
 
     def entries(self) -> Iterator[tuple[int, int]]:
-        if not self.keep_visits:
+        if self.reduction is not None:
             raise ValueError(
                 "per-visit entries were dropped (reduced mode); only the "
-                "Pareto reduction and counts survive keep_visits=False"
+                "Pareto reduction and counts survive"
             )
         return zip(self.ticks, self.masks, strict=True)
 

@@ -8,11 +8,10 @@ computes that shared sequence once as :class:`TrajectoryEntry` records;
 :func:`replay_entries` replays it against one constraint, which is what
 lets ``sweep()`` warm-start.
 
-:class:`~repro.partition.engine.PartitioningEngine` and
-:class:`~repro.search.greedy.GreedyPartitioner` both replay through
+:class:`~repro.search.greedy.GreedyPartitioner` replays through
 :func:`replay_entries`, and every search algorithm books its steps
-through :func:`commit_step`, so the paper flow and the
-pluggable-algorithm protocol cannot drift apart.
+through :func:`commit_step`, so the paper flow and the other
+algorithms cannot drift apart.
 """
 
 from __future__ import annotations
@@ -104,8 +103,8 @@ def commit_step(
     """Append one committed move to ``result``; returns constraint_met.
 
     One shared implementation of the step bookkeeping (the table's
-    single-rounding cycle split, running result fields) for the engine
-    and every search algorithm.
+    single-rounding cycle split, running result fields) for every
+    search algorithm.
     """
     fpga_c, cgc_c, comm_c, total_c = table.split_ticks(*ticks)
     met = total_c <= timing_constraint

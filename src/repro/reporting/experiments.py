@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.weights import WeightModel
-from ..partition.engine import EngineConfig, PartitioningEngine
+from ..partition.engine import EngineConfig
 from ..partition.result import PartitionResult
 from ..partition.workload import ApplicationWorkload
 from ..platform.soc import paper_platform
+from ..search.greedy import GreedyPartitioner
 from ..workloads import profiles as paper_profiles
 from ..workloads.profiles import PaperKernelRow, PaperPartitionRow
 
@@ -50,7 +51,7 @@ class Table1Comparison:
 
 @dataclass(frozen=True)
 class PartitionComparison:
-    """One Table 2/3 configuration: our engine run vs the paper's row."""
+    """One Table 2/3 configuration: our greedy run vs the paper's row."""
 
     paper: PaperPartitionRow
     result: PartitionResult
@@ -138,8 +139,7 @@ def scaled_constraint(
 ) -> tuple[int, float]:
     """Apply the normalization policy; returns (constraint, scale)."""
     baseline = platform_factory(1500, 2)
-    engine = PartitioningEngine(workload, baseline)
-    ours = engine.initial_cycles()
+    ours = GreedyPartitioner(workload, baseline).initial_cycles()
     scale = ours / paper_rows[0].initial_cycles
     return int(round(paper_constraint * scale)), scale
 
@@ -152,17 +152,17 @@ def reproduce_partition_table(
     platform_factory=paper_platform,
     engine_config: EngineConfig | None = None,
 ) -> TableReproduction:
-    """Run the partitioning engine for every configuration of a table."""
+    """Run the Figure 2 loop for every configuration of a table."""
     constraint, scale = scaled_constraint(
         workload, paper_rows, paper_constraint, platform_factory
     )
     table = TableReproduction(name=name, scale=scale)
     for paper_row in paper_rows:
         platform = platform_factory(paper_row.afpga, paper_row.cgc_count)
-        engine = PartitioningEngine(
+        partitioner = GreedyPartitioner(
             workload, platform, config=engine_config
         )
-        result = engine.run(constraint)
+        result = partitioner.run(constraint)
         table.rows.append(
             PartitionComparison(
                 paper=paper_row,

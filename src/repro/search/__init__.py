@@ -5,10 +5,12 @@ loop.  This subsystem turns partitioning into a *search problem* over
 kernel subsets, all algorithms pricing configurations on one packed
 cost table per (workload, platform) pair (:mod:`repro.partition.packed`):
 
-* :class:`GreedyPartitioner` — the paper's loop, bit-identical to
-  :class:`~repro.partition.engine.PartitioningEngine` results;
+* :class:`GreedyPartitioner` — the paper's loop, the one class that
+  runs it (checked against the seed engine's loop in ``tests/oracles/``);
 * :class:`ExhaustivePartitioner` — optimal over all kernel subsets for
-  small candidate counts; the ground truth heuristics are judged against;
+  small candidate counts; the ground truth heuristics are judged against
+  (Gray-code walk, sharded walk or branch-and-bound, all choosing the
+  optimum by one rule, :class:`~repro.search.base.Optimum`);
 * :class:`MultiStartPartitioner` — randomized greedy restarts with
   seeded tie-breaking (never worse than unbounded greedy);
 * :class:`AnnealingPartitioner` — simulated annealing over subsets with

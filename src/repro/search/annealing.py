@@ -21,7 +21,7 @@ import math
 import random
 
 from ..partition.result import PartitionResult
-from .base import Partitioner, register_algorithm
+from .base import Optimum, Partitioner, check_params, register_algorithm
 
 
 @register_algorithm
@@ -41,14 +41,13 @@ class AnnealingPartitioner(Partitioner):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        if not 0.0 < cooling < 1.0:
-            raise ValueError("cooling must be in (0, 1)")
-        if temp_levels < 1:
-            raise ValueError("temp_levels must be >= 1")
-        if initial_temp is not None and initial_temp <= 0.0:
-            raise ValueError("initial_temp must be positive")
-        if steps_per_temp is not None and steps_per_temp < 1:
-            raise ValueError("steps_per_temp must be >= 1")
+        check_params(
+            self.algorithm,
+            initial_temp=initial_temp,
+            cooling=cooling,
+            temp_levels=temp_levels,
+            steps_per_temp=steps_per_temp,
+        )
         self.seed = seed
         self.initial_temp = initial_temp
         self.cooling = cooling
@@ -86,12 +85,12 @@ class AnnealingPartitioner(Partitioner):
                 mask |= 1 << index
                 count += 1
         log.record(total, mask)
-        best_total, best_mask, best_count = total, mask, count
-        best_ids: tuple[int, ...] | None = None
+        best = Optimum(table, total, mask, count)
+        best_total = total
 
         if n == 0 or (budget is not None and budget <= 0):
-            self._best_mask = best_mask
-            return best_mask
+            self._best_mask = best.mask
+            return best.mask
         temperature = self._start_temperature(list(deltas))
         steps = self.steps_per_temp or max(8, 4 * n)
 
@@ -105,6 +104,7 @@ class AnnealingPartitioner(Partitioner):
         uniform = rng.random
         exp = math.exp
         record = log.record
+        offer = best.offer
         bb_ids_of = table.bb_ids_of
         index_of = table.index_of
         n_bits = n.bit_length()
@@ -149,20 +149,11 @@ class AnnealingPartitioner(Partitioner):
                     else:
                         continue
                 record(total, mask)
-                if total > best_total:
-                    continue
-                if total < best_total or count < best_count:
-                    best_total, best_mask, best_count = total, mask, count
-                    best_ids = None
-                elif count == best_count:
-                    if best_ids is None:
-                        best_ids = bb_ids_of(best_mask)
-                    candidate_ids = bb_ids_of(mask)
-                    if candidate_ids < best_ids:
-                        best_mask, best_ids = mask, candidate_ids
+                if total <= best_total:
+                    best_total = offer(total, mask, count)
             temperature *= self.cooling
-        self._best_mask = best_mask
-        return best_mask
+        self._best_mask = best.mask
+        return best.mask
 
     def _search(
         self, timing_constraint: int, result: PartitionResult

@@ -5,7 +5,7 @@ loop.  This module generalizes it: a :class:`Partitioner` is anything
 that searches the space of kernel subsets on a pair's
 :class:`~repro.partition.packed.PackedCostTable` (subsets are int
 bitmasks, priced by integer adds) and returns the same
-:class:`~repro.partition.result.PartitionResult` records the engine
+:class:`~repro.partition.result.PartitionResult` records the greedy loop
 produces, so every downstream consumer (reports, exploration grids,
 benchmarks) works with any algorithm unchanged.
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .. import telemetry
 from ..analysis.weights import WeightModel
@@ -72,13 +73,14 @@ class AlgorithmSpec:
                 f"unknown algorithm {self.name!r}; expected one of "
                 f"{ALGORITHM_NAMES}"
             )
+        check_params(self.name, **dict(self.params))
 
     # ------------------------------------------------------------------
     # Factories
     # ------------------------------------------------------------------
     @classmethod
     def greedy(cls) -> "AlgorithmSpec":
-        """The paper's Figure 2 loop (bit-identical to the engine)."""
+        """The paper's Figure 2 loop."""
         return cls(name="greedy")
 
     @classmethod
@@ -198,6 +200,88 @@ _SPEC_DEFAULTS: dict[str, dict[str, object]] = {
 }
 
 
+#: Parameter ranges per algorithm: (accepts value, the range in words).
+#: Checked when an AlgorithmSpec is built, so a bad CLI argument or job
+#: request fails where it enters, and by every partitioner constructor.
+_SPEC_RULES: dict[str, dict[str, tuple[Callable[[Any], bool], str]]] = {
+    "exhaustive": {
+        "max_candidates": (lambda v: v is None or v >= 1, "must be >= 1"),
+        "shards": (lambda v: v is None or v >= 1, "must be >= 1"),
+    },
+    "multi_start": {
+        "restarts": (lambda v: v >= 1, "must be >= 1"),
+        "jitter": (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
+    },
+    "annealing": {
+        "initial_temp": (lambda v: v is None or v > 0.0, "must be positive"),
+        "cooling": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+        "temp_levels": (lambda v: v >= 1, "must be >= 1"),
+        "steps_per_temp": (lambda v: v is None or v >= 1, "must be >= 1"),
+    },
+}
+
+
+def check_params(algorithm: str, **params: object) -> None:
+    """Raise :class:`ValueError` naming the first parameter of
+    ``algorithm`` that is out of its range (unknown names are left to
+    the constructor, which rejects them)."""
+    for key, (accepts, rule) in _SPEC_RULES.get(algorithm, {}).items():
+        if key not in params:
+            continue
+        value = params[key]
+        try:
+            valid = accepts(value)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"{algorithm}: {key} {rule}, got {value!r}")
+
+
+class Optimum:
+    """The exact-search optimum rule: the fewest Eq. 2 ticks, then the
+    fewest moves, then the lexicographically smallest BB tuple (decoded
+    lazily — exact ties are rare).
+
+    Every search that certifies or keeps a best configuration goes
+    through :meth:`offer`.  Hot loops keep their own inline
+    ``total > best_total`` early-out on a local copy of :attr:`total`
+    and offer only the candidates that may win or tie.
+    """
+
+    __slots__ = ("total", "count", "mask", "_ids", "_bb_ids_of")
+
+    def __init__(
+        self,
+        table: PackedCostTable,
+        total: int,
+        mask: int,
+        count: int | None = None,
+    ) -> None:
+        self._bb_ids_of = table.bb_ids_of
+        self.total = total
+        self.mask = mask
+        self.count = mask.bit_count() if count is None else count
+        self._ids: tuple[int, ...] | None = None
+
+    def offer(self, total: int, mask: int, count: int | None = None) -> int:
+        """Adopt ``mask`` if it beats the incumbent; returns the
+        incumbent's total ticks afterwards."""
+        if total > self.total:
+            return self.total
+        if count is None:
+            count = mask.bit_count()
+        if total < self.total or count < self.count:
+            self.total, self.mask, self.count = total, mask, count
+            self._ids = None
+        elif count == self.count and mask != self.mask:
+            if self._ids is None:
+                self._ids = self._bb_ids_of(self.mask)
+            ids = self._bb_ids_of(mask)
+            if ids < self._ids:
+                self.mask, self._ids = mask, ids
+        return self.total
+
+
 def make_partitioner(
     spec: AlgorithmSpec,
     workload: ApplicationWorkload,
@@ -219,8 +303,8 @@ class Partitioner(ABC):
     via ``packed_table`` so one pricing pass serves a whole (algorithm ×
     constraint) grid — the early exit when the all-FPGA mapping already
     meets the constraint, the visited-configuration log (a column store
-    materialized lazily), and the config freeze (algorithm state caches
-    bake the config in, exactly like the engine's move trajectory).
+    materialized lazily), and the config freeze (algorithm state caches,
+    such as the greedy move trajectory, bake the config in).
     """
 
     #: Registry / report key; subclasses override.
@@ -259,8 +343,8 @@ class Partitioner(ABC):
     def table(self) -> PackedCostTable:
         """The packed cost table, derived on first use unless one was
         injected — lazily, so the config flags it bakes in are the ones
-        in force at the first run (mutations before then are honoured,
-        exactly like the engine).  Pricing work goes to :attr:`stats`."""
+        in force at the first run (mutations before then are honoured).
+        Pricing work goes to :attr:`stats`."""
         if self._table is None:
             model = CostModel(
                 self.workload,
@@ -348,15 +432,15 @@ class Partitioner(ABC):
         records on demand (cached until new configurations are
         recorded); prefer :attr:`visited_count`
         or :meth:`pareto_front` when the records themselves are not
-        needed.  A reduced log (``keep_visits=False``) has dropped the
+        needed.  A reduced log (a sharded exact search) has dropped the
         per-visit columns and raises — use :attr:`visited_count` /
         :meth:`pareto_front`, which both survive the reduction.
         """
         log = self._log
-        if not log.keep_visits:
+        if log.reduced:
             raise ValueError(
-                "visited configurations were reduced away "
-                "(keep_visits=False); use visited_count or pareto_front"
+                "visited configurations were reduced away (sharded exact "
+                "search); use visited_count or pareto_front"
             )
         if self._materialized is None or len(self._materialized) != len(log):
             table = self.table
@@ -384,7 +468,7 @@ class Partitioner(ABC):
     def pareto_front(self) -> list[VisitedConfiguration]:
         """Non-dominated subset of everything visited so far."""
         log = self._log
-        if not log.keep_visits:
+        if log.reduced:
             return pareto_front_from_best(
                 log.best_by_shape, self.table, self.algorithm
             )

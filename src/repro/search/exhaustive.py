@@ -6,12 +6,13 @@ candidate counts (the paper's applications have ≤ 8 meaningful kernels)
 every subset can be enumerated outright.  The enumeration walks subsets
 in **Gray-code order**: consecutive codes differ in exactly one bit, so
 stepping from one configuration to the next is a single integer toggle —
-one addition to the running Eq. 2 total, two appends to the visited
-column log, no recursion, no object churn.  That is what lets the
+one addition to the running Eq. 2 total, two appends to packed int64
+visit columns, no recursion, no object churn.  That is what lets the
 default ``max_candidates`` cap sit at 24 (16.7M subsets); an explicit
-``max_candidates`` overrides it.  Under a move budget the walk switches
-to a budget-pruned depth-first enumeration (visiting only the subsets
-within the budget instead of all 2^n codes).
+``max_candidates`` overrides it.  Unsharded, the walk is one in-process
+segment of all 2^n − 1 non-empty codes and keeps every visit.  Under a
+move budget the walk switches to a budget-pruned depth-first enumeration
+(visiting only the subsets within the budget instead of all 2^n codes).
 
 Two composable exact-search modes push the certified range further:
 
@@ -20,12 +21,12 @@ Two composable exact-search modes push the certified range further:
   Eq. 2 total at its range-start mask (one O(n) materialization —
   ``gray(code) = code ^ (code >> 1)``), walks its segment with the same
   O(1) toggles, and ships back a compact summary: its local optimum,
-  visit count, and either the raw visit columns or the lossless
-  ``(moved, rows) -> min cycles`` Pareto reduction.  The parent merges
-  summaries in shard order, so the result and front are bit-identical
-  to the serial walk regardless of worker count (fan-out rides the same
-  picklable-:class:`~repro.partition.packed.PackedCostTable` process
-  machinery as :mod:`repro.explore`, serial fallback included).
+  visit count, and the lossless ``(moved, rows) -> min cycles`` Pareto
+  reduction (a sharded walk keeps no per-visit columns).  The parent
+  merges summaries in shard order, so the result and front are
+  bit-identical to the serial walk regardless of worker count (fan-out
+  rides the same picklable-:class:`~repro.partition.packed.PackedCostTable`
+  process machinery as :mod:`repro.explore`, serial fallback included).
 * **Exact branch-and-bound** (``prune=True``) — kernels sorted by
   best-case per-kernel gain; because the Eq. 2 objective is additive
   over kernels, the suffix sums of the remaining negative deltas are an
@@ -40,22 +41,27 @@ Two composable exact-search modes push the certified range further:
   B&B decomposes over the 2^s assignments of the s most-gainful
   kernels; each prefix task is an independent B&B.
 
-Every mode picks the same optimum — minimum total cycles, tie-broken by
-fewer moves then lexicographic BB ids — as the object depth-first walk
-in ``tests/oracles/`` that the differential tests compare it against.
+Every mode picks its optimum by one rule,
+:class:`~repro.search.base.Optimum` (minimum total ticks, tie-broken by
+fewer moves then lexicographic BB ids), and reduces its visits by one
+rule, :class:`~repro.partition.packed.ShapeReduction` — the same optimum
+and front as the object depth-first walk in ``tests/oracles/`` that the
+differential tests compare it against.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from array import array
+from collections.abc import MutableSequence
 from dataclasses import dataclass
 
 from .. import telemetry
 from ..parallel import map_tasks
-from ..partition.packed import PackedCostTable
+from ..partition.packed import ShapeReduction
 from ..partition.result import PartitionResult
-from .base import Partitioner, register_algorithm
+from .base import Optimum, Partitioner, check_params, register_algorithm
 
 #: Hot enumeration loops poll an armed deadline every this-many + 1
 #: visits — cheap enough for the hot path, frequent enough that an
@@ -72,16 +78,17 @@ class ShardOutcome:
     visits: int
     pruned_subtrees: int
     seconds: float
-    #: Local optimum by the (ticks, moves, BB-tuple) key; None when the
-    #: task's subspace is empty (e.g. a prefix over the move budget).
+    #: Local optimum by the :class:`~repro.search.base.Optimum` rule;
+    #: None when the task's subspace is empty (e.g. a prefix over the
+    #: move budget).
     best_total: int | None
     best_count: int
     best_mask: int
-    #: Raw visit columns, in deterministic walk order (keep_visits).
+    #: Raw visit columns, in deterministic walk order (unsharded runs).
     ticks: object | None
     masks: object | None
     #: The lossless (moved, rows) -> (cycles, mask) Pareto reduction
-    #: (reduced mode; None when the raw columns are shipped instead).
+    #: (sharded runs; None when the raw columns are shipped instead).
     shape_items: tuple | None
     #: True when the task stopped at an expired deadline before
     #: exhausting its subspace (its best is best-so-far, not certified).
@@ -92,37 +99,17 @@ class ShardOutcome:
         return self.visits / self.seconds if self.seconds > 0 else 0.0
 
 
-def _fold_shape(
-    table: PackedCostTable,
-    shape_best: dict,
-    decoded: dict,
-    cycles: int,
-    key: tuple[int, int],
-    mask: int,
-) -> None:
-    """The reduce_columns_to_best incumbent rule (min cycles per
-    (moved, rows) shape, exact ties to the smallest BB tuple)."""
-    incumbent = shape_best.get(key)
-    if incumbent is None or cycles < incumbent[0]:
-        shape_best[key] = (cycles, mask)
-    elif cycles == incumbent[0] and mask != incumbent[1]:
-        ids = decoded.get(mask)
-        if ids is None:
-            ids = decoded[mask] = table.bb_ids_of(mask)
-        inc_ids = decoded.get(incumbent[1])
-        if inc_ids is None:
-            inc_ids = decoded[incumbent[1]] = table.bb_ids_of(incumbent[1])
-        if ids < inc_ids:
-            shape_best[key] = (cycles, mask)
-
-
 def _walk_shard(task) -> ShardOutcome:
     """Walk one contiguous Gray-code segment ``[lo, hi)``.
 
     The segment's first configuration is materialized once
     (``mask = gray(lo)``, one O(n) Eq. 2 sum); every following step is
     the usual O(1) toggle, so concatenating all shards' columns in
-    shard order reproduces the serial walk's log exactly.
+    shard order reproduces the whole walk's log exactly.  With ``keep``
+    the visits go to columns — packed int64 arrays whenever every value
+    fits (n ≤ 62 bits of mask, tick totals bounded by initial ±
+    Σ|delta|), lists otherwise; without it they fold into a
+    :class:`ShapeReduction`.
 
     ``deadline`` (a re-anchoring :class:`~repro.faults.Deadline`, or
     None) is polled every :data:`DEADLINE_CHECK_MASK` + 1 codes; an
@@ -136,18 +123,16 @@ def _walk_shard(task) -> ShardOutcome:
     delta_by_bit = {1 << i: deltas[i] for i in range(n)}
     mask = lo ^ (lo >> 1)
     total = table.total_ticks_of(mask)
-    best_total, best_mask = total, mask
-    best_count = mask.bit_count()
-    best_ids: tuple[int, ...] | None = None
-    bb_ids_of = table.bb_ids_of
+    best = Optimum(table, total, mask)
+    offer = best.offer
+    best_total = total
 
-    ticks_col = masks_col = None
-    shape_best: dict | None = None
+    ticks_col: MutableSequence[int] | None = None
+    masks_col: MutableSequence[int] | None = None
+    shapes: ShapeReduction | None = None
     if keep:
         max_total = table.initial_ticks + sum(abs(d) for d in deltas)
         if n <= 62 and max_total < (1 << 62):
-            from array import array
-
             ticks_col, masks_col = array("q"), array("q")
         else:
             ticks_col, masks_col = [], []
@@ -156,14 +141,9 @@ def _walk_shard(task) -> ShardOutcome:
         append_ticks(total)
         append_masks(mask)
     else:
-        shape_best = {}
-        decoded: dict = {}
-        ratio = table.clock_ratio
-        rows_used = table.rows_used
-        _fold_shape(
-            table, shape_best, decoded, -(-total // ratio),
-            (best_count, rows_used(mask)), mask,
-        )
+        shapes = ShapeReduction(table)
+        fold = shapes.add
+        fold(total, mask)
 
     visited = hi - lo
     partial = False
@@ -186,35 +166,20 @@ def _walk_shard(task) -> ShardOutcome:
             append_ticks(total)
             append_masks(mask)
         else:
-            _fold_shape(
-                table, shape_best, decoded, -(-total // ratio),
-                (mask.bit_count(), rows_used(mask)), mask,
-            )
-        if total > best_total:
-            continue
-        count = mask.bit_count()
-        if total < best_total or count < best_count:
-            best_total, best_mask, best_count = total, mask, count
-            best_ids = None
-        elif count == best_count:
-            if best_ids is None:
-                best_ids = bb_ids_of(best_mask)
-            candidate_ids = bb_ids_of(mask)
-            if candidate_ids < best_ids:
-                best_mask, best_ids = mask, candidate_ids
+            fold(total, mask)
+        if total <= best_total:
+            best_total = offer(total, mask)
     return ShardOutcome(
         shard=shard,
         visits=visited,
         pruned_subtrees=0,
         seconds=time.perf_counter() - started,
-        best_total=best_total,
-        best_count=best_count,
-        best_mask=best_mask,
+        best_total=best.total,
+        best_count=best.count,
+        best_mask=best.mask,
         ticks=ticks_col,
         masks=masks_col,
-        shape_items=(
-            None if shape_best is None else tuple(shape_best.items())
-        ),
+        shape_items=None if shapes is None else tuple(shapes.best.items()),
         partial=partial,
     )
 
@@ -240,7 +205,6 @@ def _bb_shard(task) -> ShardOutcome:
     """
     table, shard, p, s, order, budget, keep, slack, deadline = task
     started = time.perf_counter()
-    n = len(table)
     deltas = table.move_delta
     rest = order[s:]
     len_rest = len(rest)
@@ -284,17 +248,16 @@ def _bb_shard(task) -> ShardOutcome:
 
     ratio = table.clock_ratio
     rows_used = table.rows_used
-    bb_ids_of = table.bb_ids_of
     distinct_rows = sorted(set(table.cgc_rows))
-    shape_best: dict = {}
-    decoded: dict = {}
+    shapes = ShapeReduction(table)
+    shape_best = shapes.best
+    fold = shapes.add
     cols_ticks: list[int] | None = [] if keep else None
     cols_masks: list[int] | None = [] if keep else None
     visits = 0
     pruned = 0
     stopped = False
-    best_total, best_mask, best_count = total, mask, count
-    best_ids: tuple[int, ...] | None = None
+    best = Optimum(table, total, mask, count)
 
     def record(t: int, m: int, c: int) -> None:
         nonlocal visits, stopped
@@ -308,24 +271,8 @@ def _bb_shard(task) -> ShardOutcome:
         if keep:
             cols_ticks.append(t)  # type: ignore[union-attr]
             cols_masks.append(m)  # type: ignore[union-attr]
-        _fold_shape(
-            table, shape_best, decoded, -(-t // ratio),
-            (c, rows_used(m)), m,
-        )
-
-    def consider(t: int, m: int, c: int) -> None:
-        nonlocal best_total, best_mask, best_count, best_ids
-        if t > best_total:
-            return
-        if t < best_total or c < best_count:
-            best_total, best_mask, best_count = t, m, c
-            best_ids = None
-        elif c == best_count:
-            if best_ids is None:
-                best_ids = bb_ids_of(best_mask)
-            candidate_ids = bb_ids_of(m)
-            if candidate_ids < best_ids:
-                best_mask, best_ids = m, candidate_ids
+        fold(t, m)
+        best.offer(t, m, c)
 
     def could_update_shapes(
         j: int, t: int, c: int, r0: int, k_left: int
@@ -347,7 +294,7 @@ def _bb_shard(task) -> ShardOutcome:
         if j == len_rest or stopped:
             return
         k_left = (budget - c) if budget is not None else len_rest - j
-        if t + gain(j, k_left) - slack > best_total and not (
+        if t + gain(j, k_left) - slack > best.total and not (
             could_update_shapes(j, t, c, rows_used(m), k_left)
         ):
             pruned += 1
@@ -357,7 +304,6 @@ def _bb_shard(task) -> ShardOutcome:
             t2 = t + deltas[i]
             m2 = m | (1 << i)
             record(t2, m2, c + 1)
-            consider(t2, m2, c + 1)
             walk(j + 1, t2, m2, c + 1)
         walk(j + 1, t, m, c)
 
@@ -366,19 +312,16 @@ def _bb_shard(task) -> ShardOutcome:
         # all-FPGA mask 0 was already logged by the parent's run()).
         record(total, mask, count)
     else:
-        _fold_shape(
-            table, shape_best, decoded, -(-total // ratio),
-            (0, 0), 0,
-        )
+        fold(total, 0)
     walk(0, total, mask, count)
     return ShardOutcome(
         shard=shard,
         visits=visits,
         pruned_subtrees=pruned,
         seconds=time.perf_counter() - started,
-        best_total=best_total,
-        best_count=best_count,
-        best_mask=best_mask,
+        best_total=best.total,
+        best_count=best.count,
+        best_mask=best.mask,
         ticks=cols_ticks,
         masks=cols_masks,
         shape_items=None if keep else tuple(shape_best.items()),
@@ -406,23 +349,20 @@ class ExhaustivePartitioner(Partitioner):
         max_candidates: int | None = None,
         shards: int | None = None,
         prune: bool = False,
-        keep_visits: bool | None = None,
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        if max_candidates is not None and max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1")
+        check_params(
+            self.algorithm, max_candidates=max_candidates, shards=shards
+        )
         self.max_candidates = max_candidates
-        #: Contiguous Gray-code segments to fan out.
+        #: Contiguous Gray-code segments to fan out; a sharded search
+        #: keeps the Pareto reduction instead of per-visit columns (a
+        #: 2^32-scale walk cannot afford them), an unsharded one keeps
+        #: every visit.
         self.shards = shards
         #: Exact branch-and-bound instead of full enumeration.
         self.prune = prune
-        #: None resolves per mode: sharded walks drop per-visit columns
-        #: (a 2^32-scale walk cannot afford them), everything else
-        #: keeps them.
-        self.keep_visits = keep_visits
         #: Branch-and-bound subtrees cut by the additive bound.
         self.pruned_subtrees = 0
         #: Per-shard / per-B&B-task stats dicts, in merge order.
@@ -484,28 +424,21 @@ class ExhaustivePartitioner(Partitioner):
         budget = self.move_budget
         if budget is not None and budget >= n:
             budget = None
-        keep = self.keep_visits
-        if keep is None:
-            keep = self.shards is None
+        keep = self.shards is None
         if not keep:
             self._log.drop_visits(table)
         if self.prune:
             self._best_mask = self._branch_and_bound(n, budget, keep)
-        elif self.shards is not None:
-            if budget is not None:
-                raise ValueError(
-                    "a move budget combined with shards requires "
-                    "prune=True (the sharded Gray walk enumerates the "
-                    "full mask space)"
-                )
-            self._best_mask = self._sharded_walk(n, keep)
         elif budget is None:
-            if keep:
-                self._best_mask = self._gray_walk(n)
-            else:
-                self._best_mask = self._sharded_walk(n, keep)
-        else:
+            self._best_mask = self._sharded_walk(n, keep)
+        elif keep:
             self._best_mask = self._budgeted_walk(n, budget)
+        else:
+            raise ValueError(
+                "a move budget combined with shards requires "
+                "prune=True (the sharded Gray walk enumerates the "
+                "full mask space)"
+            )
         return self._best_mask
 
     def _resolve_workers(self, task_count: int) -> int:
@@ -516,15 +449,10 @@ class ExhaustivePartitioner(Partitioner):
 
     def _absorb_outcomes(self, outcomes: list[ShardOutcome]) -> int:
         """Merge shard summaries in deterministic shard order; returns
-        the globally optimal mask by the (ticks, moves, BB-tuple) key
-        (the all-FPGA origin is the baseline, exactly as in the serial
-        walk)."""
-        table = self.table
+        the globally optimal mask (the all-FPGA origin is the baseline,
+        exactly as in one whole walk)."""
         log = self._log
-        best_total = table.initial_ticks
-        best_count = 0
-        best_mask = 0
-        best_ids: tuple[int, ...] | None = None
+        best = Optimum(self.table, self.table.initial_ticks, 0)
         for outcome in outcomes:
             if outcome.partial:
                 self._mark_partial()
@@ -547,25 +475,15 @@ class ExhaustivePartitioner(Partitioner):
                     "configs_per_second": outcome.configs_per_second,
                 }
             )
-            if outcome.best_total is None:
-                continue
-            key = (outcome.best_total, outcome.best_count)
-            if key < (best_total, best_count):
-                best_total, best_count = key
-                best_mask = outcome.best_mask
-                best_ids = None
-            elif key == (best_total, best_count) and (
-                outcome.best_mask != best_mask
-            ):
-                if best_ids is None:
-                    best_ids = table.bb_ids_of(best_mask)
-                candidate_ids = table.bb_ids_of(outcome.best_mask)
-                if candidate_ids < best_ids:
-                    best_mask, best_ids = outcome.best_mask, candidate_ids
-        return best_mask
+            if outcome.best_total is not None:
+                best.offer(
+                    outcome.best_total, outcome.best_mask, outcome.best_count
+                )
+        return best.mask
 
     def _sharded_walk(self, n: int, keep: bool) -> int:
-        """Fan the Gray-code walk out over contiguous code segments."""
+        """The Gray-code walk over ``shards`` contiguous code segments,
+        or over one in-process segment when ``shards`` is unset."""
         table = self.table
         shards = self.shards or 1
         codes = (1 << n) - 1  # codes 1 .. 2^n-1 (mask 0 is the origin)
@@ -614,68 +532,6 @@ class ExhaustivePartitioner(Partitioner):
         )
         return self._absorb_outcomes(outcomes)
 
-    def _gray_walk(self, n: int) -> int:
-        """All 2^n subsets, one integer toggle per configuration.
-
-        The all-FPGA mask 0 is the walk's origin and was already logged
-        by ``run()``, so the loop records the remaining 2^n − 1 masks —
-        Gray codes never repeat, so the log needs no dedup checks.
-        """
-        table = self.table
-        deltas = table.move_delta
-        delta_by_bit = {1 << i: deltas[i] for i in range(n)}
-        log = self._log
-        # 2^n entries of boxed Python ints would dominate the walk's
-        # memory (n=24 → ~1.3 GB); every value here fits int64 (n ≤ 62
-        # bits of mask, tick totals bounded by initial ± Σ|delta|), so
-        # swap the log's columns for packed int64 arrays up front.
-        max_total = table.initial_ticks + sum(abs(d) for d in deltas)
-        if n <= 62 and max_total < (1 << 62):
-            from array import array
-
-            log.ticks = array("q", log.ticks)
-            log.masks = array("q", log.masks)
-        append_ticks = log.ticks.append
-        append_masks = log.masks.append
-        total = table.initial_ticks
-        best_total = total
-        best_mask = 0
-        best_count = 0
-        best_ids: tuple[int, ...] | None = ()
-        mask = 0
-        deadline = self._deadline
-        for code in range(1, 1 << n):
-            if (
-                deadline is not None
-                and not code & DEADLINE_CHECK_MASK
-                and deadline.expired()
-            ):
-                self._mark_partial()
-                break
-            bit = code & -code
-            if mask & bit:
-                total -= delta_by_bit[bit]
-            else:
-                total += delta_by_bit[bit]
-            mask ^= bit
-            append_ticks(total)
-            append_masks(mask)
-            if total > best_total:
-                continue
-            # Ties: ticks, then fewer moves, then the lexicographically
-            # smallest BB tuple (decoded lazily — exact ties are rare).
-            count = mask.bit_count()
-            if total < best_total or count < best_count:
-                best_total, best_mask, best_count = total, mask, count
-                best_ids = None
-            elif count == best_count:
-                if best_ids is None:
-                    best_ids = table.bb_ids_of(best_mask)
-                candidate_ids = table.bb_ids_of(mask)
-                if candidate_ids < best_ids:
-                    best_mask, best_ids = mask, candidate_ids
-        return best_mask
-
     def _budgeted_walk(self, n: int, budget: int) -> int:
         """Depth-first enumeration of the subsets within the budget."""
         table = self.table
@@ -684,24 +540,7 @@ class ExhaustivePartitioner(Partitioner):
         deadline = self._deadline
         visits = 0
         stopped = False
-        best_total = table.initial_ticks
-        best_mask = 0
-        best_count = 0
-        best_ids: tuple[int, ...] | None = ()
-
-        def consider(total: int, mask: int, count: int) -> None:
-            nonlocal best_total, best_mask, best_count, best_ids
-            if total > best_total:
-                return
-            if total < best_total or count < best_count:
-                best_total, best_mask, best_count = total, mask, count
-                best_ids = None
-            elif count == best_count:
-                if best_ids is None:
-                    best_ids = table.bb_ids_of(best_mask)
-                candidate_ids = table.bb_ids_of(mask)
-                if candidate_ids < best_ids:
-                    best_mask, best_ids = mask, candidate_ids
+        best = Optimum(table, table.initial_ticks, 0)
 
         def walk(index: int, total: int, mask: int, count: int) -> None:
             nonlocal visits, stopped
@@ -713,7 +552,7 @@ class ExhaustivePartitioner(Partitioner):
             total += deltas[index]
             mask |= 1 << index
             log.record_unchecked(total, mask)
-            consider(total, mask, count + 1)
+            best.offer(total, mask, count + 1)
             visits += 1
             if (
                 deadline is not None
@@ -727,7 +566,7 @@ class ExhaustivePartitioner(Partitioner):
         walk(0, table.initial_ticks, 0, 0)
         if stopped:
             self._mark_partial()
-        return best_mask
+        return best.mask
 
     def _search(
         self, timing_constraint: int, result: PartitionResult

@@ -1,12 +1,15 @@
 """The paper's greedy kernel-move loop as a :class:`Partitioner`.
 
-This is the Figure 2 / §3.4 algorithm behind the pluggable-algorithm
-protocol.  It runs a :class:`~repro.partition.packed.PackedGreedyTrajectory`
-— the same constraint-independent decision sequence the
-:class:`~repro.partition.engine.PartitioningEngine` replays — through the
-same :func:`~repro.partition.trajectory.replay_entries` bookkeeping, so
-results stay bit-identical to the engine by shared code, not by luck.
-On top, each committed configuration is logged for the Pareto analysis.
+This is the Figure 2 / §3.4 algorithm, and the one class that runs it:
+the CLI, the explore grids, the suite, the server and the table
+reproductions all use it.  The move sequence is a constraint-independent
+:class:`~repro.partition.packed.PackedGreedyTrajectory`, computed lazily
+once per partitioner and replayed per constraint by
+:func:`~repro.partition.trajectory.replay_entries`, so ``sweep()``
+warm-starts every constraint after the first from the shared prefix.
+Each committed configuration is logged for the Pareto analysis.  The
+seed engine's full-rescan loop and the object trajectory are the
+reference implementations in ``tests/oracles/``.
 """
 
 from __future__ import annotations

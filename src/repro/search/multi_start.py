@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 
 from ..partition.result import PartitionResult
-from .base import Partitioner, register_algorithm
+from .base import Optimum, Partitioner, check_params, register_algorithm
 
 
 @register_algorithm
@@ -35,10 +35,7 @@ class MultiStartPartitioner(Partitioner):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        if restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
+        check_params(self.algorithm, restarts=restarts, jitter=jitter)
         self.restarts = restarts
         self.seed = seed
         self.jitter = jitter
@@ -60,8 +57,7 @@ class MultiStartPartitioner(Partitioner):
         bb_ids = table.bb_ids
         weights = table.weights
         log = self._log
-        best_key: tuple | None = None
-        best_mask = 0
+        best: Optimum | None = None
         for restart in range(self.restarts):
             # Deadline poll per restart (a visit batch); restart 0
             # always runs, so the result is never worse than greedy.
@@ -93,12 +89,13 @@ class MultiStartPartitioner(Partitioner):
                     mask |= 1 << index
                     count += 1
                     log.record(total, mask)
-            key = (total, count, table.bb_ids_of(mask))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_mask = mask
-        self._best_mask = best_mask
-        return best_mask
+            if best is None:
+                best = Optimum(table, total, mask, count)
+            else:
+                best.offer(total, mask, count)
+        assert best is not None  # restart 0 always runs
+        self._best_mask = best.mask
+        return best.mask
 
     def _search(
         self, timing_constraint: int, result: PartitionResult

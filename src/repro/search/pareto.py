@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..partition.packed import PackedCostTable, ShapeReduction
+
 
 @dataclass(frozen=True)
 class VisitedConfiguration:
@@ -92,48 +94,20 @@ def pareto_front(
 def reduce_columns_to_best(
     ticks: Sequence[int],
     masks: Sequence[int],
-    table,
-    best: dict[tuple[int, int], tuple[int, int]] | None = None,
+    table: PackedCostTable,
 ) -> dict[tuple[int, int], tuple[int, int]]:
-    """Lossless ``(moved, rows) -> (min cycles, mask)`` reduction.
+    """Lossless ``(moved, rows) -> (min cycles, mask)`` reduction of a
+    visit log's columns (see :class:`~repro.partition.packed.ShapeReduction`).
 
-    For a fixed (moved, rows) pair, any configuration with more cycles
-    is dominated by that pair's min-cycles one, so only the per-pair
-    minimum (with the smallest-BB-tuple tie-break on exact cycle ties)
-    can reach the Pareto front.  This keeps the working set at
-    O(distinct (moved, rows) pairs) — a few dozen — while a 2^n
-    enumeration log streams through in O(n) ints, instead of
-    accumulating millions of objective-vector dict entries.  Pass an
-    existing ``best`` dict to fold more columns in (shard merges);
-    folding is order-independent because the incumbent update is a
-    deterministic minimum.
+    The working set stays at O(distinct (moved, rows) pairs) — a few
+    dozen — while a 2^n enumeration log streams through, instead of
+    accumulating millions of objective-vector dict entries.
     """
-    ratio = table.clock_ratio
-    rows_used = table.rows_used
-    decoded: dict[int, tuple[int, ...]] = {}
-
-    def bb_tuple(mask: int) -> tuple[int, ...]:
-        ids = decoded.get(mask)
-        if ids is None:
-            ids = table.bb_ids_of(mask)
-            decoded[mask] = ids
-        return ids
-
-    if best is None:
-        best = {}
+    reduction = ShapeReduction(table)
+    add = reduction.add
     for total_ticks, mask in zip(ticks, masks, strict=True):
-        cycles = -(-total_ticks // ratio)
-        key = (mask.bit_count(), rows_used(mask))
-        incumbent = best.get(key)
-        if incumbent is None or cycles < incumbent[0]:
-            best[key] = (cycles, mask)
-        elif (
-            cycles == incumbent[0]
-            and mask != incumbent[1]
-            and bb_tuple(mask) < bb_tuple(incumbent[1])
-        ):
-            best[key] = (cycles, mask)
-    return best
+        add(total_ticks, mask)
+    return reduction.best
 
 
 def pareto_front_from_best(

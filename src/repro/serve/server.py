@@ -703,13 +703,10 @@ class Server:
                 )
             )
 
-        def run_serially(serial_tasks) -> list[tuple[str, object]]:
+        def run_serially(task: _JobTask) -> tuple[str, object]:
             # The dispatcher already holds the built objects: no
             # per-task rebuild, no pickling.
-            return [
-                _partition_once(task, workload, platform)
-                for task in serial_tasks
-            ]
+            return _partition_once(task, workload, platform)
 
         policy = RetryPolicy(
             max_attempts=self.config.task_retries + 1,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 
 from .. import telemetry
 from ..parallel import map_tasks
@@ -151,12 +152,8 @@ def run_suite(
         workers = min(len(scenarios), os.cpu_count() or 1)
     workers = max(1, workers)
 
-    def run_serially(serial_scenarios) -> list[ScenarioResult]:
-        resolver = TableResolver()
-        return [
-            run_scenario(scenario, resolver)
-            for scenario in serial_scenarios
-        ]
+    # Serial scenarios share a resolver scoped to this call.
+    resolver = TableResolver()
 
     # Same fallback contract as repro.explore, via the shared
     # repro.parallel fan-out: an unusable pool degrades to a serial
@@ -166,7 +163,7 @@ def run_suite(
         scenarios,
         workers,
         what="suite scenarios",
-        serial_runner=run_serially,
+        serial_runner=partial(run_scenario, resolver=resolver),
     )
 
     run = SuiteRun(

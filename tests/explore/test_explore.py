@@ -214,6 +214,28 @@ class TestExplore:
         assert warm.blocks_mapped == 0
         assert warm.results == outcome.results
 
+    def test_serial_explore_builds_each_workload_once(self, monkeypatch):
+        """A serial run shares one call-scoped resolver across its
+        tasks, so one workload on two platforms is built once."""
+        builds = []
+        original = WorkloadSpec.build
+
+        def counting_build(spec, *args, **kwargs):
+            builds.append(spec)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(WorkloadSpec, "build", counting_build)
+        spec = WorkloadSpec.synthetic(8, seed=1)
+        report = explore(
+            DesignSpace.grid(
+                [spec], afpga_values=(1500, 5000), cgc_counts=(2,),
+                constraint_fractions=(0.5,),
+            ),
+            max_workers=1,
+        )
+        assert report.tasks_run == 2
+        assert builds == [spec]
+
     def test_algorithm_cells_share_the_pair_table(self):
         """Different algorithms on the same (workload, platform) pair
         price it once between them (the tentpole sharing claim)."""

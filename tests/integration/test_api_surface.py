@@ -9,8 +9,9 @@ import pytest
 
 import repro
 from repro.coarsegrain import schedule_dfg, standard_datapath
-from repro.partition import PartitioningEngine, PartitionResult, PartitionStep
+from repro.partition import PartitionResult, PartitionStep
 from repro.platform import paper_platform
+from repro.search import GreedyPartitioner
 from repro.workloads import SyntheticBlockProfile, generate_dfg
 
 
@@ -117,8 +118,8 @@ class TestScheduleIntrospection:
 class TestEngineDeterminism:
     def test_repeated_runs_identical(self, ofdm):
         platform = paper_platform(1500, 2)
-        first = PartitioningEngine(ofdm, platform).run(40_000)
-        second = PartitioningEngine(ofdm, platform).run(40_000)
+        first = GreedyPartitioner(ofdm, platform).run(40_000)
+        second = GreedyPartitioner(ofdm, platform).run(40_000)
         assert first.moved_bb_ids == second.moved_bb_ids
         assert first.final_cycles == second.final_cycles
         assert first.initial_cycles == second.initial_cycles
@@ -127,7 +128,7 @@ class TestEngineDeterminism:
         from repro.workloads import ofdm_workload
 
         platform = paper_platform(1500, 3)
-        a = PartitioningEngine(ofdm_workload(), platform).run(40_000)
-        b = PartitioningEngine(ofdm_workload(), platform).run(40_000)
+        a = GreedyPartitioner(ofdm_workload(), platform).run(40_000)
+        b = GreedyPartitioner(ofdm_workload(), platform).run(40_000)
         assert a.final_cycles == b.final_cycles
         assert a.moved_bb_ids == b.moved_bb_ids

@@ -20,26 +20,41 @@ def checker():
     return module
 
 
-def flow_minic_row(tmp_path, **overrides):
-    """A traced flow-minic seed-1 row carrying the committed counts,
-    with ``overrides`` applied (None drops a count)."""
-    counts = json.loads(COMMITTED.read_text())["flow-minic"]["1"]
+def traced_row(tmp_path, workload, **overrides):
+    """A traced seed-1 row of ``workload`` carrying the committed
+    counts, with ``overrides`` applied (None drops a count)."""
+    counts = json.loads(COMMITTED.read_text())[workload]["1"]
     metrics = {"flow.p95_ms": {"value": 12.5, "unit": "ms"}}
     for name, value in {**counts, **overrides}.items():
         if value is not None:
             metrics[name] = {"value": value, "unit": "count"}
-    path = tmp_path / "result-flow-minic-s1-t1.json"
+    path = tmp_path / f"result-{workload}-s1-t1.json"
     path.write_text(
-        json.dumps(
-            {"workload": "flow-minic", "seed": 1, "metrics": metrics}
-        )
+        json.dumps({"workload": workload, "seed": 1, "metrics": metrics})
     )
     return path
+
+
+def flow_minic_row(tmp_path, **overrides):
+    return traced_row(tmp_path, "flow-minic", **overrides)
 
 
 def test_matching_row_passes(checker, tmp_path, capsys):
     assert checker.main([str(flow_minic_row(tmp_path))]) == 0
     assert "work counts match" in capsys.readouterr().out
+
+
+def test_dse_grid_row_is_gated(checker, tmp_path, capsys):
+    """dse-grid's seed-1 row carries its pricing and search counts;
+    perfbench reports them as floats, which compare equal."""
+    row = traced_row(
+        tmp_path, "dse-grid", **{"search.configs_visited": 269903.0}
+    )
+    assert checker.main([str(row)]) == 0
+    assert "work counts match, dse-grid seed 1" in capsys.readouterr().out
+    moved = traced_row(tmp_path, "dse-grid", **{"price.blocks": 3301.0})
+    assert checker.main([str(moved)]) == 1
+    assert "price.blocks: 3301.0 (expected 3300)" in capsys.readouterr().out
 
 
 def test_moved_count_fails_and_is_named(checker, tmp_path, capsys):

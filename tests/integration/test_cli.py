@@ -223,6 +223,48 @@ class TestPartitionCommand:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--search-workers", "0"], "search_workers must be >= 1"),
+            (["--max-kernels", "-1"], "max_kernels_moved must be >= 0"),
+            (
+                ["--algorithm", "exhaustive", "--shards", "0"],
+                "shards must be >= 1",
+            ),
+        ],
+    )
+    def test_out_of_range_search_option_is_rejected(
+        self, capsys, flags, message
+    ):
+        code = main(
+            ["partition", "--workload", "ofdm", "--fraction", "0.5", *flags]
+        )
+        assert code == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error: ") and message in line
+
+    @pytest.mark.parametrize(
+        "algorithm,message",
+        [
+            ("exhaustive:max_candidates=0", "max_candidates must be >= 1"),
+            ("annealing:cooling=2", "cooling must be in (0, 1)"),
+            ("multi_start:restarts=0", "restarts must be >= 1"),
+        ],
+    )
+    def test_out_of_range_algorithm_parameter_is_a_usage_error(
+        self, capsys, algorithm, message
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "partition", "--workload", "ofdm",
+                    "--fraction", "0.5", "--algorithm", algorithm,
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestExploreCommand:
     def test_explore_writes_csv_and_json(self, capsys, tmp_path):

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.analysis import WeightModel, extract_kernels, profile_cdfg
-from repro.partition import PartitioningEngine, workload_from_cdfg
+from repro.partition import workload_from_cdfg
 from repro.platform import paper_platform
 from repro.ir import cdfg_from_source
+from repro.search import GreedyPartitioner
 
 FIR_SOURCE = """
 // A small FIR filter: the inner MAC loop is the obvious kernel.
@@ -42,8 +43,8 @@ class TestFigure2Flow:
 
     def test_all_fpga_exit_when_constraint_loose(self, fir_workload):
         __, workload = fir_workload
-        engine = PartitioningEngine(workload, paper_platform(1500, 2))
-        result = engine.run(engine.initial_cycles())
+        partitioner = GreedyPartitioner(workload, paper_platform(1500, 2))
+        result = partitioner.run(partitioner.initial_cycles())
         assert result.constraint_met and not result.moved_bb_ids
 
     def test_partitioning_accelerates(self, fir_workload):
@@ -52,9 +53,9 @@ class TestFigure2Flow:
         memory traffic caps the achievable gain; the engine meets a ~4%
         tighter deadline by moving the heaviest kernel.)"""
         __, workload = fir_workload
-        engine = PartitioningEngine(workload, paper_platform(1500, 2))
-        initial = engine.initial_cycles()
-        result = engine.run(int(initial * 0.96))
+        partitioner = GreedyPartitioner(workload, paper_platform(1500, 2))
+        initial = partitioner.initial_cycles()
+        result = partitioner.run(int(initial * 0.96))
         assert result.moved_bb_ids
         assert result.constraint_met
         assert result.final_cycles < initial
@@ -63,8 +64,8 @@ class TestFigure2Flow:
         __, workload = fir_workload
         finals = {}
         for cgc_count in (2, 3):
-            engine = PartitioningEngine(workload, paper_platform(1500, cgc_count))
-            finals[cgc_count] = engine.run(1).final_cycles
+            partitioner = GreedyPartitioner(workload, paper_platform(1500, cgc_count))
+            finals[cgc_count] = partitioner.run(1).final_cycles
         assert finals[3] <= finals[2]
 
     def test_extract_kernels_equivalent_path(self, fir_workload):
@@ -92,9 +93,9 @@ class TestOFDMEndToEnd:
             [random_bits(BITS_PER_SYMBOL, seed=s) for s in range(2)]
         )
         workload = workload_from_cdfg(app.cdfg, profile, "ofdm-minic")
-        engine = PartitioningEngine(workload, paper_platform(1500, 2))
-        initial = engine.initial_cycles()
-        result = engine.run(int(initial * 0.5))
+        partitioner = GreedyPartitioner(workload, paper_platform(1500, 2))
+        initial = partitioner.initial_cycles()
+        result = partitioner.run(int(initial * 0.5))
         assert result.moved_bb_ids, "expected at least one kernel moved"
         assert result.final_cycles < initial
         # The moved kernels should be IFFT butterfly blocks.

@@ -12,9 +12,9 @@ from repro.interp.profiler import BlockProfiler
 from repro.interp.values import ArrayStorage
 from repro.analysis.dynamic_analysis import DynamicProfile
 from repro.ir import optimize_cdfg, verify_cdfg
-from repro.partition import PartitioningEngine
 from repro.partition.workload import workload_from_cdfg
 from repro.platform import paper_platform
+from repro.search import GreedyPartitioner
 from repro.workloads import minic_cdfg, minic_input
 from repro.workloads.jpeg import JPEGEncoderApp
 from repro.workloads.ofdm import OFDMTransmitterApp
@@ -120,8 +120,8 @@ def greedy_partition(cdfg, seed):
     )
     profile = DynamicProfile(frequencies=profiler.frequencies(), runs=1)
     workload = workload_from_cdfg(cdfg, profile, name=f"minic-s{seed}")
-    engine = PartitioningEngine(workload, paper_platform(1500, 2))
-    result = engine.run(int(engine.initial_cycles() * 0.75))
+    partitioner = GreedyPartitioner(workload, paper_platform(1500, 2))
+    result = partitioner.run(int(partitioner.initial_cycles() * 0.75))
     return (
         result.initial_cycles,
         result.final_cycles,

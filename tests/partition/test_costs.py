@@ -4,12 +4,9 @@
 import pytest
 
 from oracles import CostState
-from repro.partition import (
-    CostModel,
-    EngineConfig,
-    PartitioningEngine,
-)
+from repro.partition import CostModel, EngineConfig
 from repro.platform import paper_platform
+from repro.search import GreedyPartitioner
 from repro.workloads import synthetic_application
 
 
@@ -151,38 +148,38 @@ class TestCostState:
 
 class TestEngineConfigFreeze:
     def test_mutation_after_run_raises(self, workload):
-        engine = PartitioningEngine(
+        partitioner = GreedyPartitioner(
             workload, paper_platform(1500, 2), config=EngineConfig()
         )
-        engine.run(1)
-        engine.config.stop_at_constraint = False
+        partitioner.run(1)
+        partitioner.config.stop_at_constraint = False
         with pytest.raises(ValueError, match="mutated"):
-            engine.run(1)
+            partitioner.run(1)
 
     def test_mutation_after_initial_cycles_raises(self, workload):
-        engine = PartitioningEngine(workload, paper_platform(1500, 2))
-        engine.initial_cycles()
-        engine.config.charge_single_partition_reconfig = True
+        partitioner = GreedyPartitioner(workload, paper_platform(1500, 2))
+        partitioner.initial_cycles()
+        partitioner.config.charge_single_partition_reconfig = True
         with pytest.raises(ValueError, match="mutated"):
-            engine.run(1)
+            partitioner.run(1)
 
     def test_mutation_before_first_run_allowed(self, workload):
-        engine = PartitioningEngine(workload, paper_platform(1500, 2))
-        engine.config.max_kernels_moved = 1
-        result = engine.run(1)
+        partitioner = GreedyPartitioner(workload, paper_platform(1500, 2))
+        partitioner.config.max_kernels_moved = 1
+        result = partitioner.run(1)
         assert result.kernels_moved <= 1
 
     def test_repeat_runs_with_unchanged_config_fine(self, workload):
-        engine = PartitioningEngine(workload, paper_platform(1500, 2))
-        first = engine.run(1)
-        second = engine.run(1)
+        partitioner = GreedyPartitioner(workload, paper_platform(1500, 2))
+        first = partitioner.run(1)
+        second = partitioner.run(1)
         assert first == second
 
     def test_reverting_the_mutation_unfreezes(self, workload):
         """Equality, not identity: restoring the original values makes
         the config acceptable again."""
-        engine = PartitioningEngine(workload, paper_platform(1500, 2))
-        engine.run(1)
-        engine.config.stop_at_constraint = False
-        engine.config.stop_at_constraint = True
-        engine.run(1)  # does not raise
+        partitioner = GreedyPartitioner(workload, paper_platform(1500, 2))
+        partitioner.run(1)
+        partitioner.config.stop_at_constraint = False
+        partitioner.config.stop_at_constraint = True
+        partitioner.run(1)  # does not raise

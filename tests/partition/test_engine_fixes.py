@@ -1,19 +1,19 @@
 """Tests for the greedy-move revert fix, the single-rounding invariant,
-and the engine-vs-full-rescan differential (the seed engine's loop lives
-in ``tests/oracles``)."""
+and the greedy-vs-reference differential (the seed engine's full-rescan
+loop and the object greedy walk live in ``tests/oracles``)."""
 
 import pytest
 
-from oracles import full_rescan
+from oracles import full_rescan, object_partitioner
 from repro.partition import (
     ApplicationWorkload,
     BlockWorkload,
     CostModel,
     EngineConfig,
-    PartitioningEngine,
     PartitionStep,
 )
 from repro.platform import paper_platform
+from repro.search import AlgorithmSpec, GreedyPartitioner
 from repro.workloads import generate_dfg, make_profile, synthetic_application
 
 
@@ -44,16 +44,16 @@ def regressing_workload():
 
 class TestRegressingMoveRevert:
     def test_bad_move_is_reverted(self, regressing_workload):
-        engine = PartitioningEngine(regressing_workload, paper_platform(1500, 2))
-        result = engine.run(1)  # unreachable constraint -> tries every kernel
+        partitioner = GreedyPartitioner(regressing_workload, paper_platform(1500, 2))
+        result = partitioner.run(1)  # unreachable constraint -> tries every kernel
         assert 1 in result.reverted_bb_ids
         assert 1 not in result.moved_bb_ids
         assert result.final_cycles <= result.initial_cycles
         assert result.reduction_percent >= 0.0
 
     def test_totals_never_regress(self, regressing_workload):
-        engine = PartitioningEngine(regressing_workload, paper_platform(1500, 2))
-        result = engine.run(1)
+        partitioner = GreedyPartitioner(regressing_workload, paper_platform(1500, 2))
+        result = partitioner.run(1)
         totals = [result.initial_cycles] + [s.total_cycles for s in result.steps]
         assert totals == sorted(totals, reverse=True)
 
@@ -61,10 +61,10 @@ class TestRegressingMoveRevert:
         self, regressing_workload
     ):
         config = EngineConfig(allow_regressing_moves=True)
-        engine = PartitioningEngine(
+        partitioner = GreedyPartitioner(
             regressing_workload, paper_platform(1500, 2), config=config
         )
-        result = engine.run(1)
+        result = partitioner.run(1)
         # The literal Figure 2 loop commits the bad move and pays for it.
         assert result.moved_bb_ids[0] == 1
         assert result.reverted_bb_ids == []
@@ -80,17 +80,11 @@ class TestRegressingMoveRevert:
 
     def test_paper_workloads_never_regress(self, ofdm, jpeg):
         for workload in (ofdm, jpeg):
-            result = PartitioningEngine(
+            result = GreedyPartitioner(
                 workload, paper_platform(1500, 2)
             ).run(1)
             assert result.final_cycles <= result.initial_cycles
             assert result.reduction_percent >= 0.0
-
-    def test_stats_count_reverts(self, regressing_workload):
-        engine = PartitioningEngine(regressing_workload, paper_platform(1500, 2))
-        result = engine.run(1)
-        assert engine.stats.moves_reverted == len(result.reverted_bb_ids) > 0
-        assert engine.stats.moves_committed == len(result.moved_bb_ids)
 
 
 class TestComponentRounding:
@@ -103,10 +97,10 @@ class TestComponentRounding:
         workload = synthetic_application(
             20, seed=seed, comm_intensity=0.9, kernel_fraction=0.6
         )
-        engine = PartitioningEngine(workload, paper_platform(1500, 2))
-        initial = engine.initial_cycles()
+        partitioner = GreedyPartitioner(workload, paper_platform(1500, 2))
+        initial = partitioner.initial_cycles()
         for constraint in (1, initial // 2, (initial * 9) // 10):
-            result = engine.run(max(1, constraint))
+            result = partitioner.run(max(1, constraint))
             for step in result.steps:
                 assert (
                     step.fpga_cycles + step.cgc_fpga_cycles + step.comm_cycles
@@ -119,7 +113,7 @@ class TestComponentRounding:
             result.validate()
 
     def test_eq2_recomposition_exact_on_paper_workload(self, ofdm):
-        result = PartitioningEngine(ofdm, paper_platform(1500, 2)).run(1)
+        result = GreedyPartitioner(ofdm, paper_platform(1500, 2)).run(1)
         assert (
             result.fpga_cycles + result.cycles_in_cgc + result.comm_cycles
             == result.final_cycles
@@ -135,18 +129,24 @@ class TestIncrementalDifferential:
         for workload in (ofdm, jpeg):
             for afpga, cgc_count in ((1500, 2), (5000, 3)):
                 platform = paper_platform(afpga, cgc_count)
-                inc = PartitioningEngine(workload, platform, config=config)
+                inc = GreedyPartitioner(workload, platform, config=config)
                 model = CostModel(workload, platform)
                 initial = inc.initial_cycles()
                 constraints = [1, initial // 2, (initial * 3) // 4, initial * 2]
-                assert inc.sweep(constraints) == [
+                results = inc.sweep(constraints)
+                assert results == [
                     full_rescan(model, constraint, config)
                     for constraint in constraints
                 ]
+                reference = object_partitioner(
+                    AlgorithmSpec.greedy(), workload, platform,
+                    config=config,
+                )
+                assert results == reference.sweep(constraints)
 
     def test_incremental_needs_fewer_evaluations(self, ofdm):
         platform = paper_platform(1500, 2)
-        inc = PartitioningEngine(ofdm, platform)
+        inc = GreedyPartitioner(ofdm, platform)
         full = CostModel(ofdm, platform)
         initial = inc.initial_cycles()
         constraints = [1, initial // 2, (initial * 3) // 4]
@@ -176,27 +176,29 @@ class TestIncrementalDifferential:
         )
         cdfg = cdfg_from_source(src)
         workload = workload_from_cdfg(cdfg, profile_cdfg(cdfg, "f", 10), "div")
-        engine = PartitioningEngine(
+        partitioner = GreedyPartitioner(
             workload,
             paper_platform(1500, 2),
             config=EngineConfig(skip_unsupported_kernels=False),
         )
         with pytest.raises(ValueError):
-            engine.run(1)
+            partitioner.run(1)
         # The unsupported kernel must still be pending: retrying raises
         # again instead of silently dropping it from the trajectory.
         with pytest.raises(ValueError):
-            engine.run(1)
+            partitioner.run(1)
 
     def test_sweep_warm_starts_from_cached_trajectory(self, ofdm):
-        engine = PartitioningEngine(ofdm, paper_platform(1500, 2))
-        first = engine.run(1)  # builds the whole trajectory
-        evals_after_first = engine.stats.block_cost_evaluations
-        second = engine.run(first.initial_cycles // 2)
-        # Replay costs zero new block-cost evaluations.
-        assert engine.stats.block_cost_evaluations == evals_after_first
-        assert engine.stats.warm_started_runs >= 1
-        fresh = PartitioningEngine(ofdm, paper_platform(1500, 2)).run(
+        partitioner = GreedyPartitioner(ofdm, paper_platform(1500, 2))
+        first = partitioner.run(1)  # builds the whole trajectory
+        evals_after_first = partitioner.stats.block_cost_evaluations
+        entries_after_first = len(partitioner.trajectory.entries)
+        second = partitioner.run(first.initial_cycles // 2)
+        # Replay costs zero new block-cost evaluations and reads the
+        # cached trajectory instead of extending it.
+        assert partitioner.stats.block_cost_evaluations == evals_after_first
+        assert len(partitioner.trajectory.entries) == entries_after_first
+        fresh = GreedyPartitioner(ofdm, paper_platform(1500, 2)).run(
             first.initial_cycles // 2
         )
         assert second == fresh

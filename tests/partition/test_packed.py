@@ -217,6 +217,23 @@ class TestVisitLog:
         assert len(reduced) == 2
         assert reduced.best_by_shape
 
+    def test_absorb_columns_adopts_int64_segments(self, table):
+        """A walk segment's packed int64 columns become the log's
+        columns, with the entries recorded before them kept in front."""
+        from array import array
+
+        log = PackedVisitLog()
+        log.record(table.initial_ticks, 0)
+        ticks = array("q", [table.total_ticks_of(m) for m in (0b1, 0b11)])
+        masks = array("q", [0b1, 0b11])
+        log.absorb_columns(ticks, masks)
+        assert log.ticks is ticks and log.masks is masks
+        assert list(log.entries()) == [
+            (table.initial_ticks, 0),
+            (table.total_ticks_of(0b1), 0b1),
+            (table.total_ticks_of(0b11), 0b11),
+        ]
+
     def test_absorb_reduced_merges_shard_summaries(self, table):
         """Two shards reduced independently then merged equal one log
         that saw every visit — the fold is order-independent."""

@@ -1,4 +1,4 @@
-"""Partitioning engine tests: workload, communication, engine loop."""
+"""Partitioning tests: workload, communication, the Figure 2 loop."""
 
 import pytest
 
@@ -7,15 +7,14 @@ from repro.partition import (
     ApplicationWorkload,
     BlockWorkload,
     EngineConfig,
-    PartitioningEngine,
     kernel_communication,
-    partition_application,
     total_communication_cycles,
     workload_from_cdfg,
 )
 from repro.analysis import profile_cdfg
 from repro.ir import cdfg_from_source
 from repro.platform import Interconnect, SharedMemory, paper_platform
+from repro.search import GreedyPartitioner
 from repro.workloads import SyntheticBlockProfile, generate_dfg, make_profile
 
 
@@ -135,45 +134,45 @@ class TestCommunication:
 
 class TestEngine:
     def test_initial_cycles_stable(self, tiny_workload):
-        engine = PartitioningEngine(tiny_workload, paper_platform(1500, 2))
-        assert engine.initial_cycles() == engine.initial_cycles()
+        partitioner = GreedyPartitioner(tiny_workload, paper_platform(1500, 2))
+        assert partitioner.initial_cycles() == partitioner.initial_cycles()
 
     def test_constraint_already_met_moves_nothing(self, tiny_workload):
-        engine = PartitioningEngine(tiny_workload, paper_platform(1500, 2))
-        initial = engine.initial_cycles()
-        result = engine.run(initial + 1)
+        partitioner = GreedyPartitioner(tiny_workload, paper_platform(1500, 2))
+        initial = partitioner.initial_cycles()
+        result = partitioner.run(initial + 1)
         assert result.constraint_met
         assert result.moved_bb_ids == []
         assert result.final_cycles == initial
 
     def test_moves_heaviest_first(self, tiny_workload):
-        engine = PartitioningEngine(tiny_workload, paper_platform(1500, 2))
-        result = engine.run(1)  # unreachable constraint -> move all
+        partitioner = GreedyPartitioner(tiny_workload, paper_platform(1500, 2))
+        result = partitioner.run(1)  # unreachable constraint -> move all
         assert result.moved_bb_ids == [1, 2, 3]
         assert not result.constraint_met
 
     def test_stops_at_constraint(self, tiny_workload):
-        engine = PartitioningEngine(tiny_workload, paper_platform(1500, 2))
-        all_moved = engine.run(1)
+        partitioner = GreedyPartitioner(tiny_workload, paper_platform(1500, 2))
+        all_moved = partitioner.run(1)
         # pick a constraint met after the first move
         first_total = all_moved.steps[0].total_cycles
-        result = PartitioningEngine(
+        result = GreedyPartitioner(
             tiny_workload, paper_platform(1500, 2)
         ).run(first_total)
         assert result.moved_bb_ids == [1]
         assert result.constraint_met
 
     def test_steps_recorded_monotone_totals(self, tiny_workload):
-        engine = PartitioningEngine(tiny_workload, paper_platform(1500, 2))
-        result = engine.run(1)
+        partitioner = GreedyPartitioner(tiny_workload, paper_platform(1500, 2))
+        result = partitioner.run(1)
         assert len(result.steps) == 3
         totals = [s.total_cycles for s in result.steps]
         assert totals == sorted(totals, reverse=True)
 
     def test_eq2_consistency(self, tiny_workload):
         """final = t_FPGA + t_coarse + t_comm (within rounding)."""
-        engine = PartitioningEngine(tiny_workload, paper_platform(1500, 2))
-        result = engine.run(1)
+        partitioner = GreedyPartitioner(tiny_workload, paper_platform(1500, 2))
+        result = partitioner.run(1)
         recomposed = (
             result.fpga_cycles + result.cycles_in_cgc + result.comm_cycles
         )
@@ -181,33 +180,33 @@ class TestEngine:
 
     def test_max_kernels_config(self, tiny_workload):
         config = EngineConfig(max_kernels_moved=1)
-        engine = PartitioningEngine(
+        partitioner = GreedyPartitioner(
             tiny_workload, paper_platform(1500, 2), config=config
         )
-        result = engine.run(1)
+        result = partitioner.run(1)
         assert len(result.moved_bb_ids) == 1
 
     def test_reduction_percent(self, tiny_workload):
-        result = partition_application(
-            tiny_workload, paper_platform(1500, 2), 1
-        )
+        result = GreedyPartitioner(
+            tiny_workload, paper_platform(1500, 2)
+        ).run(1)
         expected = 100.0 * (result.initial_cycles - result.final_cycles) / (
             result.initial_cycles
         )
         assert result.reduction_percent == pytest.approx(expected)
 
     def test_invalid_constraint(self, tiny_workload):
-        engine = PartitioningEngine(tiny_workload, paper_platform(1500, 2))
+        partitioner = GreedyPartitioner(tiny_workload, paper_platform(1500, 2))
         with pytest.raises(ValueError):
-            engine.run(0)
+            partitioner.run(0)
 
     def test_unsupported_kernel_skipped(self):
         # A DFG with a DIV cannot run on the CGC; engine should skip it.
         src = "int f(int n) { int s = 0; for (int i = 1; i <= n; i++) { s += 100 / i; } return s; }"
         cdfg = cdfg_from_source(src)
         workload = workload_from_cdfg(cdfg, profile_cdfg(cdfg, "f", 10), "div")
-        engine = PartitioningEngine(workload, paper_platform(1500, 2))
-        result = engine.run(1)
+        partitioner = GreedyPartitioner(workload, paper_platform(1500, 2))
+        result = partitioner.run(1)
         assert result.skipped_bb_ids
 
     def test_unsupported_kernel_raises_when_strict(self):
@@ -215,22 +214,22 @@ class TestEngine:
         cdfg = cdfg_from_source(src)
         workload = workload_from_cdfg(cdfg, profile_cdfg(cdfg, "f", 10), "div")
         config = EngineConfig(skip_unsupported_kernels=False)
-        engine = PartitioningEngine(
+        partitioner = GreedyPartitioner(
             workload, paper_platform(1500, 2), config=config
         )
         with pytest.raises(ValueError):
-            engine.run(1)
+            partitioner.run(1)
 
     def test_sweep_shares_cache(self, tiny_workload):
-        engine = PartitioningEngine(tiny_workload, paper_platform(1500, 2))
-        results = engine.sweep([1, 10**9])
+        partitioner = GreedyPartitioner(tiny_workload, paper_platform(1500, 2))
+        results = partitioner.sweep([1, 10**9])
         assert not results[0].constraint_met or results[0].moved_bb_ids
         assert results[1].constraint_met and results[1].moved_bb_ids == []
 
     def test_result_table_row(self, tiny_workload):
-        result = partition_application(
-            tiny_workload, paper_platform(1500, 2), 1
-        )
+        result = GreedyPartitioner(
+            tiny_workload, paper_platform(1500, 2)
+        ).run(1)
         row = result.table_row()
         assert set(row) == {
             "initial_cycles",
@@ -241,8 +240,8 @@ class TestEngine:
         }
 
     def test_summary_readable(self, tiny_workload):
-        result = partition_application(
-            tiny_workload, paper_platform(1500, 2), 1
-        )
+        result = GreedyPartitioner(
+            tiny_workload, paper_platform(1500, 2)
+        ).run(1)
         text = result.summary()
         assert "tiny" in text and "BBs moved" in text

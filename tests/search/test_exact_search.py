@@ -11,12 +11,16 @@ budget.  The serial unpruned walk is the reference everywhere.
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import object_partitioner
 from repro.explore import WorkloadSpec
 from repro.partition import EngineConfig
 from repro.platform import paper_platform
 from repro.search import AlgorithmSpec, make_partitioner
-from repro.search.exhaustive import ExhaustivePartitioner
+from repro.search.exhaustive import ExhaustivePartitioner, _walk_shard
+from repro.workloads import synthetic_application
 
 # Workload families (6–22 supported kernels; synth20 carries a
 # zero-delta kernel, so the moves/BB-ids tie-break is exercised too).
@@ -129,20 +133,26 @@ def test_sharded_walk_worker_count_independent(
 def test_sharded_keep_visits_reproduces_serial_columns(
     workloads, platform, references
 ):
-    """With ``keep_visits=True`` the shards' concatenated columns are
-    the serial walk's visit sequence, record for record."""
+    """Walk segments that keep their visits concatenate, in shard order,
+    to the serial walk's visit sequence, record for record — the
+    property the sharded walk's reduced merge relies on."""
     reference = references["synth12"]
     serial = make_partitioner(
         AlgorithmSpec.exhaustive(), workloads["synth12"], platform,
         config=EngineConfig(),
     )
     serial.run(reference["constraint"])
-    sharded = ExhaustivePartitioner(
-        workloads["synth12"], platform, shards=4, keep_visits=True,
-        config=EngineConfig(search_workers=1),
-    )
-    sharded.run(reference["constraint"])
-    assert sharded.visited == serial.visited
+    table = serial.table
+    codes = (1 << len(table)) - 1
+    ticks, masks = [table.initial_ticks], [0]
+    for index in range(4):
+        lo = 1 + codes * index // 4
+        hi = 1 + codes * (index + 1) // 4
+        outcome = _walk_shard((table, index, lo, hi, True, None))
+        ticks.extend(outcome.ticks)
+        masks.extend(outcome.masks)
+    assert ticks == list(serial._log.ticks)
+    assert masks == list(serial._log.masks)
 
 
 # ----------------------------------------------------------------------
@@ -259,9 +269,10 @@ def test_certifies_32_plus_kernels_against_analytic_optimum(platform):
 def test_reduced_log_keeps_front_and_counts(
     workloads, platform, references
 ):
+    """``shards=1`` walks in-process but keeps the reduced log."""
     reference = references["synth12"]
     partitioner = ExhaustivePartitioner(
-        workloads["synth12"], platform, keep_visits=False,
+        workloads["synth12"], platform, shards=1,
     )
     partitioner.run(reference["constraint"])
     assert partitioner.visited_count == reference["visits"]
@@ -336,3 +347,59 @@ def test_pool_fallback_when_workers_exceed_machine(
     )
     assert result == reference["result"]
     assert partitioner.pareto_front() == reference["front"]
+
+
+# ----------------------------------------------------------------------
+# Property: every exact-search mode agrees on generated workloads
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+# synth20's BB 3 has a zero move delta, so its optimum ties on ticks with
+# one more move: the fewer-moves rule decides.
+@example(
+    blocks=20, seed=5, kernel_fraction=0.8, comm_intensity=0.5, budget=None
+)
+@given(
+    blocks=st.integers(6, 16),
+    seed=st.integers(0, 10_000),
+    kernel_fraction=st.floats(0.3, 1.0),
+    comm_intensity=st.floats(0.0, 1.5),
+    budget=st.sampled_from((None, 1, 2, 3)),
+)
+def test_exact_modes_agree_with_the_object_walk(
+    blocks, seed, kernel_fraction, comm_intensity, budget
+):
+    """The serial walk, the sharded walk (unbudgeted only), branch-and-
+    bound and sharded branch-and-bound give identical results and Pareto
+    fronts, the unpruned modes identical visit counts, and all of them
+    what the object depth-first walk in ``tests/oracles`` gives."""
+    workload = synthetic_application(
+        blocks, seed=seed, kernel_fraction=kernel_fraction,
+        comm_intensity=comm_intensity,
+    )
+    platform = paper_platform(1500, 2)
+    reference = object_partitioner(
+        AlgorithmSpec.exhaustive(), workload, platform,
+        config=EngineConfig(max_kernels_moved=budget),
+    )
+    constraints = [1, max(1, reference.initial_cycles() // 2)]
+    expected = reference.sweep(constraints)
+    front = reference.pareto_front()
+    specs = [AlgorithmSpec.exhaustive()]
+    if budget is None:
+        specs += [
+            AlgorithmSpec.exhaustive(shards=2),
+            AlgorithmSpec.exhaustive(shards=4),
+        ]
+    specs += [
+        AlgorithmSpec.exhaustive(prune=True),
+        AlgorithmSpec.exhaustive(prune=True, shards=2),
+    ]
+    for spec in specs:
+        partitioner = make_partitioner(
+            spec, workload, platform,
+            config=EngineConfig(max_kernels_moved=budget, search_workers=1),
+        )
+        assert partitioner.sweep(constraints) == expected, spec.label
+        assert partitioner.pareto_front() == front, spec.label
+        if not dict(spec.params)["prune"]:
+            assert partitioner.visited_count == reference.visited_count

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.partition import (
-    ApplicationWorkload,
-    BlockWorkload,
-    EngineConfig,
-    PartitioningEngine,
-)
+from oracles import object_partitioner
+from repro.partition import ApplicationWorkload, BlockWorkload, EngineConfig
 from repro.platform import paper_platform
 from repro.search import (
     ALGORITHM_NAMES,
@@ -67,6 +63,38 @@ class TestAlgorithmSpec:
         with pytest.raises(ValueError):
             AlgorithmSpec(name="tabu")
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: AlgorithmSpec.exhaustive(max_candidates=0),
+             "max_candidates must be >= 1"),
+            (lambda: AlgorithmSpec.exhaustive(shards=0),
+             "shards must be >= 1"),
+            (lambda: AlgorithmSpec.multi_start(restarts=0),
+             "restarts must be >= 1"),
+            (lambda: AlgorithmSpec.multi_start(jitter=1.0),
+             "jitter must be in"),
+            (lambda: AlgorithmSpec.annealing(cooling=2),
+             "cooling must be in"),
+            (lambda: AlgorithmSpec.annealing(initial_temp=0.0),
+             "initial_temp must be positive"),
+            (lambda: AlgorithmSpec.annealing(temp_levels=0),
+             "temp_levels must be >= 1"),
+            (lambda: AlgorithmSpec.annealing(steps_per_temp=0),
+             "steps_per_temp must be >= 1"),
+            (lambda: AlgorithmSpec(name="annealing",
+                                   params=(("cooling", "fast"),)),
+             "cooling must be in"),
+        ],
+    )
+    def test_out_of_range_parameters_rejected_when_built(
+        self, build, message
+    ):
+        """Ranges are checked where a spec enters (CLI, job requests,
+        grids), not when a worker builds the partitioner."""
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_factories_cover_registry(self):
         assert sorted(spec.name for spec in ALL_SPECS) == sorted(
             ALGORITHM_NAMES
@@ -101,29 +129,37 @@ class TestAlgorithmSpec:
             assert partitioner.algorithm == spec.name
 
 
+def object_greedy(workload, platform, config=None):
+    """The object greedy walk in ``tests/oracles`` (the reference)."""
+    return object_partitioner(
+        AlgorithmSpec.greedy(), workload, platform, config=config
+    )
+
+
 class TestGreedyDifferential:
-    """The protocol greedy must be bit-identical to the engine."""
+    """The protocol greedy must be bit-identical to the object walk."""
 
     @pytest.mark.parametrize("afpga,cgc_count", [(1500, 2), (5000, 3)])
     def test_identical_on_paper_workloads(self, ofdm, jpeg, afpga, cgc_count):
         for workload in (ofdm, jpeg):
             plat = paper_platform(afpga, cgc_count)
-            engine = PartitioningEngine(workload, plat)
+            reference = object_greedy(workload, plat)
             greedy = GreedyPartitioner(workload, plat)
-            initial = engine.initial_cycles()
+            initial = greedy.initial_cycles()
             constraints = [1, initial // 2, (initial * 3) // 4, initial * 2]
-            assert greedy.sweep(constraints) == engine.sweep(constraints)
+            assert greedy.sweep(constraints) == reference.sweep(constraints)
+            assert greedy.visited == reference.visited
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_identical_on_synthetic_workloads(self, seed, platform):
         workload = synthetic_application(
             20, seed=seed, comm_intensity=0.8, kernel_fraction=0.6
         )
-        engine = PartitioningEngine(workload, platform)
+        reference = object_greedy(workload, platform)
         greedy = GreedyPartitioner(workload, platform)
-        initial = engine.initial_cycles()
+        initial = greedy.initial_cycles()
         constraints = [1, initial // 2, (initial * 9) // 10]
-        assert greedy.sweep(constraints) == engine.sweep(constraints)
+        assert greedy.sweep(constraints) == reference.sweep(constraints)
 
     def test_identical_under_budget_and_no_stop(self, ofdm):
         for config in (
@@ -132,13 +168,38 @@ class TestGreedyDifferential:
             EngineConfig(allow_regressing_moves=True),
         ):
             plat = paper_platform(1500, 2)
-            engine = PartitioningEngine(
+            reference = object_greedy(
                 ofdm, plat, config=EngineConfig(**vars(config))
             )
             greedy = GreedyPartitioner(
                 ofdm, plat, config=EngineConfig(**vars(config))
             )
-            assert greedy.run(1) == engine.run(1)
+            assert greedy.run(1) == reference.run(1)
+
+    def test_identical_on_the_skewed_traps(self, skewed_workload, platform):
+        """The handmade trap, and the same trap grown on a synthetic
+        base (the two scenarios of ``benchmarks/bench_search.py``)."""
+        base = synthetic_application(
+            10, seed=8, kernel_fraction=0.5, comm_intensity=0.1
+        )
+        grown = ApplicationWorkload(
+            name="skewed-generated",
+            blocks=[
+                *base.blocks,
+                block(90, 2600, 24, width=1.0, live=(55, 55)),
+                block(91, 700, 52, mul_fraction=0.5, live=(2, 1)),
+                block(92, 600, 50, mul_fraction=0.5, live=(2, 1)),
+            ],
+        )
+        config = dict(stop_at_constraint=False, max_kernels_moved=2)
+        for workload in (skewed_workload, grown):
+            reference = object_greedy(
+                workload, platform, config=EngineConfig(**config)
+            )
+            greedy = GreedyPartitioner(
+                workload, platform, config=EngineConfig(**config)
+            )
+            assert greedy.run(1) == reference.run(1), workload.name
 
     def test_strict_unsupported_mode_raises(self, platform):
         from repro.analysis import profile_cdfg
@@ -346,11 +407,11 @@ class TestProtocolBehaviour:
         config = EngineConfig()
         greedy = GreedyPartitioner(ofdm, plat, config=config)
         config.charge_single_partition_reconfig = True
-        engine = PartitioningEngine(
+        charged = GreedyPartitioner(
             ofdm, plat,
             config=EngineConfig(charge_single_partition_reconfig=True),
         )
-        assert greedy.run(1) == engine.run(1)
+        assert greedy.run(1) == charged.run(1)
 
     def test_annealing_with_zero_move_budget(self, skewed_workload, platform):
         """budget=0 must yield the all-FPGA mapping, not crash on an

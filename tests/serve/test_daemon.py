@@ -127,6 +127,27 @@ class TestEndpoints:
         assert status == 400
         assert payload["error"]["code"] == "invalid-request"
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            "exhaustive:max_candidates=0",
+            "exhaustive:shards=0",
+            "annealing:cooling=2",
+            "multi_start:restarts=0",
+        ],
+    )
+    def test_out_of_range_algorithm_parameter_is_400(
+        self, daemon, algorithm
+    ):
+        status, payload, _ = post(
+            daemon, "/jobs", {**JOB, "algorithm": algorithm}
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-request"
+        assert algorithm.split(":")[0] in payload["error"]["message"]
+        status, stats = get(daemon, "/stats")
+        assert stats["jobs"]["submitted"] == 0
+
     def test_empty_body_is_400(self, daemon):
         status, payload, _ = post(daemon, "/jobs", b"")
         assert status == 400

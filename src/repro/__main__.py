@@ -156,23 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also print the Pareto front of visited configurations",
     )
     part.add_argument(
-        "--shards", type=int, default=None,
-        help="split the exhaustive Gray-code walk into this many worker "
-        "segments (exhaustive algorithm only; results are bit-identical "
-        "to the serial walk)",
-    )
-    part.add_argument(
-        "--prune", action="store_true",
-        help="exact branch-and-bound instead of full enumeration "
-        "(exhaustive algorithm only; certified-identical optimum and "
-        "Pareto front)",
-    )
-    part.add_argument(
-        "--search-workers", type=int, default=None,
-        help="process cap for sharded exact search (default: machine "
-        "cores; 1 forces an in-process run)",
-    )
-    part.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget for the search; on expiry the best "
         "configuration found so far is returned, marked uncertified",
@@ -475,28 +458,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         reconfig_cycles=args.reconfig_cycles,
     )
     algorithm = args.algorithm
-    exact_flags = args.shards is not None or args.prune
-    if exact_flags and algorithm.name != "exhaustive":
-        print(
-            "error: --shards/--prune apply to the exhaustive "
-            f"algorithm only (got {algorithm.label!r})",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        if exact_flags:
-            merged = dict(algorithm.params)
-            if args.shards is not None:
-                merged["shards"] = args.shards
-            if args.prune:
-                merged["prune"] = True
-            algorithm = AlgorithmSpec(
-                name="exhaustive", params=tuple(sorted(merged.items()))
-            )
-        config = EngineConfig(
-            max_kernels_moved=args.max_kernels,
-            search_workers=args.search_workers,
-        )
+        config = EngineConfig(max_kernels_moved=args.max_kernels)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -526,20 +489,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             "configuration found so far (uncertified)",
             file=sys.stderr,
         )
-    shard_outcomes = getattr(partitioner, "shard_outcomes", [])
-    pruned = getattr(partitioner, "pruned_subtrees", 0)
-    if shard_outcomes or pruned:
-        print(
-            f"exact search: {partitioner.visited_count} configurations "
-            f"visited, {pruned} subtrees pruned"
-        )
-        for stats in shard_outcomes:
-            print(
-                f"  shard {stats['shard']:>2}: {stats['visits']} visits "
-                f"in {stats['seconds']:.3f}s "
-                f"({stats['configs_per_second']:.0f}/s, "
-                f"{stats['pruned_subtrees']} pruned)"
-            )
     for step in result.steps:
         marker = "met" if step.constraint_met else "   "
         print(

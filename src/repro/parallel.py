@@ -1,7 +1,7 @@
 """Shared process fan-out with supervision, retries, and a serial fallback.
 
-The explore grids, the scenario suite, the sharded exhaustive walk and
-the batch server all fan tasks out the same way: a
+The explore grids, the scenario suite and the batch server all fan
+tasks out the same way: a
 ``ProcessPoolExecutor`` warmed by a probe submission (worker processes
 spawn lazily, so an unusable pool — no fork, no sem_open — may only
 surface then), degrading to a serial in-process run when the pool

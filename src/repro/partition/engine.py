@@ -47,14 +47,7 @@ class EngineConfig:
     #: literal Figure 2 loop, which never reverts.  Ablation knob; the
     #: default reverts moves that strictly worsen the total.
     allow_regressing_moves: bool = False
-    #: Worker-process cap for search modes that fan out (the sharded
-    #: exhaustive walk).  ``None`` sizes to the machine's cores; ``1``
-    #: forces an in-process serial run.  Results are bit-identical
-    #: regardless of the value — it only bounds parallelism.
-    search_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_kernels_moved is not None and self.max_kernels_moved < 0:
             raise ValueError("max_kernels_moved must be >= 0")
-        if self.search_workers is not None and self.search_workers < 1:
-            raise ValueError("search_workers must be >= 1")

@@ -23,8 +23,7 @@ columns, so the search hot loops run on plain ints:
 * :class:`PackedVisitLog` — the visited-configuration log as two
   parallel columns ``(total_ticks, mask)``, materialized to
   :class:`~repro.search.pareto.VisitedConfiguration` records lazily so
-  recording a configuration in a million-subset enumeration costs two
-  list appends.
+  recording a configuration costs two list appends.
 * :class:`ShapeReduction` — the lossless per-(moved, rows) Pareto
   reduction a visit log folds into, and the one place the Pareto
   incumbent rule is written.
@@ -40,8 +39,7 @@ rounding at the boundary.
 
 from __future__ import annotations
 
-from array import array
-from typing import TYPE_CHECKING, Iterable, Iterator, MutableSequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .. import telemetry
 from ..analysis.weights import WeightModel
@@ -295,9 +293,10 @@ class ShapeReduction:
     minimum can reach the Pareto front.  This is the one home of the
     Pareto incumbent rule: the fewest cycles per shape, exact cycle ties
     to the lexicographically smallest BB tuple.  The working set stays
-    at O(distinct shapes) — a few dozen — however many visits stream
-    through, and folding is order-independent (the rule is a
-    deterministic minimum), so shard summaries merge in any order.
+    at O(distinct shapes) however many visits stream through, and
+    folding is order-independent (the rule is a deterministic minimum).
+    The closed-form exact search in :mod:`repro.search.exhaustive`
+    computes each shape's incumbent directly.
     """
 
     __slots__ = ("best", "_ratio", "_rows_used", "_bb_ids_of", "_decoded")
@@ -343,132 +342,29 @@ class ShapeReduction:
 class PackedVisitLog:
     """Visited configurations as (total_ticks, mask) columns.
 
-    ``record`` deduplicates by mask (the heuristics revisit subsets);
-    ``record_unchecked`` is for enumeration walks that are
-    duplicate-free by construction (the Gray-code walk never revisits a
-    mask), where a million-entry seen-set would dominate the cost of
-    the search itself.  The columns default to plain lists (masks can
-    exceed 64 bits on kernel-rich workloads); a walk whose values
-    provably fit hands over packed int64 ``array`` columns, which
-    :meth:`absorb_columns` adopts.
-
-    Reduced mode (``drop_visits``): 2^32-scale sharded/pruned walks
-    cannot afford per-visit columns at all, so the log can instead fold
-    every visit straight into a :class:`ShapeReduction` — bit-identical
-    fronts and best-config tracking, O(distinct shapes) memory, but no
-    per-visit ``entries()`` replay.  Full and reduced logs of the same
-    visited set produce identical fronts, because the full log's front
-    goes through the same reduction.
+    ``record`` deduplicates by mask (the heuristics revisit subsets).
+    The columns are plain lists, as masks can exceed 64 bits on
+    kernel-rich workloads.
     """
 
-    __slots__ = ("ticks", "masks", "_seen", "visit_count", "reduction")
+    __slots__ = ("ticks", "masks", "_seen")
 
     def __init__(self) -> None:
-        self.ticks: MutableSequence[int] = []
-        self.masks: MutableSequence[int] = []
+        self.ticks: list[int] = []
+        self.masks: list[int] = []
         self._seen: set[int] = set()
-        #: Configurations recorded in reduced mode (columns track their
-        #: own length until then).
-        self.visit_count = 0
-        #: The reduction every visit folds into once ``drop_visits``
-        #: switched the log to reduced mode; None while it keeps columns.
-        self.reduction: ShapeReduction | None = None
 
     def __len__(self) -> int:
-        if self.reduction is None:
-            return len(self.masks)
-        return self.visit_count
+        return len(self.masks)
 
-    @property
-    def reduced(self) -> bool:
-        return self.reduction is not None
-
-    @property
-    def best_by_shape(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """(moved_count, rows_used) -> (total_cycles, mask), reduced."""
-        return {} if self.reduction is None else self.reduction.best
-
-    def drop_visits(self, table: PackedCostTable) -> None:
-        """Switch to reduced mode in place, folding any columns already
-        recorded (idempotent)."""
-        if self.reduction is not None:
-            return
-        self.reduction = ShapeReduction(table)
-        self.visit_count = len(self.masks)
-        for total_ticks, mask in zip(self.ticks, self.masks, strict=True):
-            self.reduction.add(total_ticks, mask)
-        self.ticks = []
-        self.masks = []
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
     def record(self, total_ticks: int, mask: int) -> None:
         if mask in self._seen:
             return
         self._seen.add(mask)
-        if self.reduction is None:
-            self.ticks.append(total_ticks)
-            self.masks.append(mask)
-        else:
-            self.visit_count += 1
-            self.reduction.add(total_ticks, mask)
-
-    def record_unchecked(self, total_ticks: int, mask: int) -> None:
-        if self.reduction is None:
-            self.ticks.append(total_ticks)
-            self.masks.append(mask)
-        else:
-            self.visit_count += 1
-            self.reduction.add(total_ticks, mask)
-
-    # ------------------------------------------------------------------
-    # Shard-summary merges (deterministic: the fold rule is a minimum)
-    # ------------------------------------------------------------------
-    def absorb_columns(
-        self, ticks: MutableSequence[int], masks: MutableSequence[int]
-    ) -> None:
-        """Append (or fold) one walk segment's duplicate-free columns.
-
-        Packed int64 segment columns are adopted, not copied into the
-        lists: 2^n boxed ints would dominate a walk's memory (n=24 →
-        ~1.3 GB).  The entries recorded so far move in front of them.
-        """
-        if self.reduction is not None:
-            add = self.reduction.add
-            for total_ticks, mask in zip(ticks, masks, strict=True):
-                add(total_ticks, mask)
-            self.visit_count += len(masks)
-        elif isinstance(ticks, array) and isinstance(self.ticks, list):
-            ticks[:0] = array("q", self.ticks)
-            masks[:0] = array("q", self.masks)
-            self.ticks, self.masks = ticks, masks
-        else:
-            self.ticks.extend(ticks)
-            self.masks.extend(masks)
-
-    def absorb_reduced(
-        self,
-        visit_count: int,
-        best_items: Iterable[tuple[tuple[int, int], tuple[int, int]]],
-    ) -> None:
-        """Merge one shard's already-reduced ``best_by_shape`` summary."""
-        if self.reduction is None:
-            raise ValueError(
-                "absorb_reduced needs a reduced-mode log; call "
-                "drop_visits first"
-            )
-        self.visit_count += visit_count
-        merge = self.reduction.merge
-        for key, (cycles, mask) in best_items:
-            merge(key, cycles, mask)
+        self.ticks.append(total_ticks)
+        self.masks.append(mask)
 
     def entries(self) -> Iterator[tuple[int, int]]:
-        if self.reduction is not None:
-            raise ValueError(
-                "per-visit entries were dropped (reduced mode); only the "
-                "Pareto reduction and counts survive"
-            )
         return zip(self.ticks, self.masks, strict=True)
 
 

@@ -56,8 +56,8 @@ class PartitionResult:
     reverted_bb_ids: list[int] = field(default_factory=list)
     #: True when the search stopped early (expired deadline) and this is
     #: a best-so-far answer rather than the algorithm's full result; an
-    #: exhaustive/branch-and-bound result with ``partial=True`` is NOT a
-    #: certified optimum.
+    #: exhaustive result with ``partial=True`` is NOT a certified
+    #: optimum.
     partial: bool = False
 
     @classmethod

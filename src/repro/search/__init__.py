@@ -7,10 +7,11 @@ cost table per (workload, platform) pair (:mod:`repro.partition.packed`):
 
 * :class:`GreedyPartitioner` — the paper's loop, the one class that
   runs it (checked against the seed engine's loop in ``tests/oracles/``);
-* :class:`ExhaustivePartitioner` — optimal over all kernel subsets for
-  small candidate counts; the ground truth heuristics are judged against
-  (Gray-code walk, sharded walk or branch-and-bound, all choosing the
-  optimum by one rule, :class:`~repro.search.base.Optimum`);
+* :class:`ExhaustivePartitioner` — optimal over all kernel subsets,
+  computed in closed form from the per-kernel Eq. 2 move deltas; the
+  ground truth heuristics are judged against (the optimum obeys one
+  rule, :class:`~repro.search.base.Optimum`, and its Pareto front the
+  incumbent rule of :class:`~repro.partition.packed.ShapeReduction`);
 * :class:`MultiStartPartitioner` — randomized greedy restarts with
   seeded tie-breaking (never worse than unbounded greedy);
 * :class:`AnnealingPartitioner` — simulated annealing over subsets with

@@ -36,11 +36,7 @@ from ..partition.result import PartitionResult
 from ..partition.trajectory import commit_step
 from ..partition.workload import ApplicationWorkload
 from ..platform.soc import HybridPlatform
-from .pareto import (
-    VisitedConfiguration,
-    pareto_front_from_best,
-    pareto_front_from_columns,
-)
+from .pareto import VisitedConfiguration, pareto_front_from_columns
 
 #: Algorithm name -> partitioner class; populated by @register_algorithm.
 _REGISTRY: dict[str, type["Partitioner"]] = {}
@@ -85,35 +81,18 @@ class AlgorithmSpec:
 
     @classmethod
     def exhaustive(
-        cls,
-        max_candidates: int | None = None,
-        shards: int | None = None,
-        prune: bool = False,
+        cls, max_candidates: int | None = None, prune: bool = False
     ) -> "AlgorithmSpec":
-        """Optimal over all kernel subsets (ground truth, small inputs).
+        """The optimum over all kernel subsets, in closed form.
 
-        ``max_candidates=None`` resolves per mode: 24 on the serial
-        Gray-code enumeration (one integer toggle per configuration, so
-        16M subsets stay cheap), 32 when the walk is sharded across
-        workers, and 40 with the branch-and-bound pruner.  Pass an
-        explicit cap to override any of them.
-
-        ``shards`` splits the Gray-code mask space into that many
-        contiguous worker segments;  ``prune``
-        switches to the exact additive-bound branch-and-bound.  Both
-        produce results bit-identical to the serial unpruned walk.
+        ``max_candidates`` caps the supported kernel count (None: the
+        partitioner's default of 256).  ``prune`` is accepted for old
+        callers and ignored: the closed form has no search to prune.
         """
+        del prune
         return cls(
             name="exhaustive",
-            params=tuple(
-                sorted(
-                    {
-                        "max_candidates": max_candidates,
-                        "shards": shards,
-                        "prune": prune,
-                    }.items()
-                )
-            ),
+            params=(("max_candidates", max_candidates),),
         )
 
     @classmethod
@@ -188,7 +167,7 @@ class AlgorithmSpec:
 #: default-valued parameter never changes the label.
 _SPEC_DEFAULTS: dict[str, dict[str, object]] = {
     "greedy": {},
-    "exhaustive": {"max_candidates": None, "shards": None, "prune": False},
+    "exhaustive": {"max_candidates": None},
     "multi_start": {"restarts": 8, "seed": 0, "jitter": 0.75},
     "annealing": {
         "seed": 0,
@@ -206,7 +185,6 @@ _SPEC_DEFAULTS: dict[str, dict[str, object]] = {
 _SPEC_RULES: dict[str, dict[str, tuple[Callable[[Any], bool], str]]] = {
     "exhaustive": {
         "max_candidates": (lambda v: v is None or v >= 1, "must be >= 1"),
-        "shards": (lambda v: v is None or v >= 1, "must be >= 1"),
     },
     "multi_start": {
         "restarts": (lambda v: v >= 1, "must be >= 1"),
@@ -242,10 +220,13 @@ class Optimum:
     fewest moves, then the lexicographically smallest BB tuple (decoded
     lazily — exact ties are rare).
 
-    Every search that certifies or keeps a best configuration goes
-    through :meth:`offer`.  Hot loops keep their own inline
-    ``total > best_total`` early-out on a local copy of :attr:`total`
-    and offer only the candidates that may win or tie.
+    The heuristics keep their best configuration through :meth:`offer`
+    (hot loops keep their own inline ``total > best_total`` early-out
+    on a local copy of :attr:`total` and offer only the candidates
+    that may win or tie).  The closed-form exact search computes this
+    rule's winner directly
+    (:func:`~repro.search.exhaustive.optimum_mask`); the enumerating
+    references it is tested against fold through :meth:`offer`.
     """
 
     __slots__ = ("total", "count", "mask", "_ids", "_bb_ids_of")
@@ -373,7 +354,8 @@ class Partitioner(ABC):
         """Search against a timing constraint in FPGA clock cycles.
 
         ``deadline`` is a cooperative :class:`~repro.faults.Deadline`
-        budget: engines poll it at visit-batch boundaries and stop with
+        budget, checked before the search starts; annealing and
+        multi-start also poll it at visit-batch boundaries and stop with
         their best-so-far when it expires, returning a result flagged
         ``partial=True`` (``certified`` False) instead of hanging.  The
         work performed before the cut is deterministic, so an expired
@@ -432,16 +414,9 @@ class Partitioner(ABC):
         records on demand (cached until new configurations are
         recorded); prefer :attr:`visited_count`
         or :meth:`pareto_front` when the records themselves are not
-        needed.  A reduced log (a sharded exact search) has dropped the
-        per-visit columns and raises — use :attr:`visited_count` /
-        :meth:`pareto_front`, which both survive the reduction.
+        needed.
         """
         log = self._log
-        if log.reduced:
-            raise ValueError(
-                "visited configurations were reduced away (sharded exact "
-                "search); use visited_count or pareto_front"
-            )
         if self._materialized is None or len(self._materialized) != len(log):
             table = self.table
             ratio = table.clock_ratio
@@ -468,10 +443,6 @@ class Partitioner(ABC):
     def pareto_front(self) -> list[VisitedConfiguration]:
         """Non-dominated subset of everything visited so far."""
         log = self._log
-        if log.reduced:
-            return pareto_front_from_best(
-                log.best_by_shape, self.table, self.algorithm
-            )
         return pareto_front_from_columns(
             log.ticks, log.masks, self.table, self.algorithm
         )

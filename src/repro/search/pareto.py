@@ -68,7 +68,7 @@ def pareto_front(
         if incumbent is None or config.moved_bb_ids < incumbent.moved_bb_ids:
             by_objectives[config.objectives] = config
     # Lexicographic sweep instead of the O(k^2) all-pairs check (an
-    # exhaustive search visits 2^n configurations): walking candidates in
+    # enumeration visits 2^n configurations): walking candidates in
     # ascending objective order, every already-accepted point has
     # total_cycles <= the current one, so the current point is dominated
     # iff some accepted point also has moved_count <= and rows <=.  The
@@ -99,9 +99,8 @@ def reduce_columns_to_best(
     """Lossless ``(moved, rows) -> (min cycles, mask)`` reduction of a
     visit log's columns (see :class:`~repro.partition.packed.ShapeReduction`).
 
-    The working set stays at O(distinct (moved, rows) pairs) — a few
-    dozen — while a 2^n enumeration log streams through, instead of
-    accumulating millions of objective-vector dict entries.
+    The working set stays at O(distinct (moved, rows) pairs) however
+    long the log, instead of one objective-vector dict entry per visit.
     """
     reduction = ShapeReduction(table)
     add = reduction.add
@@ -117,10 +116,8 @@ def pareto_front_from_best(
 ) -> list[VisitedConfiguration]:
     """The staircase sweep of :func:`pareto_front`, run on a reduced
     ``(moved, rows) -> (cycles, mask)`` map (the output of
-    :func:`reduce_columns_to_best` or a
-    :class:`~repro.partition.packed.PackedVisitLog` in reduced mode).
-    Only the front's members are materialized to
-    :class:`VisitedConfiguration` records."""
+    :func:`reduce_columns_to_best`).  Only the front's members are
+    materialized to :class:`VisitedConfiguration` records."""
     candidates = sorted(
         (cycles, moved, rows, mask)
         for (moved, rows), (cycles, mask) in best.items()
@@ -158,8 +155,8 @@ def pareto_front_from_columns(
     ``ticks``/``masks`` are the parallel columns of a
     :class:`~repro.partition.packed.PackedVisitLog` and ``table`` the
     :class:`~repro.partition.packed.PackedCostTable` that encoded the
-    masks.  Dominated configurations (the overwhelming majority of an
-    exhaustive enumeration) never become Python objects.  Produces
+    masks.  Dominated configurations (most of a long log) never become
+    Python objects.  Produces
     exactly what :func:`pareto_front` produces for the same visited
     set, including the smallest-moved-tuple tie-break between
     configurations with identical objective vectors.

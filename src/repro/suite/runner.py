@@ -117,9 +117,6 @@ def run_scenario(
             if search_seconds > 0
             else 0.0
         ),
-        # Exact-search scenarios report how many branch-and-bound
-        # subtrees the additive bound cut; 0 for every other algorithm.
-        pruned_subtrees=getattr(partitioner, "pruned_subtrees", 0),
         phases=phases,
     )
 

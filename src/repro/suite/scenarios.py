@@ -228,40 +228,38 @@ register_scenario(
     )
 )
 
-# Exact search — certified optima (results are bit-identical to the
-# serial unpruned enumeration by construction, so these scenarios gate
-# the exact-search machinery itself in the regression suite).
+# Exact search — certified optima from the closed form.  The names date
+# from the enumerating searches it replaced; `suite compare` matches on
+# them, so they stay.
 register_scenario(
     Scenario(
         name="exact-sharded-16k",
-        # 16 supported kernels -> the full 65,536-subset Gray walk,
-        # sharded into four worker segments.
+        # 16 supported kernels (a 65,536-subset space).
         workload=WorkloadSpec.synthetic(
             20, seed=5, kernel_fraction=0.8, comm_intensity=0.5
         ),
         constraint_fraction=0.5,
-        algorithm=AlgorithmSpec.exhaustive(shards=4),
-        tags=("synthetic", "exact", "sharded"),
+        algorithm=AlgorithmSpec.exhaustive(),
+        tags=("synthetic", "exact"),
     )
 )
 register_scenario(
     Scenario(
         name="exact-bnb-certify-34",
-        # 34 supported kernels (a 2^34 mask space) certified by the
-        # additive-bound branch-and-bound in a few thousand visits.
+        # 34 supported kernels (a 2^34 subset space).
         workload=WorkloadSpec.synthetic(40, seed=9, kernel_fraction=0.85),
         constraint_fraction=0.5,
-        algorithm=AlgorithmSpec.exhaustive(prune=True),
-        tags=("synthetic", "exact", "bnb"),
+        algorithm=AlgorithmSpec.exhaustive(),
+        tags=("synthetic", "exact"),
     )
 )
 register_scenario(
     Scenario(
         name="exact-bnb-sharded-filterbank",
-        # Both modes composed on a real kernel-rich workload.
+        # A real kernel-rich workload.
         workload=WorkloadSpec.filterbank(),
         constraint_fraction=0.55,
-        algorithm=AlgorithmSpec.exhaustive(shards=2, prune=True),
-        tags=("new-workload", "filterbank", "exact", "sharded", "bnb"),
+        algorithm=AlgorithmSpec.exhaustive(),
+        tags=("new-workload", "filterbank", "exact"),
     )
 )

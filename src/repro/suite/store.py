@@ -23,7 +23,8 @@ from pathlib import Path
 #: v2 added ``results.configs_per_second`` (evaluation throughput is a
 #: first-class longitudinal metric next to cycles and wall time).
 #: v3 added ``results.pruned_subtrees`` (how much of the exact search
-#: space the branch-and-bound certified without visiting).
+#: space the former branch-and-bound certified without visiting; new
+#: records hold 0).
 #: v4 added ``results.phases`` (per-scenario phase breakdown from the
 #: telemetry trace, a JSON object of phase name -> seconds).
 SCHEMA_VERSION = 4
@@ -121,8 +122,9 @@ class ScenarioResult:
     #: evaluation-throughput metric the packed substrate is judged on.
     #: 0.0 in records predating schema v2.
     configs_per_second: float = 0.0
-    #: Branch-and-bound subtrees pruned by the exact-search additive
-    #: bound; 0 for non-exact algorithms and records predating v3.
+    #: Subtrees the branch-and-bound exact search used to prune.  Old
+    #: stores and baselines carry it; the closed-form exact search
+    #: prunes nothing, so new records hold 0.
     pruned_subtrees: int = 0
     #: Per-phase wall seconds from the telemetry trace, sorted by phase
     #: name (a tuple of pairs so the record stays frozen/hashable).

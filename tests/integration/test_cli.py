@@ -115,64 +115,41 @@ class TestPartitionCommand:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_sharded_exhaustive_prints_shard_stats(self, capsys):
-        code = main(
-            [
-                "partition", "--workload", "ofdm", "--fraction", "0.5",
-                "--algorithm", "exhaustive", "--shards", "2",
-                "--search-workers", "1",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "algorithm: exhaustive[shards=2]" in out
-        assert "exact search:" in out
-        assert out.count("shard ") == 2
-
-    def test_prune_flag_reports_pruned_subtrees(self, capsys):
-        code = main(
-            [
-                "partition", "--workload",
-                "synthetic:20:seed=5,kernel_fraction=0.8",
-                "--fraction", "0.5",
-                "--algorithm", "exhaustive", "--prune",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "subtrees pruned" in out
-        # branch-and-bound on a 16-kernel space must actually prune
-        assert "0 subtrees pruned" not in out
-
-    def test_prune_param_spelling_matches_flag(self, capsys):
-        """exhaustive:prune=true parses to the same search as --prune."""
+    def test_prune_param_is_accepted_and_ignored(self, capsys):
+        """exhaustive:prune=true is the same search as exhaustive."""
         outputs = []
-        for argv in (
-            ["partition", "--workload", "ofdm", "--fraction", "0.5",
-             "--algorithm", "exhaustive:prune=true"],
-            ["partition", "--workload", "ofdm", "--fraction", "0.5",
-             "--algorithm", "exhaustive", "--prune"],
-        ):
-            assert main(argv) == 0
-            out = capsys.readouterr().out
-            # per-shard lines carry wall-clock timings; everything else
-            # (optimum, visit and prune counts) must be bit-identical
-            outputs.append(
-                [line for line in out.splitlines() if "/s," not in line]
-            )
+        for algorithm in ("exhaustive:prune=true", "exhaustive"):
+            assert main(
+                ["partition", "--workload", "ofdm", "--fraction", "0.5",
+                 "--algorithm", algorithm]
+            ) == 0
+            outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
-        assert any("subtrees pruned" in line for line in outputs[0])
+        assert "algorithm: exhaustive\n" in outputs[0]
+
+    @pytest.mark.parametrize(
+        "flags", [["--shards", "2"], ["--prune"], ["--search-workers", "1"]]
+    )
+    def test_removed_exact_search_flags_are_usage_errors(self, capsys, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["partition", "--workload", "ofdm", "--fraction", "0.5",
+                 "--algorithm", "exhaustive", *flags]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_exact_flags_rejected_for_other_algorithms(self, capsys):
-        code = main(
-            [
-                "partition", "--workload", "ofdm", "--fraction", "0.5",
-                "--algorithm", "greedy", "--shards", "2",
-            ]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "exhaustive algorithm only" in err
+        """The exact-search flags are gone for every algorithm."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "partition", "--workload", "ofdm", "--fraction", "0.5",
+                    "--algorithm", "greedy", "--shards", "2",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
     def test_constraint_and_fraction_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
@@ -226,12 +203,9 @@ class TestPartitionCommand:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--search-workers", "0"], "search_workers must be >= 1"),
+            (["--deadline", "0"], "--deadline must be positive"),
             (["--max-kernels", "-1"], "max_kernels_moved must be >= 0"),
-            (
-                ["--algorithm", "exhaustive", "--shards", "0"],
-                "shards must be >= 1",
-            ),
+            (["--deadline", "-1"], "--deadline must be positive"),
         ],
     )
     def test_out_of_range_search_option_is_rejected(

@@ -5,6 +5,13 @@ from .cgc_scheduler import (
     oracle_schedule_dfg,
     validate_per_cycle,
 )
+from .exact_search import (
+    ExactSearch,
+    branch_and_bound,
+    budgeted_walk,
+    expected_log,
+    gray_walk,
+)
 from .ir_routines import (
     PerSweepDefiniteAssignment,
     PerSweepLiveness,
@@ -22,13 +29,18 @@ from .object_substrate import (
 
 __all__ = [
     "CostState",
+    "ExactSearch",
     "GreedyTrajectory",
     "ObjectPartitioner",
     "PerSweepDefiniteAssignment",
     "PerSweepLiveness",
     "PerSweepReachingDefinitions",
     "RetryListScheduler",
+    "branch_and_bound",
+    "budgeted_walk",
+    "expected_log",
     "full_rescan",
+    "gray_walk",
     "object_partitioner",
     "oracle_fold_constants",
     "oracle_schedule_dfg",

@@ -487,13 +487,9 @@ class ObjectExhaustive(ObjectPartitioner):
         self,
         *args,
         max_candidates: int | None = None,
-        shards: int | None = None,
-        prune: bool = False,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        if shards is not None or prune:
-            raise ValueError("the object walk has no sharded/pruned mode")
         self.max_candidates = (
             self.DEFAULT_MAX_CANDIDATES
             if max_candidates is None

@@ -160,109 +160,6 @@ class TestVisitLog:
         assert len(log) == 2
         assert list(log.entries()) == [(100, 0b1), (90, 0b11)]
 
-    def test_record_unchecked_bypasses_dedup(self):
-        log = PackedVisitLog()
-        log.record_unchecked(1, 0b1)
-        log.record_unchecked(1, 0b1)
-        assert len(log) == 2
-
-    def test_drop_visits_folds_existing_columns(self, table):
-        """Reducing a log mid-stream loses nothing the Pareto sweep
-        needs: the reduction of (full columns, then fold) equals the
-        reduction of recording everything in reduced mode."""
-        from repro.search.pareto import reduce_columns_to_best
-
-        masks = [0, 0b1, 0b10, 0b11, 0b101]
-        ticks = [table.total_ticks_of(mask) for mask in masks]
-        mixed = PackedVisitLog()
-        for total, mask in zip(ticks[:3], masks[:3], strict=True):
-            mixed.record(total, mask)
-        mixed.drop_visits(table)
-        mixed.drop_visits(table)  # idempotent
-        for total, mask in zip(ticks[3:], masks[3:], strict=True):
-            mixed.record(total, mask)
-        reduced = PackedVisitLog()
-        reduced.drop_visits(table)
-        for total, mask in zip(ticks, masks, strict=True):
-            reduced.record(total, mask)
-        expected = reduce_columns_to_best(ticks, masks, table)
-        assert mixed.best_by_shape == expected
-        assert reduced.best_by_shape == expected
-        assert len(mixed) == len(reduced) == len(masks)
-        assert mixed.ticks == [] and mixed.masks == []
-
-    def test_reduced_mode_still_deduplicates(self, table):
-        log = PackedVisitLog()
-        log.drop_visits(table)
-        log.record(table.total_ticks_of(0b1), 0b1)
-        log.record(table.total_ticks_of(0b1), 0b1)
-        log.record_unchecked(table.total_ticks_of(0b10), 0b10)
-        assert len(log) == 2
-
-    def test_reduced_mode_entries_raise(self, table):
-        log = PackedVisitLog()
-        log.drop_visits(table)
-        log.record(table.total_ticks_of(0b1), 0b1)
-        with pytest.raises(ValueError, match="reduced mode"):
-            log.entries()
-
-    def test_absorb_columns_in_both_modes(self, table):
-        ticks = [table.total_ticks_of(mask) for mask in (0b1, 0b11)]
-        full = PackedVisitLog()
-        full.absorb_columns(ticks, [0b1, 0b11])
-        assert list(full.entries()) == list(zip(ticks, [0b1, 0b11]))
-        reduced = PackedVisitLog()
-        reduced.drop_visits(table)
-        reduced.absorb_columns(ticks, [0b1, 0b11])
-        assert len(reduced) == 2
-        assert reduced.best_by_shape
-
-    def test_absorb_columns_adopts_int64_segments(self, table):
-        """A walk segment's packed int64 columns become the log's
-        columns, with the entries recorded before them kept in front."""
-        from array import array
-
-        log = PackedVisitLog()
-        log.record(table.initial_ticks, 0)
-        ticks = array("q", [table.total_ticks_of(m) for m in (0b1, 0b11)])
-        masks = array("q", [0b1, 0b11])
-        log.absorb_columns(ticks, masks)
-        assert log.ticks is ticks and log.masks is masks
-        assert list(log.entries()) == [
-            (table.initial_ticks, 0),
-            (table.total_ticks_of(0b1), 0b1),
-            (table.total_ticks_of(0b11), 0b11),
-        ]
-
-    def test_absorb_reduced_merges_shard_summaries(self, table):
-        """Two shards reduced independently then merged equal one log
-        that saw every visit — the fold is order-independent."""
-        masks = [0b1, 0b10, 0b11, 0b100, 0b110]
-        ticks = [table.total_ticks_of(mask) for mask in masks]
-        whole = PackedVisitLog()
-        whole.drop_visits(table)
-        for total, mask in zip(ticks, masks, strict=True):
-            whole.record_unchecked(total, mask)
-        merged = PackedVisitLog()
-        merged.drop_visits(table)
-        for lo, hi in ((0, 2), (2, 5)):
-            shard = PackedVisitLog()
-            shard.drop_visits(table)
-            for total, mask in zip(
-                ticks[lo:hi], masks[lo:hi], strict=True
-            ):
-                shard.record_unchecked(total, mask)
-            merged.absorb_reduced(
-                shard.visit_count, shard.best_by_shape.items()
-            )
-        assert merged.best_by_shape == whole.best_by_shape
-        assert len(merged) == len(whole) == len(masks)
-
-    def test_absorb_reduced_requires_reduced_mode(self):
-        log = PackedVisitLog()
-        with pytest.raises(ValueError, match="drop_visits"):
-            log.absorb_reduced(1, [((1, 1), (10, 0b1))])
-
 
 class TestPackedGreedyTrajectory:
     def test_entries_match_object_trajectory(self, model, table):

@@ -1,7 +1,8 @@
 """Cooperative search deadlines: best-so-far, marked uncertified.
 
-Every engine polls its :class:`~repro.faults.Deadline` at visit-batch
-boundaries; an expired budget stops the walk and returns the best
+Every engine checks its :class:`~repro.faults.Deadline` before it
+searches, and annealing and multi-start also poll it at visit-batch
+boundaries; an expired budget stops the search and returns the best
 configuration found so far with ``result.partial`` set (``certified``
 False).  A generous budget must leave results bit-identical to an
 undeadlined run — the deadline is a cut, never a perturbation.
@@ -17,8 +18,8 @@ from repro.partition import EngineConfig
 from repro.platform import paper_platform
 from repro.search import AlgorithmSpec, make_partitioner
 
-#: 26 supported kernels -> 2^26 subsets; an exhaustive walk takes tens
-#: of seconds, so a millisecond budget reliably truncates it.
+#: Annealing polls its deadline once per temperature level; with a
+#: million levels on this workload, a 50 ms budget reliably cuts it.
 BIG = WorkloadSpec.synthetic(64, seed=3)
 #: Small enough that every engine finishes well inside a 60 s budget.
 SMALL = WorkloadSpec.synthetic(18, seed=2)
@@ -80,56 +81,18 @@ def test_pre_expired_deadline_returns_partial(spec, small_workload, platform):
     assert result.final_cycles >= 1
 
 
-def test_exhaustive_truncates_mid_walk(big_workload, platform):
-    partitioner = make(
-        AlgorithmSpec.exhaustive(max_candidates=26), big_workload, platform
-    )
-    constraint = max(1, partitioner.initial_cycles() // 2)
-    result = partitioner.run(constraint, deadline=Deadline.after(0.05))
-    assert result.partial is True
-    assert result.certified is False
-    # Best-so-far: the cut still improved on the all-FPGA corner.
-    assert result.final_cycles < partitioner.initial_cycles()
-    assert "UNCERTIFIED" in result.summary()
-
-
-def test_sharded_walk_propagates_partial(big_workload, platform):
-    partitioner = make(
-        AlgorithmSpec.exhaustive(max_candidates=26, shards=4),
-        big_workload, platform, search_workers=1,
-    )
-    constraint = max(1, partitioner.initial_cycles() // 2)
-    result = partitioner.run(constraint, deadline=Deadline.after(0.05))
-    assert result.partial is True
-    assert result.certified is False
-
-
-def test_branch_and_bound_honours_deadline(platform):
-    # The additive bound is weak on flat-weight comm-heavy workloads, so
-    # this pruned walk visits ~1.7M nodes (tens of seconds) undeadlined
-    # — a 50 ms budget reliably cuts it mid-walk.
-    workload = WorkloadSpec.synthetic(
-        128, seed=3, comm_intensity=1.5, weight_skew=1.0
-    ).build()
-    partitioner = make(
-        AlgorithmSpec.exhaustive(max_candidates=64, prune=True),
-        workload, platform, search_workers=1,
-    )
-    constraint = max(1, partitioner.initial_cycles() // 2)
-    result = partitioner.run(constraint, deadline=Deadline.after(0.05))
-    assert result.partial is True
-    assert result.certified is False
-
-
 def test_partial_is_sticky_across_runs(big_workload, platform):
-    # A truncated first run leaves the shared visit caches incomplete;
+    # A truncated first run leaves the shared search caches incomplete;
     # later runs on the same partitioner must stay flagged.
     partitioner = make(
-        AlgorithmSpec.exhaustive(max_candidates=26), big_workload, platform
+        AlgorithmSpec.annealing(temp_levels=1_000_000), big_workload, platform
     )
     constraint = max(1, partitioner.initial_cycles() // 2)
     first = partitioner.run(constraint, deadline=Deadline.after(0.05))
     assert first.partial is True
+    # Best-so-far: the cut still improved on the all-FPGA corner.
+    assert first.final_cycles < partitioner.initial_cycles()
+    assert "UNCERTIFIED" in first.summary()
     second = partitioner.run(constraint)
     assert second.partial is True
 

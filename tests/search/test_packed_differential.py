@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from oracles import object_partitioner
+from oracles import expected_log, object_partitioner
 from repro.explore import WorkloadSpec
 from repro.partition import EngineConfig
 from repro.platform import paper_platform
@@ -37,7 +37,7 @@ WORKLOAD_SPECS = (
 ALGORITHM_SPECS = (
     AlgorithmSpec.greedy(),
     # Explicit cap: the differential property is per-cap, and the
-    # defaults deliberately differ (24 packed / 16 object reference).
+    # defaults deliberately differ (256 packed / 16 object reference).
     # The move budget below keeps the object DFS pruned on kernel-rich
     # workloads.
     AlgorithmSpec.exhaustive(max_candidates=128),
@@ -88,15 +88,22 @@ def test_substrates_are_bit_identical(
     for packed_result in packed_results:
         assert packed_result.final_cycles <= packed_result.initial_cycles
     assert packed.pareto_front() == reference.pareto_front()
-    assert packed.visited_count == reference.visited_count
-    assert packed.visited == reference.visited
+    if algorithm.name == "exhaustive":
+        # The closed form logs the all-FPGA corner, the optimum and one
+        # representative per shape of the object walk's visits.
+        assert set(packed.visited) == expected_log(
+            reference.visited, packed_results[0].moved_bb_ids
+        )
+    else:
+        assert packed.visited_count == reference.visited_count
+        assert packed.visited == reference.visited
 
 
 def test_exhaustive_default_cap_is_substrate_aware(workloads, platform):
     """OFDM has 18 supported kernels: within the packed default cap of
-    24 (the Gray walk enumerates 2^18 cheaply), beyond the object
-    reference's default of 16 (where 2^18 subsets of object churn is a
-    guard-worthy mistake).  Explicitly raised, the reference agrees."""
+    256 (the closed form is polynomial), beyond the object reference's
+    default of 16 (where 2^18 subsets of object churn is a guard-worthy
+    mistake).  Explicitly raised, the reference agrees."""
     workload = workloads["ofdm-transmitter"]
     packed = make_partitioner(AlgorithmSpec.exhaustive(), workload, platform)
     assert packed.run(1).final_cycles <= packed.run(1).initial_cycles
@@ -115,7 +122,7 @@ def test_unknown_substrate_rejected():
     """The packed table is the only substrate: the config has no switch."""
     with pytest.raises(TypeError, match="substrate"):
         EngineConfig(substrate="object")
-    assert len(dataclasses.fields(EngineConfig)) == 6
+    assert len(dataclasses.fields(EngineConfig)) == 5
 
 
 def test_injected_table_matches_derived(workloads, platform):
@@ -142,8 +149,8 @@ def test_injected_table_matches_derived(workloads, platform):
 
 
 def test_exhaustive_unbudgeted_gray_walk_matches_object(platform):
-    """The Gray-code walk (no budget) against the object DFS on a
-    workload small enough to enumerate both ways."""
+    """The closed form (no budget) against the object DFS on a workload
+    small enough to enumerate."""
     workload = WorkloadSpec.synthetic(
         12, seed=3, kernel_fraction=0.8, comm_intensity=0.8
     ).build()
@@ -154,6 +161,9 @@ def test_exhaustive_unbudgeted_gray_walk_matches_object(platform):
     reference = object_partitioner(
         AlgorithmSpec.exhaustive(), workload, platform, config=config
     )
-    assert packed.run(1) == reference.run(1)
-    assert packed.visited_count == reference.visited_count
+    result = packed.run(1)
+    assert result == reference.run(1)
+    assert set(packed.visited) == expected_log(
+        reference.visited, result.moved_bb_ids
+    )
     assert packed.pareto_front() == reference.pareto_front()

@@ -2,8 +2,9 @@
 
 import pytest
 
-from oracles import object_partitioner
+from oracles import expected_log, object_partitioner
 from repro.partition import ApplicationWorkload, BlockWorkload, EngineConfig
+from repro.partition.packed import PackedCostTable
 from repro.platform import paper_platform
 from repro.search import (
     ALGORITHM_NAMES,
@@ -68,8 +69,6 @@ class TestAlgorithmSpec:
         [
             (lambda: AlgorithmSpec.exhaustive(max_candidates=0),
              "max_candidates must be >= 1"),
-            (lambda: AlgorithmSpec.exhaustive(shards=0),
-             "shards must be >= 1"),
             (lambda: AlgorithmSpec.multi_start(restarts=0),
              "restarts must be >= 1"),
             (lambda: AlgorithmSpec.multi_start(jitter=1.0),
@@ -264,22 +263,54 @@ class TestExhaustive:
         with pytest.raises(ValueError, match=r"24 supported.*max_candidates=4"):
             ExhaustivePartitioner(workload, platform, max_candidates=4)
 
-    def test_default_cap_guard_at_run_time(self, platform):
-        # More supported kernels than the default cap of 24: rejected
-        # when the run reaches the enumeration, not walked for hours.
-        workload = synthetic_application(
-            30, seed=1, kernel_fraction=1.0, comm_intensity=0.2
+    def test_default_cap_guard_at_run_time(self, skewed_workload, platform):
+        # More supported kernels than the default cap of 256: rejected
+        # when the run reaches the search.  An injected hand-built table
+        # stands in for a workload that large.
+        n = ExhaustivePartitioner.DEFAULT_MAX_CANDIDATES + 1
+        table = PackedCostTable(
+            workload_name=skewed_workload.name,
+            platform_name=platform.name,
+            clock_ratio=3,
+            initial_ticks=10 * n,
+            bb_ids=tuple(range(n)),
+            fpga_ticks=(2,) * n,
+            cgc_ticks=(1,) * n,
+            comm_ticks=(0,) * n,
+            move_delta=(-1,) * n,
+            cgc_rows=(1,) * n,
+            weights=(1,) * n,
+            skipped_bb_ids=(),
+            candidates=tuple((i, i) for i in range(n)),
         )
-        partitioner = ExhaustivePartitioner(workload, platform)
+        partitioner = ExhaustivePartitioner(
+            skewed_workload, platform, packed_table=table
+        )
         with pytest.raises(ValueError, match="exceed the exhaustive limit"):
             partitioner.run(1)
+        raised = ExhaustivePartitioner(
+            skewed_workload, platform, packed_table=table, max_candidates=n
+        )
+        assert raised.run(1).kernels_moved == n
 
-    def test_visits_every_subset(self, skewed_workload, platform):
+    def test_visits_one_configuration_per_shape(
+        self, skewed_workload, platform
+    ):
+        # The closed form logs the all-FPGA corner, the optimum and one
+        # representative per (moved, rows) shape; on this 4-kernel
+        # workload the object walk visits all 2^4 subsets, and each
+        # logged configuration is the best of its shape among them.
         partitioner = ExhaustivePartitioner(skewed_workload, platform)
-        partitioner.run(1)
-        # 3 supported kernels (BB 4 is below no threshold but is a
-        # candidate too if supported) -> visited = all 2^n subsets.
-        assert len(partitioner.visited) == 2 ** len(partitioner.table)
+        result = partitioner.run(1)
+        reference = object_partitioner(
+            AlgorithmSpec.exhaustive(), skewed_workload, platform
+        )
+        reference.run(1)
+        assert len(reference.visited) == 2 ** len(partitioner.table)
+        assert set(partitioner.visited) == expected_log(
+            reference.visited, result.moved_bb_ids
+        )
+        assert len(partitioner.visited) < len(reference.visited)
 
 
 class TestHeuristics:

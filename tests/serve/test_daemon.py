@@ -148,6 +148,25 @@ class TestEndpoints:
         status, stats = get(daemon, "/stats")
         assert stats["jobs"]["submitted"] == 0
 
+    def test_removed_exact_search_parameters(self, daemon):
+        """``shards`` left with the sharded walk (a 400); ``prune`` is
+        accepted and ignored, so its job answers as plain exhaustive."""
+        status, payload, _ = post(
+            daemon, "/jobs", {**JOB, "algorithm": "exhaustive:shards=2"}
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-request"
+        assert "shards" in payload["error"]["message"]
+        results = []
+        for algorithm in ("exhaustive:prune=true", "exhaustive"):
+            status, payload, _ = post(
+                daemon, "/jobs", {**JOB, "algorithm": algorithm}
+            )
+            assert status == 202
+            record = daemon.server.await_result(payload["job_id"], timeout=60)
+            results.append(record.to_payload()["result"])
+        assert results[0] == results[1]
+
     def test_empty_body_is_400(self, daemon):
         status, payload, _ = post(daemon, "/jobs", b"")
         assert status == 400

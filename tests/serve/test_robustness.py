@@ -31,11 +31,11 @@ from repro.serve.jobs import JobRequest
 from repro.specs import algorithm_spec_from_text, workload_spec_from_text
 
 WORKLOAD = workload_spec_from_text("synthetic:24:seed=5")
-#: 26 supported kernels: exhaustive at this cap walks 2^26 subsets,
-#: which takes tens of seconds — any millisecond deadline truncates it.
 BIG_WORKLOAD = workload_spec_from_text("synthetic:64:seed=3")
 GREEDY = algorithm_spec_from_text("greedy")
-EXHAUSTIVE = algorithm_spec_from_text("exhaustive:max_candidates=26")
+#: A million temperature levels run far past any millisecond deadline;
+#: annealing polls it once per level, so the cut lands promptly.
+LONG_ANNEALING = algorithm_spec_from_text("annealing:temp_levels=1000000")
 
 
 def submit_n(server, count, algorithm=GREEDY, workload=WORKLOAD):
@@ -126,7 +126,7 @@ class TestSearchDeadline:
         payloads, __ = run_batch(
             ServerConfig(workers=1, search_deadline_seconds=0.02),
             count=1,
-            algorithm=EXHAUSTIVE,
+            algorithm=LONG_ANNEALING,
             workload=BIG_WORKLOAD,
         )
         payload = payloads[0]
@@ -143,7 +143,7 @@ class TestSearchDeadline:
                 degrade_under_deadline=True,
             ),
             count=1,
-            algorithm=EXHAUSTIVE,
+            algorithm=LONG_ANNEALING,
             workload=BIG_WORKLOAD,
         )
         payload = payloads[0]

@@ -34,7 +34,11 @@ every substrate it depends on:
   multi-objective analysis;
 * :mod:`repro.suite` — named end-to-end scenario registry, batched
   runner, persistent SQLite/JSON result store and the thresholded
-  regression comparison CI gates on.
+  regression comparison CI gates on;
+* :mod:`repro.job` — the one job path: a :class:`~repro.job.Job` (specs
+  plus timing targets) and :func:`~repro.job.run_job`, which the CLI,
+  :mod:`repro.explore`, :mod:`repro.suite` and :mod:`repro.serve` all
+  run: price the pair, derive the constraints, search.
 
 Quickstart::
 
@@ -68,6 +72,7 @@ from .explore import (
 from .finegrain import FPGADevice, block_fpga_timing, partition_dfg
 from .frontend import parse_program
 from .interp import Interpreter, run_function
+from .job import Job, run_job
 from .ir import CDFG, build_cdfg, cdfg_from_source
 from .partition import (
     ApplicationWorkload,
@@ -121,6 +126,7 @@ __all__ = [
     "GreedyPartitioner",
     "HybridPlatform",
     "Interpreter",
+    "Job",
     "KernelInfo",
     "PartitionResult",
     "Partitioner",
@@ -152,6 +158,7 @@ __all__ = [
     "reproduce_table2",
     "reproduce_table3",
     "run_function",
+    "run_job",
     "run_suite",
     "schedule_dfg",
     "standard_datapath",

@@ -65,9 +65,9 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .explore import DesignSpace, WorkloadSpec, explore
-from .partition import EngineConfig
-from .platform import paper_platform
+from .explore import DesignSpace, PlatformSpec, WorkloadSpec, explore
+from .job import Job, run_job
+from .partition import EngineConfig, TableResolver
 from .reporting import (
     StepThresholds,
     compute_trends,
@@ -84,7 +84,7 @@ from .reporting import (
     write_trends_csv,
     write_trends_html,
 )
-from .search import AlgorithmSpec, make_partitioner
+from .search import AlgorithmSpec
 from .specs import algorithm_spec_from_text, workload_spec_from_text
 from .suite import (
     RegressionThresholds,
@@ -443,45 +443,24 @@ def _open_store(path: str) -> ResultStore | None:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     try:
-        workload = args.workload.build()
-    except ValueError as error:
-        print(
-            f"error: cannot build workload "
-            f"{args.workload.label!r}: {error}",
-            file=sys.stderr,
+        if args.deadline is not None and args.deadline <= 0:
+            raise ValueError("--deadline must be positive")
+        job = Job(
+            args.workload,
+            PlatformSpec(
+                args.afpga, args.cgcs, args.clock_ratio, args.reconfig_cycles
+            ),
+            args.algorithm,
+            () if args.constraint is None else (args.constraint,),
+            () if args.fraction is None else (args.fraction,),
+            EngineConfig(max_kernels_moved=args.max_kernels),
         )
-        return 2
-    platform = paper_platform(
-        args.afpga,
-        args.cgcs,
-        clock_ratio=args.clock_ratio,
-        reconfig_cycles=args.reconfig_cycles,
-    )
-    algorithm = args.algorithm
-    try:
-        config = EngineConfig(max_kernels_moved=args.max_kernels)
+        run = run_job(job, TableResolver(), deadline_seconds=args.deadline)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    partitioner = make_partitioner(
-        algorithm, workload, platform, config=config
-    )
-    constraint = args.constraint
-    if constraint is None:
-        if args.fraction <= 0:
-            print("error: --fraction must be positive", file=sys.stderr)
-            return 2
-        constraint = max(1, round(partitioner.initial_cycles() * args.fraction))
-    deadline = None
-    if args.deadline is not None:
-        if args.deadline <= 0:
-            print("error: --deadline must be positive", file=sys.stderr)
-            return 2
-        from .faults import Deadline
-
-        deadline = Deadline.after(args.deadline)
-    result = partitioner.run(constraint, deadline=deadline)
-    print(f"algorithm: {algorithm.label}")
+    [result] = run.results
+    print(f"algorithm: {job.algorithm.label}")
     print(result.summary())
     if not result.certified:
         print(
@@ -498,7 +477,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         )
     if args.pareto:
         print("\nPareto front (cycles / kernels moved / CGC rows):")
-        print(render_pareto(partitioner.pareto_front()))
+        print(render_pareto(run.partitioner.pareto_front()))
     return 0
 
 

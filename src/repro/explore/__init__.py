@@ -18,9 +18,11 @@ Three layers:
   table resolver that builds them profiles through its content-keyed,
   in-memory cache (:mod:`repro.interp.cache`);
 * :mod:`repro.explore.runner` — :func:`explore`, which fans the grid out
-  across worker processes; each task sweeps every constraint of one
-  (workload, platform, algorithm) triple on a single partitioner so cost
-  caches and constraint-independent search state are shared;
+  across worker processes; each task is one :class:`~repro.job.Job`
+  (a (workload, platform, algorithm) triple with every constraint
+  fraction) run by :func:`~repro.job.run_job`, the path the CLI, the
+  suite and the server share, so the pair's table and the
+  constraint-independent search state serve all its fractions;
 * :mod:`repro.explore.results` — :class:`ExplorationResult` records and
   the :class:`ExplorationReport` aggregate with DSE queries such as
   :meth:`ExplorationReport.cheapest_meeting`.
@@ -47,13 +49,12 @@ a platform grid, in parallel::
 
 from .results import ExplorationReport, ExplorationResult
 from .runner import explore
-from .space import DesignSpace, ExplorationTask, PlatformSpec, WorkloadSpec
+from .space import DesignSpace, PlatformSpec, WorkloadSpec
 
 __all__ = [
     "DesignSpace",
     "ExplorationReport",
     "ExplorationResult",
-    "ExplorationTask",
     "PlatformSpec",
     "WorkloadSpec",
     "explore",

@@ -1,96 +1,67 @@
 """Parallel grid-sweep runner.
 
-Work is split at (workload, platform, algorithm) granularity so every
-grid axis fans out across worker processes, but pricing is shared at
-(workload, platform) granularity: a
+Each (workload, platform, algorithm) cell is one
+:class:`~repro.job.Job` carrying every constraint fraction, run by
+:func:`~repro.job.run_job`, so every grid axis fans out across worker
+processes while pricing is shared per (workload, platform) pair: a
 :class:`~repro.partition.resolver.TableResolver` — one per call when
 serial, one per worker process otherwise — builds each workload once and
 prices each pair into one :class:`~repro.partition.packed.PackedCostTable`,
-injected into every partitioner built for that pair, so the algorithm
-and constraint axes never remap a block a sibling cell already priced.
-Constraint-independent search state (the greedy move trajectory, a
-cached annealing walk) is shared across the constraints of each
-algorithm.
+so the algorithm and constraint axes never remap a block a sibling cell
+already priced.  A job computes its greedy trajectory, exact optimum or
+annealing walk once for all its fractions.
 
-Tasks fan out over ``concurrent.futures.ProcessPoolExecutor``; with
+Tasks fan out through :func:`~repro.job.fan_out`; with
 ``max_workers=1`` (or a single task) everything runs in-process, which is
 also the automatic fallback where process pools are unavailable.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
-from ..parallel import map_tasks
+from ..job import Job, fan_out, run_job
 from ..partition.costs import CostStats
 from ..partition.engine import EngineConfig
-from ..partition.resolver import TableResolver, process_resolver
-from ..search import make_partitioner
+from ..partition.resolver import TableResolver
 from .results import ExplorationReport, ExplorationResult
-from .space import DesignSpace, ExplorationTask
+from .space import DesignSpace
 
 
 @dataclass
-class _TaskOutcome:
-    """What one task ships back to the coordinating process."""
+class _TaskOutcome(CostStats):
+    """What one task ships back: its grid rows and the pricing it paid for."""
 
     results: list[ExplorationResult] = field(default_factory=list)
-    block_cost_evaluations: int = 0
-    contribution_lookups: int = 0
-    blocks_mapped: int = 0
-
-    def absorb(self, stats: CostStats) -> None:
-        self.block_cost_evaluations += stats.block_cost_evaluations
-        self.contribution_lookups += stats.contribution_lookups
-        self.blocks_mapped += stats.blocks_mapped
 
 
 def _run_task(
-    task: ExplorationTask, resolver: TableResolver | None = None
+    task: Job, resolver: TableResolver | None = None
 ) -> _TaskOutcome:
-    """Execute one (workload, platform) pair's (algorithm × constraint)
-    sweep.
+    """Run one grid job: one algorithm's constraint sweep on one pair.
 
-    The pair is priced once: its table comes from ``resolver`` (this
-    process's shared resolver when None) and is injected into every
-    algorithm's partitioner, so the algorithm and constraint axes add
-    zero block-mapping work.  Pricing done on a table miss is counted
-    in the outcome.
+    The pair's table comes from ``resolver`` (this process's shared
+    resolver when None), so the algorithm and constraint axes add zero
+    block-mapping work; pricing done on a table miss is counted in the
+    outcome.
     """
-    if resolver is None:
-        resolver = process_resolver()
-    config = task.engine_config or EngineConfig()
-    outcome = _TaskOutcome()
-    pricing_stats = CostStats()
-    workload, platform, table = resolver.resolve(
-        (task.workload, task.platform),
-        config.charge_single_partition_reconfig,
-        pricing_stats,
-    )
-    outcome.absorb(pricing_stats)
-    for algorithm in task.algorithms:
-        partitioner = make_partitioner(
-            algorithm, workload, platform, config=config, packed_table=table
-        )
-        initial = partitioner.initial_cycles()
-        for fraction in task.constraint_fractions:
-            constraint = max(1, round(initial * fraction))
-            result = partitioner.run(constraint)
-            outcome.results.append(
-                ExplorationResult.from_partition_result(
-                    result,
-                    afpga=task.platform.afpga,
-                    cgc_count=task.platform.cgc_count,
-                    clock_ratio=task.platform.clock_ratio,
-                    reconfig_cycles=task.platform.reconfig_cycles,
-                    constraint_fraction=fraction,
-                    algorithm=algorithm.label,
-                )
+    run = run_job(task, resolver)
+    outcome = _TaskOutcome(**vars(run.pricing))
+    for fraction, result in zip(
+        task.constraint_fractions, run.results, strict=True
+    ):
+        outcome.results.append(
+            ExplorationResult.from_partition_result(
+                result,
+                afpga=task.platform.afpga,
+                cgc_count=task.platform.cgc_count,
+                clock_ratio=task.platform.clock_ratio,
+                reconfig_cycles=task.platform.reconfig_cycles,
+                constraint_fraction=fraction,
+                algorithm=task.algorithm.label,
             )
-        outcome.absorb(partitioner.stats)
+        )
     return outcome
 
 
@@ -109,24 +80,8 @@ def explore(
     """
     tasks = space.tasks(engine_config)
     started = time.perf_counter()
-    workers = max_workers
-    if workers is None:
-        workers = min(len(tasks), os.cpu_count() or 1)
-    workers = max(1, workers)
-    # Serial tasks share a resolver scoped to this call: the
-    # coordinating process is long lived and must not accumulate every
-    # workload explored.
-    resolver = TableResolver()
-
-    # The shared fan-out contract (repro.parallel): an unusable pool or
-    # a worker dying mid-grid falls back to a serial run; genuine task
-    # errors propagate as themselves.
-    outcomes, workers = map_tasks(
-        _run_task,
-        tasks,
-        workers,
-        what="exploration grid",
-        serial_runner=partial(_run_task, resolver=resolver),
+    outcomes, workers = fan_out(
+        _run_task, tasks, max_workers, what="exploration grid"
     )
 
     report = ExplorationReport(

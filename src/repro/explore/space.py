@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar
 
+from ..job import Job
 from ..partition.engine import EngineConfig
 from ..partition.workload import ApplicationWorkload
 from ..platform.soc import HybridPlatform, paper_platform
@@ -248,6 +249,10 @@ class PlatformSpec:
             raise ValueError("afpga and cgc_count must be >= 1")
         if self.clock_ratio < 1:
             raise ValueError("clock_ratio must be >= 1")
+        if self.reconfig_cycles < 0:
+            raise ValueError("reconfig_cycles must be >= 0")
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("rows and cols must be >= 1")
 
     @property
     def label(self) -> str:
@@ -265,29 +270,6 @@ class PlatformSpec:
             rows=self.rows,
             cols=self.cols,
         )
-
-
-@dataclass(frozen=True)
-class ExplorationTask:
-    """One worker unit: the (algorithm × constraint) sweep its
-    ``algorithms`` tuple names for one (workload, platform) pair.
-
-    The grid emits one task per (workload, platform, algorithm) triple
-    (singleton ``algorithms``) so the algorithm axis still fans out
-    across worker processes; the runner's table resolver keys on the
-    (workload, platform) pair, so however the triples are scheduled,
-    each worker prices a pair at most **once** — no grid cell remaps a
-    block another cell of the same pair already priced.
-    Constraint-independent search state (the greedy move trajectory, a
-    cached annealing walk) is additionally shared across the
-    constraints of each algorithm.
-    """
-
-    workload: WorkloadSpec
-    platform: PlatformSpec
-    constraint_fractions: tuple[float, ...]
-    engine_config: EngineConfig | None = None
-    algorithms: tuple[AlgorithmSpec, ...] = (AlgorithmSpec.greedy(),)
 
 
 @dataclass(frozen=True)
@@ -311,11 +293,9 @@ class DesignSpace:
             raise ValueError("a design space needs >= 1 workload and platform")
         if not self.constraint_fractions:
             raise ValueError("a design space needs >= 1 constraint fraction")
-        for fraction in self.constraint_fractions:
-            if fraction <= 0.0:
-                raise ValueError("constraint fractions must be positive")
         if not self.algorithms:
             raise ValueError("a design space needs >= 1 algorithm")
+        _ = self.tasks()  # every cell must be a valid Job
 
     @property
     def size(self) -> int:
@@ -326,16 +306,13 @@ class DesignSpace:
             * len(self.algorithms)
         )
 
-    def tasks(
-        self, engine_config: EngineConfig | None = None
-    ) -> list[ExplorationTask]:
+    def tasks(self, engine_config: EngineConfig | None = None) -> list[Job]:
+        """One job per (workload, platform, algorithm) cell."""
         return [
-            ExplorationTask(
-                workload=workload,
-                platform=platform,
+            Job(
+                workload, platform, algorithm,
                 constraint_fractions=self.constraint_fractions,
                 engine_config=engine_config,
-                algorithms=(algorithm,),
             )
             for workload, platform, algorithm in itertools.product(
                 self.workloads, self.platforms, self.algorithms

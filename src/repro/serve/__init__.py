@@ -8,6 +8,7 @@ batch by their (workload × platform) fingerprint onto one priced
 capacity-bounded LRU, and fan out over a freshly forked
 :func:`repro.parallel.map_tasks` pool per multi-job group — with
 structured backpressure, per-job queue timeouts, and graceful drain.
+Each job runs through :func:`repro.job.run_job`, the CLI's path.
 
 Two entry points:
 

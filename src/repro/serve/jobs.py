@@ -27,6 +27,7 @@ import threading
 from dataclasses import dataclass, field
 
 from ..explore.space import PlatformSpec, WorkloadSpec
+from ..job import Job
 from ..partition.result import PartitionResult
 from ..search.base import AlgorithmSpec
 from ..specs import algorithm_spec_from_text, workload_spec_from_text
@@ -107,9 +108,9 @@ class JobRequest:
     """One partitioning request, fully described by picklable specs.
 
     Exactly one of ``constraint`` (absolute FPGA cycles) or ``fraction``
-    (of the pair's all-FPGA cycle count) must be set; the server
-    resolves fractions against the priced table at dispatch, exactly as
-    ``python -m repro partition --fraction`` does.
+    (of the pair's all-FPGA cycle count) must be set.  The server runs
+    :attr:`job` through :func:`~repro.job.run_job`, exactly as
+    ``python -m repro partition`` does.
     """
 
     workload: WorkloadSpec
@@ -123,16 +124,20 @@ class JobRequest:
     timeout_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if (self.constraint is None) == (self.fraction is None):
-            raise JobValidationError(
-                "a job needs exactly one of 'constraint' or 'fraction'"
-            )
-        if self.constraint is not None and self.constraint <= 0:
-            raise JobValidationError("'constraint' must be a positive int")
-        if self.fraction is not None and self.fraction <= 0:
-            raise JobValidationError("'fraction' must be positive")
+        try:
+            _ = self.job  # the job checks the target
+        except ValueError as error:
+            raise JobValidationError(str(error)) from None
         if self.timeout_seconds is not None and self.timeout_seconds < 0:
             raise JobValidationError("'timeout_seconds' must be >= 0")
+
+    @property
+    def job(self) -> Job:
+        return Job(
+            self.workload, self.platform, self.algorithm,
+            () if self.constraint is None else (self.constraint,),
+            () if self.fraction is None else (self.fraction,),
+        )
 
     @property
     def pair_key(self) -> tuple[WorkloadSpec, PlatformSpec]:
@@ -205,15 +210,7 @@ class JobRequest:
         )
 
     def describe(self) -> str:
-        target = (
-            f"{self.constraint} cycles"
-            if self.constraint is not None
-            else f"{self.fraction:g}·initial"
-        )
-        return (
-            f"{self.workload.label} on {self.platform.label} @ {target} "
-            f"via {self.algorithm.label}"
-        )
+        return self.job.describe()
 
 
 def _platform_from_payload(payload: object) -> PlatformSpec:

@@ -26,9 +26,10 @@ so workers price nothing); a group of one job, or any group when
 ``workers == 1``, runs in the dispatcher thread.
 
 **Determinism.**  A job's result depends only on its own request plus
-the deterministic table, never on its neighbours in a batch, so cycle
-counts are bit-identical to a serial ``python -m repro partition`` run
-regardless of arrival order, batch boundaries, or worker count.
+the deterministic table, never on its neighbours in a batch, and both
+the server and ``python -m repro partition`` run it through
+:func:`repro.job.run_job`, so cycle counts are bit-identical to a serial
+CLI run regardless of arrival order, batch boundaries, or worker count.
 
 **Backpressure.**  The queue is bounded; a submission over capacity is
 rejected with :class:`~repro.serve.jobs.QueueFullError` carrying a
@@ -60,18 +61,18 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .. import telemetry
-from ..faults import Deadline, FaultPlan, RetryPolicy, TaskFailure
+from ..explore.space import PlatformSpec, WorkloadSpec
+from ..faults import FaultPlan, RetryPolicy, TaskFailure
+from ..job import Job, run_job
 from ..parallel import map_tasks
-from ..partition.engine import EngineConfig
 from ..partition.packed import PackedCostTable
+from ..partition.resolver import process_resolver
 from ..partition.result import PartitionResult
 from ..partition.workload import ApplicationWorkload
-from ..explore.space import PlatformSpec, WorkloadSpec
-from ..partition.resolver import process_resolver
-from ..search import make_partitioner
-from ..search.base import AlgorithmSpec
+from ..platform.soc import HybridPlatform
 from .cache import PricedTableCache
 from .jobs import (
     ExpiredJobError,
@@ -167,81 +168,32 @@ class ServerConfig:
             raise ValueError("breaker_cooldown_seconds must be >= 0")
 
 
-@dataclass(frozen=True)
-class _JobTask:
-    """One job's picklable work unit (what a pool worker receives)."""
-
-    workload: WorkloadSpec
-    platform: PlatformSpec
-    algorithm: "object"  # AlgorithmSpec; typed loosely to stay picklable-simple
-    constraint: int
-    table: PackedCostTable
-    #: Cooperative search budget per attempt; None = unbounded.
-    deadline_seconds: float | None = None
-    #: Exact -> greedy fallback when the budget expires mid-search.
-    degrade: bool = False
-
-
-def _partition_once(
-    task: _JobTask,
-    workload: ApplicationWorkload,
-    platform,
+def _serve_job(
+    job: Job,
+    table: PackedCostTable,
+    deadline_seconds: float | None,
+    degrade: bool,
+    built: tuple[ApplicationWorkload, HybridPlatform] | None = None,
 ) -> tuple[str, object]:
-    """The deadline/degrade-aware partitioning core (shared by the pool
-    worker entry point and the dispatcher's serial runner).
+    """Run one served job on its pair's table; never raises.
 
     Statuses: ``"ok"`` (result, possibly ``partial``), ``"degraded"``
-    (the deadline expired and the greedy fallback answered instead),
-    ``"error"`` (the job's own failure, structured, never raising).
+    (greedy answered a search the deadline cut), ``"error"`` (the job's
+    own failure).  Without the dispatcher's ``built`` workload and
+    platform, a pool worker's process resolver builds the workload.
     """
     try:
-        deadline = (
-            None
-            if task.deadline_seconds is None
-            else Deadline.after(task.deadline_seconds)
+        workload, platform = built or (
+            process_resolver().workload(job.workload), job.platform.build()
         )
-        partitioner = make_partitioner(
-            task.algorithm,  # type: ignore[arg-type]
-            workload,
-            platform,
-            config=EngineConfig(),
-            packed_table=task.table,
+        run = run_job(
+            job, (workload, platform, table),
+            deadline_seconds=deadline_seconds, degrade=degrade,
         )
-        result = partitioner.run(task.constraint, deadline)
-        if (
-            result.partial
-            and task.degrade
-            and getattr(task.algorithm, "name", None) != "greedy"
-        ):
-            # Graceful degradation: greedy is O(n) and always completes;
-            # its certified answer beats an uncertified partial one.
-            fallback = make_partitioner(
-                AlgorithmSpec.greedy(),
-                workload,
-                platform,
-                config=EngineConfig(),
-                packed_table=task.table,
-            )
-            return "degraded", fallback.run(task.constraint)
-        return "ok", result
     except Exception as error:  # noqa: BLE001 - a job must not kill the batch
         return "error", f"{type(error).__name__}: {error}"
-
-
-def _execute_task(task: _JobTask) -> tuple[str, object]:
-    """Run one job; never raises (errors come back structured).
-
-    Used by pool workers (hence top-level and picklable).  The injected
-    table means a worker prices nothing — ``cost_table_builds`` stays
-    with the dispatcher's resolver; the worker's own process resolver
-    only builds (and keeps, bounded) the workloads.
-    """
-    try:
-        workload = process_resolver().workload(task.workload)
-        platform = task.platform.build()
-    except Exception as error:  # noqa: BLE001
-        return "error", f"{type(error).__name__}: {error}"
-    return _partition_once(task, workload, platform)
+    [result] = run.results
+    return ("degraded" if run.degraded else "ok"), result
 
 
 class Server:
@@ -680,44 +632,27 @@ class Server:
         # burst on one pair fans out once.
         records = records + self._unexpired(self._take_queued(pair))
         started = time.monotonic()
-        tasks = []
         for record in records:
             record.state = "running"
             record.started_at = started
-            request = record.request
-            constraint = request.constraint
-            if constraint is None:
-                assert request.fraction is not None
-                constraint = max(
-                    1, round(table.initial_cycles() * request.fraction)
-                )
-            tasks.append(
-                _JobTask(
-                    workload=request.workload,
-                    platform=request.platform,
-                    algorithm=request.algorithm,
-                    constraint=constraint,
-                    table=table,
-                    deadline_seconds=self.config.search_deadline_seconds,
-                    degrade=self.config.degrade_under_deadline,
-                )
-            )
-
-        def run_serially(task: _JobTask) -> tuple[str, object]:
-            # The dispatcher already holds the built objects: no
-            # per-task rebuild, no pickling.
-            return _partition_once(task, workload, platform)
-
+        serve = partial(
+            _serve_job,
+            table=table,
+            deadline_seconds=self.config.search_deadline_seconds,
+            degrade=self.config.degrade_under_deadline,
+        )
         policy = RetryPolicy(
             max_attempts=self.config.task_retries + 1,
             backoff_seconds=self.config.retry_backoff_seconds,
         )
         outcomes, _ = map_tasks(
-            _execute_task,
-            tasks,
-            self.config.workers if len(tasks) > 1 else 1,
+            serve,
+            [record.request.job for record in records],
+            self.config.workers if len(records) > 1 else 1,
             what=f"serve batch ({pair[0].label})",
-            serial_runner=run_serially,
+            # The dispatcher already holds the built objects: no
+            # per-job rebuild, no pickling.
+            serial_runner=partial(serve, built=(workload, platform)),
             policy=policy,
             fault_plan=self.config.fault_plan,
             failure_mode="report",

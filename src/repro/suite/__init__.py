@@ -1,11 +1,12 @@
 """Named scenario suite with persistent results and regression gating.
 
 The answer to "did I regress anything?": a registry of named end-to-end
-scenarios (:mod:`.scenarios`), a batched runner executing them through
-the search substrate (:mod:`.runner`), an SQLite/JSON result store
-stamping every run with a code fingerprint (:mod:`.store`,
-:mod:`.fingerprint`), and a thresholded comparison layer
-(:mod:`.compare`) that CI gates on via
+scenarios (:mod:`.scenarios`), a batched runner executing each
+scenario's :class:`~repro.job.Job` through :func:`~repro.job.run_job`,
+the path the CLI, explore and serve share (:mod:`.runner`), an
+SQLite/JSON result store stamping every run with a code fingerprint
+(:mod:`.store`, :mod:`.fingerprint`), and a thresholded comparison
+layer (:mod:`.compare`) that CI gates on via
 ``python -m repro suite compare``.
 """
 

@@ -1,13 +1,14 @@
 """Batched scenario execution.
 
-Runs a list of named scenarios through the :mod:`repro.search`
-partitioners (the same ones the :mod:`repro.explore` grids fan out),
-timing each scenario and packaging the outcomes as a
-:class:`~repro.suite.store.SuiteRun` ready for the store, the JSON
-baseline writer, or a comparison.
+Runs each named scenario's :class:`~repro.job.Job` through
+:func:`~repro.job.run_job` (the path the CLI, the :mod:`repro.explore`
+grids and the server share), timing each scenario and packaging the
+outcomes as a :class:`~repro.suite.store.SuiteRun` ready for the store,
+the JSON baseline writer, or a comparison.
 
-Scenarios fan out over ``ProcessPoolExecutor`` like exploration tasks
-do, with the same serial fallback when process pools are unavailable.
+Scenarios fan out through :func:`~repro.job.fan_out` like exploration
+tasks do, with the same serial fallback when process pools are
+unavailable.
 Workloads and packed cost tables come from a
 :class:`~repro.partition.resolver.TableResolver` (one per serial call,
 one per worker process), so scenarios sharing a workload build its DFGs
@@ -17,15 +18,11 @@ fraction price their blocks once instead of once per scenario.
 
 from __future__ import annotations
 
-import os
 import time
-from functools import partial
 
 from .. import telemetry
-from ..parallel import map_tasks
-from ..partition.engine import EngineConfig
+from ..job import fan_out, run_job
 from ..partition.resolver import TableResolver, process_resolver
-from ..search import make_partitioner
 from .fingerprint import repo_fingerprint
 from .scenarios import Scenario, default_suite
 from .store import ResultStore, ScenarioResult, SuiteRun
@@ -69,24 +66,10 @@ def run_scenario(
             for name, node in scenario_span.children.items()
         }
         started = time.perf_counter()
-        workload, platform, table = resolver.resolve(
-            (scenario.workload, scenario.platform)
-        )
-        partitioner = make_partitioner(
-            scenario.algorithm,
-            workload,
-            platform,
-            config=EngineConfig(),
-            packed_table=table,
-        )
-        initial = partitioner.initial_cycles()
-        constraint = max(1, round(initial * scenario.constraint_fraction))
-        search_started = time.perf_counter()
-        result = partitioner.run(constraint)
-        search_seconds = time.perf_counter() - search_started
-
+        run = run_job(scenario.job, resolver)
+        [result] = run.results
         final_subset = tuple(sorted(result.moved_bb_ids))
-        rows_used = partitioner.subset_rows_used(final_subset)
+        rows_used = run.partitioner.subset_rows_used(final_subset)
         wall = time.perf_counter() - started
 
     phases = tuple(
@@ -113,8 +96,8 @@ def run_scenario(
         constraint_met=result.constraint_met,
         wall_time_seconds=wall,
         configs_per_second=(
-            partitioner.visited_count / search_seconds
-            if search_seconds > 0
+            run.partitioner.visited_count / run.search_seconds
+            if run.search_seconds > 0
             else 0.0
         ),
         phases=phases,
@@ -144,23 +127,8 @@ def run_suite(
         raise ValueError("scenario names must be unique within a run")
 
     started = time.perf_counter()
-    workers = max_workers
-    if workers is None:
-        workers = min(len(scenarios), os.cpu_count() or 1)
-    workers = max(1, workers)
-
-    # Serial scenarios share a resolver scoped to this call.
-    resolver = TableResolver()
-
-    # Same fallback contract as repro.explore, via the shared
-    # repro.parallel fan-out: an unusable pool degrades to a serial
-    # run, genuine scenario errors propagate.
-    results, workers = map_tasks(
-        run_scenario,
-        scenarios,
-        workers,
-        what="suite scenarios",
-        serial_runner=partial(run_scenario, resolver=resolver),
+    results, _ = fan_out(
+        run_scenario, scenarios, max_workers, what="suite scenarios"
     )
 
     run = SuiteRun(

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..explore.space import PlatformSpec, WorkloadSpec
+from ..job import Job
 from ..search.base import AlgorithmSpec
 
 
@@ -37,14 +38,17 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a scenario needs a name")
-        if self.constraint_fraction <= 0.0:
-            raise ValueError("constraint_fraction must be positive")
+        _ = self.job  # the job checks the fraction
+
+    @property
+    def job(self) -> Job:
+        return Job(
+            self.workload, self.platform, self.algorithm,
+            constraint_fractions=(self.constraint_fraction,),
+        )
 
     def describe(self) -> str:
-        return (
-            f"{self.workload.label} on {self.platform.label} @ "
-            f"{self.constraint_fraction:g}·initial via {self.algorithm.label}"
-        )
+        return self.job.describe()
 
 
 #: name -> Scenario; populated below, ordered by registration.

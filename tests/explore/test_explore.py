@@ -278,9 +278,7 @@ class TestAlgorithmAxis:
         # the runner's table cache, not by task granularity.
         tasks = algo_space.tasks()
         assert len(tasks) == 3
-        assert [t.algorithms for t in tasks] == [
-            (spec,) for spec in algo_space.algorithms
-        ]
+        assert [t.algorithm for t in tasks] == list(algo_space.algorithms)
 
     def test_default_axis_is_greedy_alone(self, small_space, small_report):
         assert small_space.algorithms == (AlgorithmSpec.greedy(),)

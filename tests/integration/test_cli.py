@@ -219,6 +219,28 @@ class TestPartitionCommand:
         assert line.startswith("error: ") and message in line
 
     @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--afpga", "0", "--fraction", "0.5"], "afpga and cgc_count"),
+            (["--cgcs", "0", "--fraction", "0.5"], "afpga and cgc_count"),
+            (["--clock-ratio", "0", "--fraction", "0.5"], "clock_ratio"),
+            (
+                ["--reconfig-cycles", "-3", "--fraction", "0.5"],
+                "reconfig_cycles must be >= 0",
+            ),
+            (["--constraint", "0"], "timing constraints must be positive"),
+            (["--fraction", "nan"], "fractions must be positive and finite"),
+            (["--fraction", "inf"], "fractions must be positive and finite"),
+            (["--fraction", "1e308"], "cycles is not finite"),
+        ],
+    )
+    def test_out_of_range_input_is_rejected(self, capsys, flags, message):
+        code = main(["partition", "--workload", "ofdm", *flags])
+        assert code == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error: ") and message in line
+
+    @pytest.mark.parametrize(
         "algorithm,message",
         [
             ("exhaustive:max_candidates=0", "max_candidates must be >= 1"),

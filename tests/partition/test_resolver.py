@@ -5,7 +5,7 @@ import pytest
 import repro.partition.resolver as resolver_module
 from repro.explore import PlatformSpec, WorkloadSpec
 from repro.explore.runner import _run_task
-from repro.explore.space import ExplorationTask
+from repro.job import Job
 from repro.partition import CostModel, PackedCostTable, TableResolver
 from repro.partition.resolver import RESOLVER_CAPACITY, process_resolver
 from repro.suite import Scenario, default_suite, run_scenario
@@ -58,7 +58,7 @@ def test_callers_without_a_resolver_stay_bounded(monkeypatch):
             run_scenario(Scenario(name=f"pair-{index}", workload=spec))
         else:
             _run_task(
-                ExplorationTask(
+                Job(
                     workload=spec, platform=PLATFORM,
                     constraint_fractions=(0.5,),
                 )

@@ -127,6 +127,42 @@ class TestEndpoints:
         assert status == 400
         assert payload["error"]["code"] == "invalid-request"
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
+    def test_non_finite_fraction_is_400_and_the_daemon_keeps_serving(
+        self, daemon, fraction
+    ):
+        # json.dumps writes the NaN / Infinity literals json.loads reads.
+        status, payload, _ = post(
+            daemon, "/jobs", {**JOB, "fraction": fraction}
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-request"
+        assert "fraction" in payload["error"]["message"]
+        status, payload, _ = post(daemon, "/jobs", JOB)
+        assert status == 202
+        record = daemon.server.await_result(payload["job_id"], timeout=60)
+        assert record.state == "done"
+
+    @pytest.mark.parametrize(
+        "platform, field",
+        [
+            ({"rows": 0}, "rows"),
+            ({"cols": 0}, "cols"),
+            ({"reconfig_cycles": -1}, "reconfig_cycles"),
+        ],
+    )
+    def test_out_of_range_platform_field_is_400(
+        self, daemon, platform, field
+    ):
+        status, payload, _ = post(
+            daemon, "/jobs", {**JOB, "platform": platform}
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-request"
+        assert field in payload["error"]["message"]
+        status, stats = get(daemon, "/stats")
+        assert stats["jobs"]["submitted"] == 0
+
     @pytest.mark.parametrize(
         "algorithm",
         [

@@ -53,11 +53,11 @@ def _hold_first_call(monkeypatch, owner, name):
     entered, release = threading.Event(), threading.Event()
     original = getattr(owner, name)
 
-    def held(*args):
+    def held(*args, **kwargs):
         if not release.is_set():
             entered.set()
             release.wait(60)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, held)
     return entered, release
@@ -77,7 +77,7 @@ def held_pricing(monkeypatch):
 def held_dispatcher(monkeypatch):
     """Park the dispatcher inside its first job's run."""
     running, release = _hold_first_call(
-        monkeypatch, server_module, "_partition_once"
+        monkeypatch, server_module, "run_job"
     )
     yield running, release
     release.set()
@@ -482,6 +482,22 @@ class TestPayloads:
         assert fragment in str(excinfo.value)
         assert excinfo.value.to_payload()["code"] == "invalid-request"
         server.shutdown()
+
+    def test_overflowing_fraction_fails_only_its_own_job(self):
+        """1e308 × the all-FPGA cycles is no cycle count: the job fails
+        inside its own error boundary, and the next job still runs."""
+        ofdm = WorkloadSpec.ofdm()
+        with Server() as server:
+            bad = server.await_result(
+                server.submit(request(ofdm, fraction=1e308)), timeout=60
+            )
+            good = server.await_result(
+                server.submit(request(ofdm)), timeout=60
+            )
+        assert bad.state == "failed"
+        assert bad.error["code"] == "failed"
+        assert "not finite" in bad.error["message"]
+        assert good.state == "done"
 
     def test_unknown_job_is_structured(self):
         server = Server()

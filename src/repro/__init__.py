@@ -40,6 +40,9 @@ every substrate it depends on:
   :mod:`repro.explore`, :mod:`repro.suite` and :mod:`repro.serve` all
   run: price the pair, derive the constraints, search.
 
+The names exported here resolve on first use (:mod:`repro._lazy`), so
+``import repro`` loads no subpackage and a run loads only what it uses.
+
 Quickstart::
 
     from repro import GreedyPartitioner, paper_platform
@@ -51,117 +54,125 @@ Quickstart::
     print(partitioner.run(timing_constraint=35_000).summary())
 """
 
-from .analysis import (
-    AnalysisResult,
-    DynamicProfile,
-    KernelInfo,
-    WeightModel,
-    extract_kernels,
-    profile_cdfg,
-)
-from .coarsegrain import CGCDatapath, block_cgc_timing, schedule_dfg, standard_datapath
-# NOTE: the explore() runner itself is not re-exported here — that would
-# shadow the repro.explore submodule; use `from repro.explore import explore`.
-from .explore import (
-    DesignSpace,
-    ExplorationReport,
-    ExplorationResult,
-    PlatformSpec,
-    WorkloadSpec,
-)
-from .finegrain import FPGADevice, block_fpga_timing, partition_dfg
-from .frontend import parse_program
-from .interp import Interpreter, run_function
-from .job import Job, run_job
-from .ir import CDFG, build_cdfg, cdfg_from_source
-from .partition import (
-    ApplicationWorkload,
-    BlockWorkload,
-    EngineConfig,
-    PartitionResult,
-    workload_from_cdfg,
-)
-from .platform import HybridPlatform, paper_platform
-from .reporting import (
-    reproduce_headline_claims,
-    reproduce_table1_jpeg,
-    reproduce_table1_ofdm,
-    reproduce_table2,
-    reproduce_table3,
-)
-from .search import (
-    AlgorithmSpec,
-    GreedyPartitioner,
-    Partitioner,
-    VisitedConfiguration,
-    make_partitioner,
-    pareto_front,
-)
-from .suite import (
-    RegressionThresholds,
-    ResultStore,
-    Scenario,
-    ScenarioResult,
-    SuiteComparison,
-    SuiteRun,
-    compare_runs,
-    run_suite,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .analysis import (
+        AnalysisResult as AnalysisResult,
+        DynamicProfile as DynamicProfile,
+        KernelInfo as KernelInfo,
+        WeightModel as WeightModel,
+        extract_kernels as extract_kernels,
+        profile_cdfg as profile_cdfg,
+    )
+    from .coarsegrain import (
+        CGCDatapath as CGCDatapath,
+        block_cgc_timing as block_cgc_timing,
+        schedule_dfg as schedule_dfg,
+        standard_datapath as standard_datapath,
+    )
+    from .explore import (
+        DesignSpace as DesignSpace,
+        ExplorationReport as ExplorationReport,
+        ExplorationResult as ExplorationResult,
+        PlatformSpec as PlatformSpec,
+        WorkloadSpec as WorkloadSpec,
+    )
+    from .finegrain import (
+        FPGADevice as FPGADevice,
+        block_fpga_timing as block_fpga_timing,
+        partition_dfg as partition_dfg,
+    )
+    from .frontend import parse_program as parse_program
+    from .interp import (
+        Interpreter as Interpreter,
+        run_function as run_function,
+    )
+    from .ir import (
+        CDFG as CDFG,
+        build_cdfg as build_cdfg,
+        cdfg_from_source as cdfg_from_source,
+    )
+    from .job import (
+        Job as Job,
+        run_job as run_job,
+    )
+    from .partition import (
+        ApplicationWorkload as ApplicationWorkload,
+        BlockWorkload as BlockWorkload,
+        EngineConfig as EngineConfig,
+        PartitionResult as PartitionResult,
+        workload_from_cdfg as workload_from_cdfg,
+    )
+    from .platform import (
+        HybridPlatform as HybridPlatform,
+        paper_platform as paper_platform,
+    )
+    from .reporting import (
+        reproduce_headline_claims as reproduce_headline_claims,
+        reproduce_table1_jpeg as reproduce_table1_jpeg,
+        reproduce_table1_ofdm as reproduce_table1_ofdm,
+        reproduce_table2 as reproduce_table2,
+        reproduce_table3 as reproduce_table3,
+    )
+    from .search import (
+        AlgorithmSpec as AlgorithmSpec,
+        GreedyPartitioner as GreedyPartitioner,
+        Partitioner as Partitioner,
+        VisitedConfiguration as VisitedConfiguration,
+        make_partitioner as make_partitioner,
+        pareto_front as pareto_front,
+    )
+    from .suite import (
+        RegressionThresholds as RegressionThresholds,
+        ResultStore as ResultStore,
+        Scenario as Scenario,
+        ScenarioResult as ScenarioResult,
+        SuiteComparison as SuiteComparison,
+        SuiteRun as SuiteRun,
+        compare_runs as compare_runs,
+        run_suite as run_suite,
+    )
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlgorithmSpec",
-    "AnalysisResult",
-    "ApplicationWorkload",
-    "BlockWorkload",
-    "CDFG",
-    "CGCDatapath",
-    "DesignSpace",
-    "DynamicProfile",
-    "EngineConfig",
-    "ExplorationReport",
-    "ExplorationResult",
-    "FPGADevice",
-    "GreedyPartitioner",
-    "HybridPlatform",
-    "Interpreter",
-    "Job",
-    "KernelInfo",
-    "PartitionResult",
-    "Partitioner",
-    "PlatformSpec",
-    "RegressionThresholds",
-    "ResultStore",
-    "Scenario",
-    "ScenarioResult",
-    "SuiteComparison",
-    "SuiteRun",
-    "VisitedConfiguration",
-    "WeightModel",
-    "WorkloadSpec",
-    "block_cgc_timing",
-    "block_fpga_timing",
-    "build_cdfg",
-    "cdfg_from_source",
-    "compare_runs",
-    "extract_kernels",
-    "make_partitioner",
-    "paper_platform",
-    "pareto_front",
-    "parse_program",
-    "partition_dfg",
-    "profile_cdfg",
-    "reproduce_headline_claims",
-    "reproduce_table1_jpeg",
-    "reproduce_table1_ofdm",
-    "reproduce_table2",
-    "reproduce_table3",
-    "run_function",
-    "run_job",
-    "run_suite",
-    "schedule_dfg",
-    "standard_datapath",
-    "workload_from_cdfg",
-    "__version__",
-]
+# The explore() runner is not exported here: it would shadow the
+# repro.explore subpackage; use `from repro.explore import explore`.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".analysis": (
+        "AnalysisResult", "DynamicProfile", "KernelInfo", "WeightModel",
+        "extract_kernels", "profile_cdfg",
+    ),
+    ".coarsegrain": (
+        "CGCDatapath", "block_cgc_timing", "schedule_dfg", "standard_datapath",
+    ),
+    ".explore": (
+        "DesignSpace", "ExplorationReport", "ExplorationResult", "PlatformSpec",
+        "WorkloadSpec",
+    ),
+    ".finegrain": ("FPGADevice", "block_fpga_timing", "partition_dfg"),
+    ".frontend": ("parse_program",),
+    ".interp": ("Interpreter", "run_function"),
+    ".ir": ("CDFG", "build_cdfg", "cdfg_from_source"),
+    ".job": ("Job", "run_job"),
+    ".partition": (
+        "ApplicationWorkload", "BlockWorkload", "EngineConfig", "PartitionResult",
+        "workload_from_cdfg",
+    ),
+    ".platform": ("HybridPlatform", "paper_platform"),
+    ".reporting": (
+        "reproduce_headline_claims", "reproduce_table1_jpeg", "reproduce_table1_ofdm",
+        "reproduce_table2", "reproduce_table3",
+    ),
+    ".search": (
+        "AlgorithmSpec", "GreedyPartitioner", "Partitioner", "VisitedConfiguration",
+        "make_partitioner", "pareto_front",
+    ),
+    ".suite": (
+        "RegressionThresholds", "ResultStore", "Scenario", "ScenarioResult",
+        "SuiteComparison", "SuiteRun", "compare_runs", "run_suite",
+    ),
+})
+__all__ += ["__version__"]

@@ -63,39 +63,19 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .explore import DesignSpace, PlatformSpec, WorkloadSpec, explore
+from .explore.space import DesignSpace, PlatformSpec, WorkloadSpec
 from .job import Job, run_job
 from .partition import EngineConfig, TableResolver
-from .reporting import (
-    StepThresholds,
-    compute_trends,
-    format_grid,
-    render_exploration,
-    render_pareto,
-    render_suite,
-    render_suite_diff,
-    render_trends,
-    write_exploration_csv,
-    write_exploration_json,
-    write_suite_csv,
-    write_suite_json,
-    write_trends_csv,
-    write_trends_html,
-)
 from .search import AlgorithmSpec
 from .specs import algorithm_spec_from_text, workload_spec_from_text
-from .suite import (
-    RegressionThresholds,
-    ResultStore,
-    SuiteRun,
-    compare_runs,
-    read_run_json,
-    run_suite,
-    scenario_names,
-    select_scenarios,
-)
+
+# The suite, reporting, serve and explore-runner names are imported
+# inside the handlers that use them: a `partition` run loads neither
+# sqlite3 nor the process pool.
+if TYPE_CHECKING:
+    from .suite import ResultStore, SuiteRun
 
 
 def parse_workload(text: str) -> WorkloadSpec:
@@ -431,6 +411,8 @@ def _open_store(path: str) -> ResultStore | None:
     crashing with an sqlite3 traceback."""
     import sqlite3
 
+    from .suite import ResultStore
+
     try:
         return ResultStore(path)
     except (sqlite3.Error, OSError) as error:
@@ -476,12 +458,21 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             f"comm {step.comm_cycles}) {marker}"
         )
     if args.pareto:
+        from .reporting import render_pareto
+
         print("\nPareto front (cycles / kernels moved / CGC rows):")
         print(render_pareto(run.partitioner.pareto_front()))
     return 0
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from .explore.runner import explore
+    from .reporting import (
+        render_exploration,
+        write_exploration_csv,
+        write_exploration_json,
+    )
+
     space = DesignSpace.grid(
         args.workloads,
         afpga_values=tuple(args.afpga),
@@ -522,6 +513,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _selected_scenarios(args: argparse.Namespace):
+    from .suite import scenario_names, select_scenarios
+
     try:
         scenarios = select_scenarios(args.scenarios, args.tag)
     except KeyError as error:
@@ -538,6 +531,8 @@ def _selected_scenarios(args: argparse.Namespace):
 
 
 def _cmd_suite_list(args: argparse.Namespace) -> int:
+    from .suite import select_scenarios
+
     if args.db:
         store = _open_store(args.db)
         if store is None:
@@ -564,6 +559,9 @@ def _cmd_suite_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite_run(args: argparse.Namespace) -> int:
+    from .reporting import render_suite, write_suite_csv, write_suite_json
+    from .suite import run_suite
+
     scenarios = _selected_scenarios(args)
     if scenarios is None:
         return 2
@@ -599,6 +597,8 @@ def _resolve_run(
     ref: str, store: ResultStore | None, role: str
 ) -> SuiteRun | None:
     """A run reference: a JSON file path, or a store run id / label."""
+    from .suite import read_run_json
+
     path = Path(ref)
     if path.is_file():
         try:
@@ -639,6 +639,9 @@ def _resolve_run(
 
 
 def _cmd_suite_compare(args: argparse.Namespace) -> int:
+    from .reporting import render_suite_diff, write_suite_json
+    from .suite import RegressionThresholds, compare_runs, run_suite
+
     # Validate thresholds first: a bad flag must not cost a suite run.
     try:
         thresholds = RegressionThresholds(
@@ -683,6 +686,8 @@ def _cmd_suite_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite_history(args: argparse.Namespace) -> int:
+    from .reporting import format_grid
+
     store = _open_store(args.db)
     if store is None:
         return 2
@@ -738,6 +743,15 @@ def _cmd_suite_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite_trends(args: argparse.Namespace) -> int:
+    from .reporting import (
+        StepThresholds,
+        compute_trends,
+        render_trends,
+        write_trends_csv,
+        write_trends_html,
+    )
+    from .suite import ResultStore
+
     if bool(args.db) == bool(args.runs):
         print(
             "error: pass exactly one of --db or --runs",
@@ -840,10 +854,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .ir import find_loops, live_variable_sets, verify_cdfg
-    from .suite import SCENARIOS
 
     specs: list[WorkloadSpec] = list(args.workloads)
     if args.all:
+        from .suite import SCENARIOS
+
         seen = {spec.label for spec in specs}
         candidates = [s.workload for s in SCENARIOS.values()]
         # The registered suite is partly table-driven; always cover the

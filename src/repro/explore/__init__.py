@@ -47,15 +47,26 @@ a platform grid, in parallel::
     print(report.cheapest_meeting("ofdm-transmitter", 0.5))
 """
 
-from .results import ExplorationReport, ExplorationResult
-from .runner import explore
-from .space import DesignSpace, PlatformSpec, WorkloadSpec
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DesignSpace",
-    "ExplorationReport",
-    "ExplorationResult",
-    "PlatformSpec",
-    "WorkloadSpec",
-    "explore",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .results import (
+        ExplorationReport as ExplorationReport,
+        ExplorationResult as ExplorationResult,
+    )
+    from .runner import explore as explore
+    from .space import (
+        DesignSpace as DesignSpace,
+        PlatformSpec as PlatformSpec,
+        WorkloadSpec as WorkloadSpec,
+    )
+
+# Lazy, so a spec import (``repro.explore.space``) does not load the
+# process-pool runner.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".results": ("ExplorationReport", "ExplorationResult"),
+    ".runner": ("explore",),
+    ".space": ("DesignSpace", "PlatformSpec", "WorkloadSpec"),
+})

@@ -13,7 +13,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .faults import Deadline
-from .parallel import map_tasks
 from .partition.costs import CostStats
 from .partition.engine import EngineConfig
 from .partition.packed import PackedCostTable
@@ -137,6 +136,10 @@ def fan_out(
     """``map_tasks`` with ``max_workers=None`` as min(tasks, CPUs): pool
     workers price on their process resolver, a serial run on one scoped
     to this call (a long-lived caller must not keep every pair)."""
+    # Imported here: a single job (the CLI, a served one) never fans out,
+    # and the pool machinery is most of what importing this module costs.
+    from .parallel import map_tasks
+
     workers = max_workers
     if workers is None:
         workers = min(len(tasks), os.cpu_count() or 1)

@@ -9,9 +9,11 @@ through a :class:`TableResolver`, two LRU layers keyed by spec:
   priced on several platforms builds its DFGs — and, for the measured
   kinds, runs the profiler — once;
 * a **table layer** ((workload spec, platform spec,
-  ``charge_single_partition_reconfig``) -> priced
+  ``charge_single_partition_reconfig``) -> the built
+  :class:`~repro.platform.soc.HybridPlatform` and its priced
   :class:`~repro.partition.packed.PackedCostTable`), so every algorithm,
-  constraint and job on a pair shares one pricing pass.
+  constraint and job on a pair shares one pricing pass and one platform
+  (nothing mutates a built platform).
 
 The reconfiguration flag is part of the table key because it changes
 the fine-grain terms: two lookups that differ only in it get distinct
@@ -127,7 +129,8 @@ class TableResolver:
             LruCache(capacity, f"{counter_prefix}_workload_cache")
         )
         self.tables: LruCache[
-            tuple[WorkloadSpec, PlatformSpec, bool], PackedCostTable
+            tuple[WorkloadSpec, PlatformSpec, bool],
+            tuple[HybridPlatform, PackedCostTable],
         ] = LruCache(capacity, f"{counter_prefix}_table_cache")
         self.profile_cache = ProfileCache()
 
@@ -148,15 +151,16 @@ class TableResolver:
     ) -> tuple[ApplicationWorkload, HybridPlatform, PackedCostTable]:
         """The pair's built workload, platform and priced table.
 
-        A table miss prices the pair once, charging the pricing work to
-        ``stats`` when given.
+        A table miss builds the platform and prices the pair once,
+        charging the pricing work to ``stats`` when given; a hit returns
+        the platform and table it built.
         """
         workload_spec, platform_spec = pair
         workload = self.workload(workload_spec)
-        platform = platform_spec.build()
         key = (workload_spec, platform_spec, charge_single_partition_reconfig)
-        table = self.tables.get(key)
-        if table is None:
+        entry = self.tables.get(key)
+        if entry is None:
+            platform = platform_spec.build()
             table = PackedCostTable.from_model(
                 CostModel(
                     workload,
@@ -167,7 +171,9 @@ class TableResolver:
                     stats=stats,
                 )
             )
-            self.tables.put(key, table)
+            entry = (platform, table)
+            self.tables.put(key, entry)
+        platform, table = entry
         return workload, platform, table
 
     def stats(self) -> dict[str, object]:

@@ -34,13 +34,27 @@ __all__ = ["ServeDaemon", "run_daemon"]
 
 #: Bodies over this size are rejected outright (jobs are tiny).
 _MAX_BODY_BYTES = 1 << 20
+#: Write buffer of a connection; a larger reply is written as it goes.
+_REPLY_BUFFER_BYTES = 1 << 16
+
+
+def _ascii_int(text: str) -> int | None:
+    """``text`` as an integer if it is ASCII digits only (HTTP's
+    ``1*DIGIT``), else None: ``int`` also takes signs, underscores and
+    other scripts' digits ("²" passes ``str.isdigit`` and fails ``int``)."""
+    return int(text) if text.isascii() and text.isdigit() else None
 
 
 class _Handler(BaseHTTPRequestHandler):
     daemon: "ServeDaemon"  # injected by ServeDaemon via class attribute
     protocol_version = "HTTP/1.1"
-    # Headers and body go out as two writes; with Nagle on, a keep-alive
-    # request sent right after a reply waits for the client's delayed ACK.
+    # Buffered, so a reply leaves in one write when handle_one_request
+    # flushes: written unbuffered, headers and body are two segments, and
+    # a GIL switch between the writes holds the body back while the
+    # dispatcher runs a job.
+    wbufsize = _REPLY_BUFFER_BYTES
+    # With Nagle on, a keep-alive request sent right after a reply waits
+    # for the client's delayed ACK.
     disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
@@ -67,15 +81,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> object:
         header = self.headers.get("Content-Length") or "0"
-        try:
-            length = int(header)
-        except ValueError:
-            length = -1
-        if length < 0 or length > _MAX_BODY_BYTES:
+        length = _ascii_int(header.strip(" \t"))
+        if length is None or length > _MAX_BODY_BYTES:
             # The body stays unread, so the connection cannot carry
             # another request: answer, then close it.
             self.close_connection = True
-            if length < 0:
+            if length is None:
                 raise JobValidationError(
                     f"invalid Content-Length header {header!r}"
                 )
@@ -147,7 +158,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if self.path.startswith("/jobs/"):
             tail = self.path[len("/jobs/"):]
-            if not tail.isdigit():
+            job_id = _ascii_int(tail)
+            if job_id is None:
                 self._reply(
                     400,
                     {"error": {
@@ -157,7 +169,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 return
             try:
-                payload = self.daemon.server.poll(int(tail))
+                payload = self.daemon.server.poll(job_id)
             except JobError as error:
                 self._reply(404, {"error": error.to_payload()})
                 return

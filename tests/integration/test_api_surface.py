@@ -1,5 +1,7 @@
 """API-surface and cross-cutting behaviour tests."""
 
+import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,6 +15,24 @@ from repro.partition import PartitionResult, PartitionStep
 from repro.platform import paper_platform
 from repro.search import GreedyPartitioner
 from repro.workloads import SyntheticBlockProfile, generate_dfg
+
+ROOT = Path(__file__).resolve().parents[2]
+#: Packages whose exports resolve on first use.
+LAZY_PACKAGES = ("repro", "repro.explore", "repro.reporting", "repro.workloads")
+#: What a flow or a single partition must not load: the suite store,
+#: report writers, the daemon and the process pool.
+NOT_FOR_ONE_RUN = (
+    "sqlite3", "csv", "multiprocessing", "concurrent.futures", "http.server",
+    "subprocess", "repro.suite", "repro.reporting", "repro.serve",
+    "repro.explore.runner", "repro.parallel",
+)
+
+
+_spec = importlib.util.spec_from_file_location(
+    "footprint", ROOT / "scripts" / "footprint.py"
+)
+footprint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(footprint)
 
 
 class TestPackageExports:
@@ -45,6 +65,42 @@ class TestPackageExports:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        assert namespace["GreedyPartitioner"] is GreedyPartitioner
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_lazy_table_matches_the_typing_imports(self, package):
+        """Type checkers and linters read the ``TYPE_CHECKING`` imports;
+        the runtime reads the table: both must name the same
+        (submodule, name) pairs."""
+        path = ROOT / "src" / Path(*package.split(".")) / "__init__.py"
+        tree = ast.parse(path.read_text())
+        [guard] = [
+            node for node in tree.body
+            if isinstance(node, ast.If)
+            and ast.unparse(node.test) == "TYPE_CHECKING"
+        ]
+        typing_pairs = {
+            ("." + node.module, alias.name)
+            for node in guard.body
+            for alias in node.names
+            if alias.asname == alias.name
+        }
+        [call] = [
+            node.value for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and ast.unparse(node.value.func) == "lazy_exports"
+        ]
+        table = ast.literal_eval(call.args[1])
+        assert typing_pairs == {
+            (module, name) for module, names in table.items()
+            for name in names
+        }
+
 
 class TestDependencies:
     def test_library_does_not_import_networkx(self):
@@ -65,6 +121,46 @@ class TestDependencies:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+    def test_import_repro_loads_no_subpackage(self):
+        loaded, _ = footprint.probe(footprint.ENTRY_POINTS["import repro"])
+        assert {m for m in loaded if m.startswith("repro.")} == {"repro._lazy"}
+        loaded, _ = footprint.probe("import repro; repro.paper_platform")
+        assert "repro.platform" in loaded
+        assert not {"repro.suite", "repro.search", "numpy"} & loaded
+
+    def test_flow_imports_load_no_store_pool_or_daemon(self):
+        """The library imports of perfbench's flow-minic workload."""
+        tree = ast.parse((ROOT / "perfbench" / "flow_minic.py").read_text())
+        imports = [
+            ast.unparse(node) for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("repro")
+        ]
+        assert imports
+        loaded, _ = footprint.probe("\n".join(imports))
+        assert not set(NOT_FOR_ONE_RUN) & loaded
+
+    def test_cli_partition_loads_no_store_pool_or_numpy(self):
+        loaded, _ = footprint.probe(
+            footprint.ENTRY_POINTS[
+                "python -m repro partition --workload ofdm --fraction 0.5"
+            ]
+        )
+        assert not {*NOT_FOR_ONE_RUN, "numpy"} & loaded
+
+    def test_serving_a_job_loads_no_store_reports_or_numpy(self):
+        loaded, _ = footprint.probe(
+            "import repro.serve\n"
+            "with repro.serve.Server() as server:\n"
+            "    job = server.submit_payload(\n"
+            "        {'workload': 'synthetic:12:seed=3', 'fraction': 0.5})\n"
+            "    assert server.await_result(job, timeout=60).state == 'done'"
+        )
+        assert "repro.serve.server" in loaded
+        assert not {
+            "sqlite3", "csv", "repro.suite", "repro.reporting", "numpy",
+        } & loaded
 
 
 class TestResultTypes:

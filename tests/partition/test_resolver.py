@@ -14,11 +14,18 @@ PLATFORM = PlatformSpec()
 SPECS = [WorkloadSpec.synthetic(6, seed=seed) for seed in range(4)]
 
 
-def test_lookups_of_one_pair_share_one_table():
+def test_lookups_of_one_pair_share_one_table(monkeypatch):
+    builds = []
+    build = PlatformSpec.build
+    monkeypatch.setattr(
+        PlatformSpec, "build", lambda spec: builds.append(spec) or build(spec)
+    )
     resolver = TableResolver()
     first = resolver.resolve((SPECS[0], PLATFORM))
     second = resolver.resolve((SPECS[0], PLATFORM))
-    assert second[0] is first[0] and second[2] is first[2]
+    assert all(again is built for again, built in zip(second, first, strict=True))
+    # The cached entry holds the platform: a hit builds none.
+    assert builds == [PLATFORM]
     assert resolver.stats()["tables"]["misses"] == 1
     assert resolver.stats()["tables"]["hits"] == 1
 

@@ -8,6 +8,7 @@ handlers and restores the previous handlers afterwards.
 import http.client
 import json
 import signal
+import socket
 import threading
 import time
 import urllib.error
@@ -58,15 +59,15 @@ def post(daemon, path, payload):
         return error.code, json.loads(error.read()), error.headers
 
 
-def post_with_length(daemon, length):
-    """POST /jobs with a hand-set Content-Length header and no body."""
+def post_with_length(daemon, length, body=b""):
+    """POST /jobs with a hand-set Content-Length header and ``body``."""
     host, port = daemon.address
     connection = http.client.HTTPConnection(host, port, timeout=10)
     try:
         connection.putrequest("POST", "/jobs")
         connection.putheader("Content-Type", "application/json")
         connection.putheader("Content-Length", length)
-        connection.endheaders()
+        connection.endheaders(body or None)
         reply = connection.getresponse()
         return (
             reply.status, json.loads(reply.read()),
@@ -76,7 +77,19 @@ def post_with_length(daemon, length):
         connection.close()
 
 
+def get_raw(daemon, path):
+    """GET ``path`` given as bytes, sent as they are (urllib and
+    http.client encode a path as ASCII)."""
+    with socket.create_connection(daemon.address, timeout=10) as sock:
+        sock.sendall(b"GET " + path + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+        reply = http.client.HTTPResponse(sock)
+        reply.begin()
+        return reply.status, json.loads(reply.read())
+
+
 JOB = {"workload": "synthetic:24:seed=5", "fraction": 0.5}
+#: A valid 37-byte job body.
+BODY_37 = b'{"workload": "ofdm", "fraction": 0.5}'
 
 
 class TestEndpoints:
@@ -109,12 +122,19 @@ class TestEndpoints:
         assert payload["error"]["code"] == "invalid-request"
         assert "malformed JSON" in payload["error"]["message"]
 
-    @pytest.mark.parametrize("length", ["abc", "-1"])
-    def test_bad_content_length_is_400_and_closes(self, daemon, length):
+    @pytest.mark.parametrize(
+        "length, body",
+        [("abc", b""), ("-1", b""), ("3_7", BODY_37), ("+37", BODY_37)],
+        ids=["abc", "-1", "3_7", "+37"],
+    )
+    def test_bad_content_length_is_400_and_closes(self, daemon, length, body):
         # Non-integer: used to crash the handler with no response;
         # negative: used to block in rfile.read(-1) until the client
-        # hung up.
-        status, payload, connection = post_with_length(daemon, length)
+        # hung up.  HTTP allows only ASCII digits, though int() also
+        # takes a sign or underscores: those bodies used to be read
+        # and the job accepted.
+        assert len(BODY_37) == 37
+        status, payload, connection = post_with_length(daemon, length, body)
         assert status == 400
         assert payload["error"]["code"] == "invalid-request"
         assert "Content-Length" in payload["error"]["message"]
@@ -230,15 +250,42 @@ class TestEndpoints:
         assert status == 400
         assert payload["error"]["code"] == "invalid-request"
 
+    def test_non_ascii_digit_job_id_is_400(self, daemon):
+        # "²" (Latin-1 0xB2) passes str.isdigit() but not int(): the
+        # handler used to raise and close the connection unanswered.
+        status, payload = get_raw(daemon, b"/jobs/\xb2")
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-request"
+
+    def test_a_reply_is_one_socket_write(self, daemon, monkeypatch):
+        # Headers and body leave together: written separately, a GIL
+        # switch between them held the body while the dispatcher ran.
+        port = daemon.address[1]
+        writes = []
+        for name in ("send", "sendall"):
+            original = getattr(socket.socket, name)
+
+            def counted(sock, data, *args, _original=original):
+                if sock.getsockname()[1] == port:
+                    writes.append(bytes(data))
+                return _original(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, name, counted)
+        for path in ("/healthz", "/stats", "/jobs/abc"):
+            writes.clear()
+            get(daemon, path)
+            assert len(writes) == 1, (path, writes)
+            assert writes[0].startswith(b"HTTP/1.1 ")
+
     def test_unknown_route_is_404(self, daemon):
         status, payload = get(daemon, "/nope")
         assert status == 404
         assert payload["error"]["code"] == "not-found"
 
     def test_keep_alive_requests_do_not_stall(self, daemon):
-        # A reply goes out as two writes (headers, body).  With Nagle's
-        # algorithm on, each request sent right after a reply waits
-        # ~40 ms for the client's delayed ACK: ten took ~400 ms.
+        # With Nagle's algorithm on and a reply in two writes (headers,
+        # body), each request sent right after a reply waited ~40 ms for
+        # the client's delayed ACK: ten took ~400 ms.
         host, port = daemon.address
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:

@@ -29,7 +29,7 @@ every substrate it depends on:
   worker processes on top of the packed cost tables;
 * :mod:`repro.search` — the Figure 2 greedy loop
   (:class:`~repro.search.GreedyPartitioner`) and the other pluggable
-  partitioning algorithms (exhaustive, multi-start, simulated
+  partitioning algorithms (closed-form exhaustive, simulated
   annealing) over shared packed cost tables, with Pareto-front
   multi-objective analysis;
 * :mod:`repro.suite` — named end-to-end scenario registry, batched

@@ -18,7 +18,7 @@ run without writing a script:
 
         python -m repro explore --workloads ofdm jpeg \\
             --afpga 1500 5000 --cgcs 2 3 --fractions 0.9 0.5 \\
-            --algorithms greedy multi_start --csv grid.csv
+            --algorithms greedy exhaustive --csv grid.csv
 
 ``suite``
     The named scenario suite with its persistent result store,
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument(
         "--algorithm", type=parse_algorithm,
         default=AlgorithmSpec.greedy(),
-        help="greedy | exhaustive | multi_start | annealing[:key=value,...]",
+        help="greedy | exhaustive[:max_candidates=N] | annealing[:seed=N]",
     )
     part.add_argument(
         "--max-kernels", type=int, default=None,
@@ -134,11 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument(
         "--pareto", action="store_true",
         help="also print the Pareto front of visited configurations",
-    )
-    part.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget for the search; on expiry the best "
-        "configuration found so far is returned, marked uncertified",
     )
 
     expl = sub.add_parser(
@@ -339,11 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "between retries (default 0.05)",
     )
     srv.add_argument(
-        "--search-deadline", type=float, default=None,
-        help="per-job wall-clock search budget in seconds; expired "
-        "searches return best-so-far marked uncertified (default: none)",
-    )
-    srv.add_argument(
         "--breaker-threshold", type=int, default=0,
         help="consecutive infrastructure-failure groups per "
         "workload×platform pair before the circuit breaker opens; "
@@ -353,12 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--breaker-cooldown", type=float, default=30.0,
         help="seconds an open circuit breaker rejects jobs before "
         "half-closing (default 30)",
-    )
-    srv.add_argument(
-        "--degrade", action="store_true",
-        help="when the search deadline truncates a non-greedy job, "
-        "answer with a completed greedy run instead (reported as "
-        "degraded) rather than an uncertified partial result",
     )
     srv.add_argument(
         "--drain-deadline", type=float, default=None,
@@ -425,8 +409,6 @@ def _open_store(path: str) -> ResultStore | None:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     try:
-        if args.deadline is not None and args.deadline <= 0:
-            raise ValueError("--deadline must be positive")
         job = Job(
             args.workload,
             PlatformSpec(
@@ -437,19 +419,13 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             () if args.fraction is None else (args.fraction,),
             EngineConfig(max_kernels_moved=args.max_kernels),
         )
-        run = run_job(job, TableResolver(), deadline_seconds=args.deadline)
+        run = run_job(job, TableResolver())
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     [result] = run.results
     print(f"algorithm: {job.algorithm.label}")
     print(result.summary())
-    if not result.certified:
-        print(
-            "warning: search deadline expired; result is the best "
-            "configuration found so far (uncertified)",
-            file=sys.stderr,
-        )
     for step in result.steps:
         marker = "met" if step.constraint_met else "   "
         print(
@@ -617,11 +593,12 @@ def _resolve_run(
         )
         return None
     # Labels win over run ids so a digit-only label stays reachable;
-    # ids are only generated, labels are what users chose.
+    # ids are only generated, labels are what users chose.  A run id is
+    # ASCII digits only: "²" passes str.isdigit and fails int().
     run = store.load_latest(label=ref)
     if run is not None:
         return run
-    if ref.isdigit():
+    if ref.isascii() and ref.isdigit():
         try:
             return store.load_run(int(ref))
         except KeyError:
@@ -826,10 +803,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             default_timeout_seconds=args.default_timeout,
             task_retries=args.task_retries,
             retry_backoff_seconds=args.retry_backoff,
-            search_deadline_seconds=args.search_deadline,
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown_seconds=args.breaker_cooldown,
-            degrade_under_deadline=args.degrade,
         )
         if args.drain_deadline is not None and args.drain_deadline <= 0:
             raise ValueError("--drain-deadline must be positive")

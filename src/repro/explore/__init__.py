@@ -10,7 +10,7 @@ Three layers:
 * :mod:`repro.explore.space` — :class:`WorkloadSpec` / :class:`PlatformSpec`
   (buildable, picklable descriptions) and :class:`DesignSpace`, the grid,
   whose fourth axis is the partitioning algorithm
-  (:class:`~repro.search.AlgorithmSpec`: greedy, exhaustive, multi-start,
+  (:class:`~repro.search.AlgorithmSpec`: greedy, exhaustive or
   annealing — see :mod:`repro.search`).
   ``WorkloadSpec.ofdm_measured()`` / ``WorkloadSpec.jpeg_measured()``
   profile the real mini-C applications under the block-compiled

@@ -1,4 +1,4 @@
-"""Deterministic fault injection and cooperative deadlines.
+"""Deterministic fault injection and the retry policy.
 
 Chaos testing is only useful when a failing run can be replayed: this
 module provides the seed-driven, picklable :class:`FaultPlan` that
@@ -31,23 +31,18 @@ Five fault kinds cover the failure modes a process pool actually has:
     instead of its real result; the parent detects and fails it
     structurally instead of handing garbage downstream.
 
-The module also owns the cooperative cancellation primitives the rest
-of the robustness layer shares: :class:`Deadline` (a monotonic budget
-token that survives pickling across process boundaries by re-anchoring
-to the remaining seconds), :class:`RetryPolicy` (bounded attempts,
-deterministic exponential backoff, pool-rebuild budget), and the
-structured :class:`TaskFailure` record that replaces "the whole batch
-died" as a failure report.
+The module also owns what the rest of the robustness layer shares:
+:class:`RetryPolicy` (bounded attempts, deterministic exponential
+backoff, pool-rebuild budget) and the structured :class:`TaskFailure`
+record that replaces "the whole batch died" as a failure report.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
-    "Deadline",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
@@ -275,41 +270,3 @@ class TaskFailureError(RuntimeError):
         super().__init__(failure.describe())
         self.failure = failure
 
-
-def _deadline_after(seconds: float) -> "Deadline":
-    """Pickle reconstructor: re-anchor a deadline to the remaining
-    budget in the receiving process (monotonic clocks do not travel)."""
-    return Deadline.after(seconds)
-
-
-@dataclass(frozen=True)
-class Deadline:
-    """A cooperative time budget, checked at batch boundaries.
-
-    Long-running search loops poll :meth:`expired` every few thousand
-    visits and stop with their best-so-far when the budget is gone —
-    cancellation without threads, signals, or non-determinism in the
-    work actually performed before the cut.  Pickling re-anchors to the
-    remaining seconds, so a deadline handed to a pool worker keeps
-    (approximately) the parent's budget rather than a meaningless
-    foreign clock value.
-    """
-
-    expires_at: float = field(default=0.0)
-
-    @classmethod
-    def after(cls, seconds: float) -> "Deadline":
-        """A deadline ``seconds`` from now (monotonic)."""
-        if seconds < 0:
-            seconds = 0.0
-        return cls(expires_at=time.monotonic() + seconds)
-
-    def remaining(self) -> float:
-        """Seconds left (<= 0 once expired)."""
-        return self.expires_at - time.monotonic()
-
-    def expired(self) -> bool:
-        return time.monotonic() >= self.expires_at
-
-    def __reduce__(self):
-        return (_deadline_after, (max(0.0, self.remaining()),))

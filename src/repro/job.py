@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from .faults import Deadline
 from .partition.costs import CostStats
 from .partition.engine import EngineConfig
 from .partition.packed import PackedCostTable
@@ -70,29 +69,22 @@ def fraction_constraint(initial_cycles: int, fraction: float) -> int:
 
 class JobRun(NamedTuple):
     """One result per target in the job's order, the partitioner they
-    all ran on, the seconds spent searching, the pricing the job paid
-    for (zero on a cached table), and whether greedy answered a target
-    in place of a search the deadline cut."""
+    all ran on, the seconds spent searching and the pricing the job paid
+    for (zero on a cached table)."""
 
     results: list[PartitionResult]
     partitioner: Partitioner
     search_seconds: float
     pricing: CostStats
-    degraded: bool
 
 
 def run_job(
-    job: Job,
-    source: TableResolver | Resolved | None = None,
-    *,
-    deadline_seconds: float | None = None,
-    degrade: bool = False,
+    job: Job, source: TableResolver | Resolved | None = None
 ) -> JobRun:
     """Run every target of ``job`` on one partitioner.
 
     ``source`` prices the pair (this process's resolver when None) or is
-    the resolved pair.  ``deadline_seconds`` is one search budget for all
-    targets; ``degrade`` reruns a non-greedy search it cut with greedy.
+    the resolved pair.
     """
     config = job.engine_config or EngineConfig()
     pricing = CostStats()
@@ -104,30 +96,18 @@ def run_job(
             config.charge_single_partition_reconfig,
             pricing,
         )
-    build = partial(
-        make_partitioner, workload=workload, platform=platform,
-        config=config, packed_table=table,
+    partitioner = make_partitioner(
+        job.algorithm, workload, platform, config=config, packed_table=table
     )
-    partitioner = build(job.algorithm)
     initial = partitioner.initial_cycles()
     targets = [
         *job.constraints,
         *(fraction_constraint(initial, f) for f in job.constraint_fractions),
     ]
-    deadline = None
-    if deadline_seconds is not None:
-        deadline = Deadline.after(deadline_seconds)
-    results: list[PartitionResult] = []
-    fallback: Partitioner | None = None
     started = time.perf_counter()
-    for constraint in targets:
-        result = partitioner.run(constraint, deadline)
-        if result.partial and degrade and job.algorithm.name != "greedy":
-            fallback = fallback or build(AlgorithmSpec.greedy())
-            result = fallback.run(constraint)
-        results.append(result)
+    results = partitioner.sweep(targets)
     seconds = time.perf_counter() - started
-    return JobRun(results, partitioner, seconds, pricing, fallback is not None)
+    return JobRun(results, partitioner, seconds, pricing)
 
 
 def fan_out(

@@ -73,7 +73,6 @@ class PackedCostTable:
         "comm_ticks",
         "move_delta",
         "cgc_rows",
-        "weights",
         "skipped_bb_ids",
         "candidates",
         "row_masks",
@@ -93,7 +92,6 @@ class PackedCostTable:
         comm_ticks: tuple[int, ...],
         move_delta: tuple[int, ...],
         cgc_rows: tuple[int, ...],
-        weights: tuple[int, ...],
         skipped_bb_ids: tuple[int, ...],
         candidates: tuple[tuple[int, int], ...],
     ) -> None:
@@ -108,8 +106,6 @@ class PackedCostTable:
         self.comm_ticks = comm_ticks
         self.move_delta = move_delta
         self.cgc_rows = cgc_rows
-        #: Eq. 1 total weight per kernel (multi-start jitters these).
-        self.weights = weights
         #: Unsupported kernels, in candidate order.
         self.skipped_bb_ids = skipped_bb_ids
         #: Full Eq. 1 candidate sequence as (bb_id, index | -1).
@@ -149,7 +145,6 @@ class PackedCostTable:
         comm: list[int] = []
         delta: list[int] = []
         rows: list[int] = []
-        weights: list[int] = []
         skipped: list[int] = []
         candidates: list[tuple[int, int]] = []
         for kernel in model.kernel_candidates(weight_model):
@@ -163,7 +158,6 @@ class PackedCostTable:
                 comm.append(contribution.comm_ticks)
                 delta.append(contribution.move_delta)
                 rows.append(contribution.cgc_rows)
-                weights.append(kernel.total_weight(weight_model))
             else:
                 candidates.append((kernel.bb_id, -1))
                 skipped.append(kernel.bb_id)
@@ -178,7 +172,6 @@ class PackedCostTable:
             comm_ticks=tuple(comm),
             move_delta=tuple(delta),
             cgc_rows=tuple(rows),
-            weights=tuple(weights),
             skipped_bb_ids=tuple(skipped),
             candidates=tuple(candidates),
         )
@@ -198,7 +191,6 @@ class PackedCostTable:
             "comm_ticks": self.comm_ticks,
             "move_delta": self.move_delta,
             "cgc_rows": self.cgc_rows,
-            "weights": self.weights,
             "skipped_bb_ids": self.skipped_bb_ids,
             "candidates": self.candidates,
         }

@@ -54,11 +54,6 @@ class PartitionResult:
     #: Kernels whose move strictly worsened Eq. 2 and was undone (empty
     #: when ``EngineConfig.allow_regressing_moves`` is set).
     reverted_bb_ids: list[int] = field(default_factory=list)
-    #: True when the search stopped early (expired deadline) and this is
-    #: a best-so-far answer rather than the algorithm's full result; an
-    #: exhaustive result with ``partial=True`` is NOT a certified
-    #: optimum.
-    partial: bool = False
 
     @classmethod
     def all_fpga(
@@ -87,9 +82,9 @@ class PartitionResult:
 
     @property
     def certified(self) -> bool:
-        """Whether the algorithm ran to completion (its usual guarantee
-        — optimality for exhaustive search — holds only when True)."""
-        return not self.partial
+        """Always True: every search runs to completion.  Kept because
+        ``perfbench/dse_grid.py`` reads it."""
+        return True
 
     @property
     def reduction_percent(self) -> float:
@@ -133,14 +128,10 @@ class PartitionResult:
     def summary(self) -> str:
         moved = ", ".join(str(b) for b in self.moved_bb_ids) or "none"
         status = "met" if self.constraint_met else "NOT met"
-        suffix = (
-            "" if self.certified
-            else " [UNCERTIFIED: deadline expired, best-so-far]"
-        )
         return (
             f"{self.workload_name} on {self.platform_name}: "
             f"{self.initial_cycles} -> {self.final_cycles} cycles "
             f"({self.reduction_percent:.1f}% reduction), "
             f"constraint {self.timing_constraint} {status}, "
-            f"BBs moved: {moved}{suffix}"
+            f"BBs moved: {moved}"
         )

@@ -12,11 +12,14 @@ cost table per (workload, platform) pair (:mod:`repro.partition.packed`):
   ground truth heuristics are judged against (the optimum obeys one
   rule, :class:`~repro.search.base.Optimum`, and its Pareto front the
   incumbent rule of :class:`~repro.partition.packed.ShapeReduction`);
-* :class:`MultiStartPartitioner` — randomized greedy restarts with
-  seeded tie-breaking (never worse than unbounded greedy);
-* :class:`AnnealingPartitioner` — simulated annealing over subsets with
-  a configurable temperature schedule (greedy warm start, so also never
-  worse than unbounded greedy).
+* :class:`AnnealingPartitioner` — simulated annealing over subsets
+  with a fixed temperature schedule and a seed (greedy warm start, so
+  never worse than unbounded greedy).
+
+Every search's work is fixed by its table: greedy is O(n), the closed
+form O(n²) per row value (capped by ``max_candidates``), and annealing
+visits at most 1 + 30·max(8, 4n) configurations.  Nothing needs a time
+budget, so there is none.
 
 Every partitioner logs each configuration it visits as a
 :class:`VisitedConfiguration` with the three design objectives —
@@ -50,7 +53,6 @@ from .base import (
 )
 from .exhaustive import ExhaustivePartitioner
 from .greedy import GreedyPartitioner
-from .multi_start import MultiStartPartitioner
 from .pareto import (
     VisitedConfiguration,
     front_of_results,
@@ -64,7 +66,6 @@ __all__ = [
     "AnnealingPartitioner",
     "ExhaustivePartitioner",
     "GreedyPartitioner",
-    "MultiStartPartitioner",
     "Partitioner",
     "VisitedConfiguration",
     "front_of_results",

@@ -9,10 +9,12 @@ solution and the best configuration ever seen is returned, so annealing
 is never worse than unbounded greedy — it can only escape the weight-
 order traps greedy falls into under budgets or skewed workloads.
 
-The temperature schedule lives in the spec/constructor parameters
-(``initial_temp``, ``cooling``, ``temp_levels``, ``steps_per_temp``);
-``initial_temp=None`` self-scales to the largest single-move |delta| so
-early steps accept almost anything.  Fully deterministic per seed.
+The schedule is fixed, so the table bounds the work: the temperature
+starts at the largest single-move |delta| (early steps accept almost
+anything) and falls by :data:`COOLING` over :data:`TEMP_LEVELS` levels
+of max(8, 4n) steps each.  On an n-kernel table a walk visits at most
+1 + 30·max(8, 4n) configurations (the warm start, then one per taken
+step).  ``seed`` is the only parameter; fully deterministic per seed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ import random
 from ..partition.result import PartitionResult
 from .base import Optimum, Partitioner, check_params, register_algorithm
 
+#: Geometric cooling factor per temperature level.
+COOLING = 0.9
+#: Temperature levels per walk, each of max(8, 4n) steps.
+TEMP_LEVELS = 30
+
 
 @register_algorithm
 class AnnealingPartitioner(Partitioner):
@@ -30,37 +37,11 @@ class AnnealingPartitioner(Partitioner):
 
     algorithm = "annealing"
 
-    def __init__(
-        self,
-        *args,
-        seed: int = 0,
-        initial_temp: float | None = None,
-        cooling: float = 0.9,
-        temp_levels: int = 30,
-        steps_per_temp: int | None = None,
-        **kwargs,
-    ):
+    def __init__(self, *args, seed: int = 0, **kwargs):
         super().__init__(*args, **kwargs)
-        check_params(
-            self.algorithm,
-            initial_temp=initial_temp,
-            cooling=cooling,
-            temp_levels=temp_levels,
-            steps_per_temp=steps_per_temp,
-        )
+        check_params(self.algorithm, seed=seed)
         self.seed = seed
-        self.initial_temp = initial_temp
-        self.cooling = cooling
-        self.temp_levels = temp_levels
-        self.steps_per_temp = steps_per_temp
         self._best_mask: int | None = None
-
-    # ------------------------------------------------------------------
-    def _start_temperature(self, deltas: list[int]) -> float:
-        if self.initial_temp is not None:
-            return self.initial_temp
-        scale = max((abs(delta) for delta in deltas), default=1)
-        return float(max(scale, 1))
 
     def _anneal(self) -> int:
         """The annealing walk; cached, because it is constraint-
@@ -91,8 +72,8 @@ class AnnealingPartitioner(Partitioner):
         if n == 0 or (budget is not None and budget <= 0):
             self._best_mask = best.mask
             return best.mask
-        temperature = self._start_temperature(list(deltas))
-        steps = self.steps_per_temp or max(8, 4 * n)
+        temperature = float(max(max(map(abs, deltas)), 1))
+        steps = max(8, 4 * n)
 
         # Hot loop: bound locals, an inlined accept test, and an inlined
         # ``randrange`` (CPython's ``_randbelow_with_getrandbits``
@@ -108,12 +89,7 @@ class AnnealingPartitioner(Partitioner):
         bb_ids_of = table.bb_ids_of
         index_of = table.index_of
         n_bits = n.bit_length()
-        for _level in range(self.temp_levels):
-            # Deadline poll per temperature level (a visit batch): an
-            # expired budget keeps the best-so-far, never mid-level.
-            if self._deadline_expired():
-                self._mark_partial()
-                break
+        for _level in range(TEMP_LEVELS):
             for _step in range(steps):
                 index = getrandbits(n_bits)
                 while index >= n:
@@ -151,7 +127,7 @@ class AnnealingPartitioner(Partitioner):
                 record(total, mask)
                 if total <= best_total:
                     best_total = offer(total, mask, count)
-            temperature *= self.cooling
+            temperature *= COOLING
         self._best_mask = best.mask
         return best.mask
 

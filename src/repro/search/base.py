@@ -28,7 +28,6 @@ from typing import Any, Callable
 
 from .. import telemetry
 from ..analysis.weights import WeightModel
-from ..faults import Deadline
 from ..partition.costs import CostModel, CostStats
 from ..partition.engine import EngineConfig
 from ..partition.packed import PackedCostTable, PackedVisitLog
@@ -43,7 +42,7 @@ _REGISTRY: dict[str, type["Partitioner"]] = {}
 
 #: Names AlgorithmSpec accepts (static so spec validation does not depend
 #: on which algorithm modules happen to be imported yet).
-ALGORITHM_NAMES = ("greedy", "exhaustive", "multi_start", "annealing")
+ALGORITHM_NAMES = ("greedy", "exhaustive", "annealing")
 
 
 def register_algorithm(cls: type["Partitioner"]) -> type["Partitioner"]:
@@ -69,6 +68,9 @@ class AlgorithmSpec:
                 f"unknown algorithm {self.name!r}; expected one of "
                 f"{ALGORITHM_NAMES}"
             )
+        unknown = sorted(set(dict(self.params)) - set(_SPEC_DEFAULTS[self.name]))
+        if unknown:
+            raise ValueError(f"{self.name}: unknown parameter(s) {unknown}")
         check_params(self.name, **dict(self.params))
 
     # ------------------------------------------------------------------
@@ -96,31 +98,9 @@ class AlgorithmSpec:
         )
 
     @classmethod
-    def multi_start(
-        cls, restarts: int = 8, seed: int = 0, jitter: float = 0.75
-    ) -> "AlgorithmSpec":
-        """Randomized greedy restarts with seeded tie-breaking."""
-        merged = {"restarts": restarts, "seed": seed, "jitter": jitter}
-        return cls(name="multi_start", params=tuple(sorted(merged.items())))
-
-    @classmethod
-    def annealing(
-        cls,
-        seed: int = 0,
-        initial_temp: float | None = None,
-        cooling: float = 0.9,
-        temp_levels: int = 30,
-        steps_per_temp: int | None = None,
-    ) -> "AlgorithmSpec":
+    def annealing(cls, seed: int = 0) -> "AlgorithmSpec":
         """Simulated annealing over kernel subsets (O(1) tick deltas)."""
-        merged = {
-            "seed": seed,
-            "initial_temp": initial_temp,
-            "cooling": cooling,
-            "temp_levels": temp_levels,
-            "steps_per_temp": steps_per_temp,
-        }
-        return cls(name="annealing", params=tuple(sorted(merged.items())))
+        return cls(name="annealing", params=(("seed", seed),))
 
     @property
     def label(self) -> str:
@@ -129,7 +109,7 @@ class AlgorithmSpec:
         deviations = [
             f"{key}={value}"
             for key, value in self.params
-            if defaults.get(key, object()) != value
+            if defaults[key] != value
         ]
         if not deviations:
             return self.name
@@ -168,15 +148,12 @@ class AlgorithmSpec:
 _SPEC_DEFAULTS: dict[str, dict[str, object]] = {
     "greedy": {},
     "exhaustive": {"max_candidates": None},
-    "multi_start": {"restarts": 8, "seed": 0, "jitter": 0.75},
-    "annealing": {
-        "seed": 0,
-        "initial_temp": None,
-        "cooling": 0.9,
-        "temp_levels": 30,
-        "steps_per_temp": None,
-    },
+    "annealing": {"seed": 0},
 }
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 #: Parameter ranges per algorithm: (accepts value, the range in words).
@@ -184,34 +161,25 @@ _SPEC_DEFAULTS: dict[str, dict[str, object]] = {
 #: request fails where it enters, and by every partitioner constructor.
 _SPEC_RULES: dict[str, dict[str, tuple[Callable[[Any], bool], str]]] = {
     "exhaustive": {
-        "max_candidates": (lambda v: v is None or v >= 1, "must be >= 1"),
-    },
-    "multi_start": {
-        "restarts": (lambda v: v >= 1, "must be >= 1"),
-        "jitter": (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
+        "max_candidates": (
+            lambda v: v is None or (_is_int(v) and v >= 1),
+            "must be an integer >= 1",
+        ),
     },
     "annealing": {
-        "initial_temp": (lambda v: v is None or v > 0.0, "must be positive"),
-        "cooling": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
-        "temp_levels": (lambda v: v >= 1, "must be >= 1"),
-        "steps_per_temp": (lambda v: v is None or v >= 1, "must be >= 1"),
+        "seed": (_is_int, "must be an integer"),
     },
 }
 
 
 def check_params(algorithm: str, **params: object) -> None:
     """Raise :class:`ValueError` naming the first parameter of
-    ``algorithm`` that is out of its range (unknown names are left to
-    the constructor, which rejects them)."""
+    ``algorithm`` that is out of its range."""
     for key, (accepts, rule) in _SPEC_RULES.get(algorithm, {}).items():
         if key not in params:
             continue
         value = params[key]
-        try:
-            valid = accepts(value)
-        except TypeError:
-            valid = False
-        if not valid:
+        if not accepts(value):
             raise ValueError(f"{algorithm}: {key} {rule}, got {value!r}")
 
 
@@ -220,10 +188,10 @@ class Optimum:
     fewest moves, then the lexicographically smallest BB tuple (decoded
     lazily — exact ties are rare).
 
-    The heuristics keep their best configuration through :meth:`offer`
-    (hot loops keep their own inline ``total > best_total`` early-out
-    on a local copy of :attr:`total` and offer only the candidates
-    that may win or tie).  The closed-form exact search computes this
+    Annealing keeps its best configuration through :meth:`offer` (its
+    hot loop keeps an inline ``total > best_total`` early-out on a
+    local copy of :attr:`total` and offers only the candidates that may
+    win or tie).  The closed-form exact search computes this
     rule's winner directly
     (:func:`~repro.search.exhaustive.optimum_mask`); the enumerating
     references it is tested against fold through :meth:`offer`.
@@ -312,13 +280,6 @@ class Partitioner(ABC):
         self._log = PackedVisitLog()
         self._materialized: list[VisitedConfiguration] | None = None
         self._config_snapshot: EngineConfig | None = None
-        #: Cooperative budget for the current run (see :meth:`run`).
-        self._deadline: Deadline | None = None
-        #: Sticky truncation flag: once a run is cut short, the caches
-        #: engines share across a sweep (best-so-far, walk frontiers)
-        #: are incomplete, so every later result from this instance is
-        #: also uncertified.
-        self._partial = False
 
     @property
     def table(self) -> PackedCostTable:
@@ -346,25 +307,15 @@ class Partitioner(ABC):
         self._freeze_config()
         return self.table.initial_cycles()
 
-    def run(
-        self,
-        timing_constraint: int,
-        deadline: Deadline | None = None,
-    ) -> PartitionResult:
+    def run(self, timing_constraint: int) -> PartitionResult:
         """Search against a timing constraint in FPGA clock cycles.
 
-        ``deadline`` is a cooperative :class:`~repro.faults.Deadline`
-        budget, checked before the search starts; annealing and
-        multi-start also poll it at visit-batch boundaries and stop with
-        their best-so-far when it expires, returning a result flagged
-        ``partial=True`` (``certified`` False) instead of hanging.  The
-        work performed before the cut is deterministic, so an expired
-        run is reproducible — only *where* the cut lands depends on
-        wall-clock speed.
+        No search needs a time budget: each one's work is fixed by the
+        table (greedy O(n), the closed form O(n²), annealing
+        1 + 30·max(8, 4n) steps).
         """
         if timing_constraint <= 0:
             raise ValueError("timing constraint must be positive")
-        self._deadline = deadline
         # One span pair per run (search > algorithm name), never one per
         # visited configuration — telemetry stays off the hot loop.
         with telemetry.span("search"), telemetry.span(self.algorithm):
@@ -380,31 +331,18 @@ class Partitioner(ABC):
                 # prices (minimal moves and rows — always on the front).
                 self._log.record(self.table.initial_ticks, 0)
                 if result.constraint_met:
-                    result.partial = self._partial
-                    return result
-                if deadline is not None and deadline.expired():
-                    # Expired before any search: the all-FPGA corner is
-                    # the best-so-far.
-                    self._mark_partial()
-                    result.partial = True
                     return result
                 self._search(timing_constraint, result)
-                result.partial = self._partial
                 result.validate()
                 return result
             finally:
-                self._deadline = None
                 telemetry.count(
                     "configs_visited", self.visited_count - visited_before
                 )
 
-    def sweep(
-        self,
-        constraints: list[int],
-        deadline: Deadline | None = None,
-    ) -> list[PartitionResult]:
+    def sweep(self, constraints: list[int]) -> list[PartitionResult]:
         """Run at several constraints, sharing all cached state."""
-        return [self.run(constraint, deadline) for constraint in constraints]
+        return [self.run(constraint) for constraint in constraints]
 
     @property
     def visited(self) -> list[VisitedConfiguration]:
@@ -463,17 +401,6 @@ class Partitioner(ABC):
     # ------------------------------------------------------------------
     # Shared machinery
     # ------------------------------------------------------------------
-    def _deadline_expired(self) -> bool:
-        """Poll the current run's cooperative budget (engines call this
-        at visit-batch boundaries, never per visited configuration)."""
-        return self._deadline is not None and self._deadline.expired()
-
-    def _mark_partial(self) -> None:
-        """Record that the current (and, via shared caches, every later)
-        result from this instance is best-so-far, not certified."""
-        self._partial = True
-        telemetry.count("search_deadline_cuts")
-
     def _freeze_config(self) -> None:
         if self._config_snapshot is None:
             self._config_snapshot = dataclasses.replace(self.config)

@@ -14,7 +14,6 @@ reference implementations in ``tests/oracles/``.
 
 from __future__ import annotations
 
-from ..faults import Deadline
 from ..partition.packed import PackedGreedyTrajectory
 from ..partition.result import PartitionResult
 from ..partition.trajectory import replay_entries
@@ -31,14 +30,10 @@ class GreedyPartitioner(Partitioner):
         super().__init__(*args, **kwargs)
         self._trajectory: PackedGreedyTrajectory | None = None
 
-    def run(
-        self,
-        timing_constraint: int,
-        deadline: Deadline | None = None,
-    ) -> PartitionResult:
+    def run(self, timing_constraint: int) -> PartitionResult:
         # Defined on this class, not only inherited: perfbench's layer
         # shims wrap ``GreedyPartitioner.run`` by owner and name.
-        return super().run(timing_constraint, deadline)
+        return super().run(timing_constraint)
 
     @property
     def trajectory(self) -> PackedGreedyTrajectory:

@@ -253,7 +253,6 @@ class JobRecord:
         "result",
         "error",
         "done_event",
-        "degraded",
     )
 
     def __init__(
@@ -273,9 +272,6 @@ class JobRecord:
         self.result: PartitionResult | None = None
         self.error: dict[str, object] | None = None
         self.done_event = threading.Event()
-        #: True when the search deadline expired and the greedy fallback
-        #: answered instead of the requested algorithm.
-        self.degraded = False
 
     @property
     def finished(self) -> bool:
@@ -300,8 +296,6 @@ class JobRecord:
             )
         if self.result is not None:
             payload["result"] = _result_payload(self.result)
-        if self.degraded:
-            payload["degraded"] = True
         if self.error is not None:
             payload["error"] = self.error
         return payload
@@ -329,8 +323,6 @@ def _result_payload(result: PartitionResult) -> dict[str, object]:
         "skipped_bb_ids": list(result.skipped_bb_ids),
         "reverted_bb_ids": list(result.reverted_bb_ids),
         "constraint_met": result.constraint_met,
-        "partial": result.partial,
-        "certified": result.certified,
         "steps": [
             {
                 "moved_bb_id": step.moved_bb_id,

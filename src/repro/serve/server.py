@@ -122,21 +122,12 @@ class ServerConfig:
     task_retries: int = 0
     #: First-retry backoff for job-task retries (doubles per retry).
     retry_backoff_seconds: float = 0.05
-    #: Cooperative per-job search budget (seconds); an expired budget
-    #: returns the engine's best-so-far flagged uncertified (or the
-    #: greedy fallback, with ``degrade_under_deadline``).  ``None``
-    #: leaves searches unbounded.
-    search_deadline_seconds: float | None = None
     #: Consecutive infrastructure-failure *group* events per (workload ×
     #: platform) pair before its circuit breaker opens and jobs on that
     #: pair fail fast; 0 disables the breaker.
     breaker_threshold: int = 0
     #: How long an open breaker rejects before going half-open.
     breaker_cooldown_seconds: float = 30.0
-    #: Opt-in graceful degradation: when the search deadline expires on
-    #: a non-greedy algorithm, rerun with greedy (fast, complete) and
-    #: mark the job ``degraded`` instead of shipping a partial result.
-    degrade_under_deadline: bool = False
     #: Deterministic chaos injection threaded into every group fan-out
     #: (tests / ``benchmarks/bench_chaos.py``); ``None`` in production.
     fault_plan: FaultPlan | None = None
@@ -157,11 +148,6 @@ class ServerConfig:
             raise ValueError("task_retries must be >= 0")
         if self.retry_backoff_seconds < 0:
             raise ValueError("retry_backoff_seconds must be >= 0")
-        if (
-            self.search_deadline_seconds is not None
-            and self.search_deadline_seconds <= 0
-        ):
-            raise ValueError("search_deadline_seconds must be positive")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0")
         if self.breaker_cooldown_seconds < 0:
@@ -171,29 +157,23 @@ class ServerConfig:
 def _serve_job(
     job: Job,
     table: PackedCostTable,
-    deadline_seconds: float | None,
-    degrade: bool,
     built: tuple[ApplicationWorkload, HybridPlatform] | None = None,
 ) -> tuple[str, object]:
     """Run one served job on its pair's table; never raises.
 
-    Statuses: ``"ok"`` (result, possibly ``partial``), ``"degraded"``
-    (greedy answered a search the deadline cut), ``"error"`` (the job's
-    own failure).  Without the dispatcher's ``built`` workload and
+    Statuses: ``"ok"`` (the result) or ``"error"`` (the job's own
+    failure).  Without the dispatcher's ``built`` workload and
     platform, a pool worker's process resolver builds the workload.
     """
     try:
         workload, platform = built or (
             process_resolver().workload(job.workload), job.platform.build()
         )
-        run = run_job(
-            job, (workload, platform, table),
-            deadline_seconds=deadline_seconds, degrade=degrade,
-        )
+        run = run_job(job, (workload, platform, table))
     except Exception as error:  # noqa: BLE001 - a job must not kill the batch
         return "error", f"{type(error).__name__}: {error}"
     [result] = run.results
-    return ("degraded" if run.degraded else "ok"), result
+    return "ok", result
 
 
 class Server:
@@ -237,8 +217,8 @@ class Server:
             "batches": 0,
         }
         #: Supervision counters (fed by map_tasks' counters sink plus
-        #: the breaker/degrade events); surfaced under /stats
-        #: "robustness".  Written only by the dispatcher thread.
+        #: the breaker events); surfaced under /stats "robustness".
+        #: Written only by the dispatcher thread.
         self._robust_counts: dict[str, int] = {
             "task_retries": 0,
             "pool_rebuilds": 0,
@@ -247,7 +227,6 @@ class Server:
             "tasks_recovered": 0,
             "breaker_trips": 0,
             "breaker_rejections": 0,
-            "degraded_jobs": 0,
         }
         #: Per-(workload × platform) circuit breakers:
         #: pair -> {"failures": consecutive infra-failure group events,
@@ -635,12 +614,7 @@ class Server:
         for record in records:
             record.state = "running"
             record.started_at = started
-        serve = partial(
-            _serve_job,
-            table=table,
-            deadline_seconds=self.config.search_deadline_seconds,
-            degrade=self.config.degrade_under_deadline,
-        )
+        serve = partial(_serve_job, table=table)
         policy = RetryPolicy(
             max_attempts=self.config.task_retries + 1,
             backoff_seconds=self.config.retry_backoff_seconds,
@@ -681,11 +655,9 @@ class Server:
                 )
                 continue
             status, value = outcome
-            if status in ("ok", "degraded"):
+            if status == "ok":
                 assert isinstance(value, PartitionResult)
-                self._finish_ok(
-                    record, value, finished, degraded=status == "degraded"
-                )
+                self._finish_ok(record, value, finished)
             else:
                 self._finish_error(record, "failed", str(value))
         if breaker is not None:
@@ -712,7 +684,6 @@ class Server:
         record: JobRecord,
         result: PartitionResult,
         finished_at: float,
-        degraded: bool = False,
     ) -> None:
         if record.done_event.is_set():
             # Already resolved (e.g. force-failed at the drain
@@ -721,12 +692,8 @@ class Server:
         record.result = result
         record.finished_at = finished_at
         record.state = "done"
-        record.degraded = degraded
         self._counts["completed"] += 1
         telemetry.count("serve_jobs_completed")
-        if degraded:
-            self._robust_counts["degraded_jobs"] += 1
-            telemetry.count("serve_jobs_degraded")
         self._retain(record)
         record.done_event.set()
 

@@ -4,7 +4,7 @@ One mini-language names every buildable spec in the project::
 
     ofdm | jpeg | ofdm-measured | jpeg-measured | filterbank | viterbi
         | minic:<seed> | synthetic:<blocks>      (+ ``:key=value,...``)
-    greedy | exhaustive | multi_start | annealing  (+ ``:key=value,...``)
+    greedy | exhaustive[:max_candidates=N] | annealing[:seed=N]
 
 The ``python -m repro`` argument parsers and the serving layer's JSON
 job decoder both accept these strings, so a request a user typed on the
@@ -27,7 +27,7 @@ __all__ = [
 
 
 def params_from_text(text: str) -> dict[str, object]:
-    """``"seed=3,cooling=0.8"`` -> ``{'seed': 3, 'cooling': 0.8}``.
+    """``"seed=3,comm_intensity=0.8"`` -> ``{'seed': 3, 'comm_intensity': 0.8}``.
 
     Values coerce ``true``/``false`` to bool, then int, then float, then
     stay strings.
@@ -121,7 +121,6 @@ def algorithm_spec_from_text(text: str) -> AlgorithmSpec:
     factories = {
         "greedy": AlgorithmSpec.greedy,
         "exhaustive": AlgorithmSpec.exhaustive,
-        "multi_start": AlgorithmSpec.multi_start,
         "annealing": AlgorithmSpec.annealing,
     }
     factory = factories.get(name)

@@ -262,7 +262,7 @@ class TestAlgorithmAxis:
             constraint_fractions=(0.5,),
             algorithms=(
                 AlgorithmSpec.greedy(),
-                AlgorithmSpec.multi_start(),
+                AlgorithmSpec.exhaustive(),
                 AlgorithmSpec.annealing(seed=2),
             ),
         )
@@ -306,18 +306,19 @@ class TestAlgorithmAxis:
     def test_results_tagged_with_algorithm_label(self, algo_report):
         assert algo_report.algorithms() == [
             "greedy",
-            "multi_start",
+            "exhaustive",
             "annealing[seed=2]",
         ]
         for result in algo_report.results:
             assert result.to_dict()["algorithm"] == result.algorithm
 
     def test_heuristics_at_least_match_greedy(self, algo_report):
-        # Greedy stops at the constraint; the heuristics minimize fully
-        # from a greedy warm start, so they can only end at or below it.
+        # Greedy stops at the constraint; the exact search and annealing
+        # (from a greedy warm start) minimize fully, so they can only
+        # end at or below it.
         best = algo_report.best_per_algorithm("ofdm-transmitter", 0.5)
         greedy = best["greedy"]
-        for label in ("multi_start", "annealing[seed=2]"):
+        for label in ("exhaustive", "annealing[seed=2]"):
             assert best[label].final_cycles <= greedy.final_cycles
 
     def test_best_per_algorithm_filters(self, algo_report):
@@ -326,8 +327,8 @@ class TestAlgorithmAxis:
         assert set(best) == set(algo_report.algorithms())
 
     def test_for_algorithm_slices(self, algo_report):
-        rows = algo_report.for_algorithm("multi_start")
-        assert rows and all(r.algorithm == "multi_start" for r in rows)
+        rows = algo_report.for_algorithm("exhaustive")
+        assert rows and all(r.algorithm == "exhaustive" for r in rows)
 
     def test_parallel_matches_serial_with_algorithms(
         self, algo_space, algo_report

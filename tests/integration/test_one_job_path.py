@@ -21,7 +21,9 @@ from repro.specs import algorithm_spec_from_text, workload_spec_from_text
 from repro.suite import Scenario, run_scenario
 
 WORKLOADS = ("ofdm", "synthetic:48:seed=3", "minic:7")
-ALGORITHMS = ("greedy", "exhaustive", "annealing", "multi_start")
+# A seed is annealing's only parameter: a non-default one must reach the
+# walk the same way from every entry point.
+ALGORITHMS = ("greedy", "exhaustive", "annealing", "annealing:seed=3")
 FRACTION = 0.5
 CASES = list(
     itertools.product(WORKLOADS, ALGORITHMS, ("fraction", "constraint"))
@@ -129,7 +131,9 @@ def test_cli_prints_the_reference_result(case, capsys):
     ) == 0
     expected = reference(*case)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == f"algorithm: {algorithm}"
+    assert lines[0] == (
+        f"algorithm: {algorithm_spec_from_text(algorithm).label}"
+    )
     assert lines[1] == expected.summary()
     assert lines[2:] == [
         f"  moved BB {step.moved_bb_id:>3}: total {step.total_cycles} "

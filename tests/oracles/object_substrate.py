@@ -12,7 +12,7 @@ differential tests compare two independent walks:
   a :class:`CostState`;
 * :func:`full_rescan` — the seed engine's loop, which re-sums every block
   after every move;
-* :func:`object_partitioner` — the four search algorithms as object
+* :func:`object_partitioner` — the three search algorithms as object
   walks, built from the same :class:`~repro.search.AlgorithmSpec` that
   :func:`~repro.search.make_partitioner` takes.
 
@@ -531,79 +531,19 @@ class ObjectExhaustive(ObjectPartitioner):
         return best_subset, skipped
 
 
-class ObjectMultiStart(ObjectPartitioner):
-    """Best-of-N greedy sweeps over jittered kernel orders."""
-
-    algorithm = "multi_start"
-
-    def __init__(
-        self,
-        *args,
-        restarts: int = 8,
-        seed: int = 0,
-        jitter: float = 0.75,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.restarts = restarts
-        self.seed = seed
-        self.jitter = jitter
-
-    def _restart_order(
-        self, supported: list[BlockWorkload], restart: int
-    ) -> list[BlockWorkload]:
-        """Visit order for one restart (restart 0 = the paper's order)."""
-        if restart == 0:
-            return supported
-        rng = random.Random((self.seed * 0x9E3779B1 + restart) & 0xFFFFFFFF)
-        noisy = {
-            kernel.bb_id: kernel.total_weight(self.weight_model)
-            * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
-            for kernel in supported
-        }
-        return sorted(supported, key=lambda k: (-noisy[k.bb_id], k.bb_id))
-
-    def _walk(self) -> tuple[frozenset[int], list[int]]:
-        supported, skipped = self._split_candidates()
-        budget = self.config.max_kernels_moved
-        best_key: tuple | None = None
-        best_subset: frozenset[int] = frozenset()
-        for restart in range(self.restarts):
-            state = CostState(self.model)
-            for kernel in self._restart_order(supported, restart):
-                if budget is not None and len(state.moved) >= budget:
-                    break
-                if self.model.contribution(kernel).move_delta <= 0:
-                    state.apply_move(kernel.bb_id)
-                    self._record_visited(state)
-            key = self._subset_key(state.total_ticks, state.moved)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_subset = frozenset(state.moved)
-        return best_subset, skipped
-
-
 class ObjectAnnealing(ObjectPartitioner):
     """Simulated annealing with a geometric cooling schedule."""
 
     algorithm = "annealing"
 
-    def __init__(
-        self,
-        *args,
-        seed: int = 0,
-        initial_temp: float | None = None,
-        cooling: float = 0.9,
-        temp_levels: int = 30,
-        steps_per_temp: int | None = None,
-        **kwargs,
-    ) -> None:
+    #: The production schedule: 30 levels of max(8, 4n) steps, cooling
+    #: by 0.9 per level from the largest single-move |delta|.
+    COOLING = 0.9
+    TEMP_LEVELS = 30
+
+    def __init__(self, *args, seed: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.seed = seed
-        self.initial_temp = initial_temp
-        self.cooling = cooling
-        self.temp_levels = temp_levels
-        self.steps_per_temp = steps_per_temp
 
     def _walk(self) -> tuple[frozenset[int], list[int]]:
         supported, skipped = self._split_candidates()
@@ -627,16 +567,13 @@ class ObjectAnnealing(ObjectPartitioner):
         deltas = [
             self.model.contribution(kernel).move_delta for kernel in supported
         ]
-        if self.initial_temp is not None:
-            temperature = self.initial_temp
-        else:
-            temperature = float(max(max(abs(d) for d in deltas), 1))
-        steps = self.steps_per_temp or max(8, 4 * len(candidates))
+        temperature = float(max(max(abs(d) for d in deltas), 1))
+        steps = max(8, 4 * len(candidates))
 
         def accept(delta: int) -> bool:
             return delta <= 0 or rng.random() < math.exp(-delta / temperature)
 
-        for _level in range(self.temp_levels):
+        for _level in range(self.TEMP_LEVELS):
             for _step in range(steps):
                 bb_id = candidates[rng.randrange(len(candidates))]
                 if bb_id in state.moved:
@@ -665,14 +602,13 @@ class ObjectAnnealing(ObjectPartitioner):
                 if key < best_key:
                     best_key = key
                     best_subset = frozenset(state.moved)
-            temperature *= self.cooling
+            temperature *= self.COOLING
         return best_subset, skipped
 
 
 _WALKS: dict[str, type[ObjectPartitioner]] = {
     walk.algorithm: walk
-    for walk in (ObjectGreedy, ObjectExhaustive, ObjectMultiStart,
-                 ObjectAnnealing)
+    for walk in (ObjectGreedy, ObjectExhaustive, ObjectAnnealing)
 }
 
 

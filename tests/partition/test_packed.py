@@ -56,7 +56,6 @@ class TestTableDerivation:
             assert table.comm_ticks[index] == contribution.comm_ticks
             assert table.move_delta[index] == contribution.move_delta
             assert table.cgc_rows[index] == contribution.cgc_rows
-            assert table.weights[index] == kernel.total_weight(weight_model)
 
     def test_candidate_order_interleaves_unsupported(self, model, table):
         candidates = model.kernel_candidates(WeightModel())

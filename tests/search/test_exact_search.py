@@ -340,7 +340,6 @@ def hand_table(deltas, rows, bb_ids=None, ratio=1, base=80) -> PackedCostTable:
         comm_ticks=(0,) * n,
         move_delta=tuple(deltas),
         cgc_rows=tuple(rows),
-        weights=(1,) * n,
         skipped_bb_ids=(),
         candidates=tuple((bb_id, i) for i, bb_id in enumerate(bb_ids)),
     )

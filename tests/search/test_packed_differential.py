@@ -41,8 +41,7 @@ ALGORITHM_SPECS = (
     # The move budget below keeps the object DFS pruned on kernel-rich
     # workloads.
     AlgorithmSpec.exhaustive(max_candidates=128),
-    AlgorithmSpec.multi_start(restarts=6, seed=3),
-    AlgorithmSpec.annealing(seed=7, temp_levels=10),
+    AlgorithmSpec.annealing(seed=7),
 )
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import expected_log, object_partitioner
 from repro.partition import ApplicationWorkload, BlockWorkload, EngineConfig
-from repro.partition.packed import PackedCostTable
+from repro.partition.packed import PackedCostTable, PackedVisitLog
 from repro.platform import paper_platform
 from repro.search import (
     ALGORITHM_NAMES,
@@ -12,9 +12,9 @@ from repro.search import (
     AnnealingPartitioner,
     ExhaustivePartitioner,
     GreedyPartitioner,
-    MultiStartPartitioner,
     make_partitioner,
 )
+from repro.specs import algorithm_spec_from_text
 from repro.workloads import generate_dfg, make_profile, synthetic_application
 
 
@@ -27,6 +27,20 @@ def block(bb_id, freq, weight, **kwargs):
         comm_words_in=profile.live_in_words,
         comm_words_out=profile.live_out_words,
     )
+
+
+class CountingVisitLog(PackedVisitLog):
+    """A visit log that also counts every record() call, repeats too."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def record(self, total_ticks: int, mask: int) -> None:
+        self.calls += 1
+        super().record(total_ticks, mask)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +68,6 @@ def platform():
 ALL_SPECS = [
     AlgorithmSpec.greedy(),
     AlgorithmSpec.exhaustive(),
-    AlgorithmSpec.multi_start(),
     AlgorithmSpec.annealing(),
 ]
 
@@ -68,22 +81,21 @@ class TestAlgorithmSpec:
         "build,message",
         [
             (lambda: AlgorithmSpec.exhaustive(max_candidates=0),
-             "max_candidates must be >= 1"),
-            (lambda: AlgorithmSpec.multi_start(restarts=0),
-             "restarts must be >= 1"),
-            (lambda: AlgorithmSpec.multi_start(jitter=1.0),
-             "jitter must be in"),
-            (lambda: AlgorithmSpec.annealing(cooling=2),
-             "cooling must be in"),
-            (lambda: AlgorithmSpec.annealing(initial_temp=0.0),
-             "initial_temp must be positive"),
-            (lambda: AlgorithmSpec.annealing(temp_levels=0),
-             "temp_levels must be >= 1"),
-            (lambda: AlgorithmSpec.annealing(steps_per_temp=0),
-             "steps_per_temp must be >= 1"),
+             "max_candidates must be an integer >= 1"),
+            (lambda: AlgorithmSpec.exhaustive(max_candidates=1.5),
+             "max_candidates must be an integer >= 1"),
+            (lambda: AlgorithmSpec.exhaustive(max_candidates=True),
+             "max_candidates must be an integer >= 1"),
+            (lambda: AlgorithmSpec.annealing(seed=1.5),
+             "seed must be an integer"),
             (lambda: AlgorithmSpec(name="annealing",
-                                   params=(("cooling", "fast"),)),
-             "cooling must be in"),
+                                   params=(("seed", "abc"),)),
+             "seed must be an integer"),
+            (lambda: AlgorithmSpec.annealing(seed=False),
+             "seed must be an integer"),
+            (lambda: AlgorithmSpec(name="annealing",
+                                   params=(("cooling", 0.8),)),
+             "unknown parameter"),
         ],
     )
     def test_out_of_range_parameters_rejected_when_built(
@@ -93,6 +105,24 @@ class TestAlgorithmSpec:
         grids), not when a worker builds the partitioner."""
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("multi_start", "unknown algorithm 'multi_start'"),
+            ("multi_start:restarts=4", "unknown algorithm 'multi_start'"),
+            ("annealing:initial_temp=50", "'initial_temp'"),
+            ("annealing:cooling=0.8", "'cooling'"),
+            ("annealing:temp_levels=5", "'temp_levels'"),
+            ("annealing:steps_per_temp=4", "'steps_per_temp'"),
+        ],
+    )
+    def test_removed_spellings_fail_where_they_enter(self, text, message):
+        """Multi-start and annealing's schedule parameters are gone: their
+        spellings are a ValueError when parsed, not a spec that runs the
+        fixed schedule or fails later in a worker."""
+        with pytest.raises(ValueError, match=message):
+            algorithm_spec_from_text(text)
 
     def test_factories_cover_registry(self):
         assert sorted(spec.name for spec in ALL_SPECS) == sorted(
@@ -105,8 +135,10 @@ class TestAlgorithmSpec:
 
     def test_non_default_params_appear_in_label(self):
         assert AlgorithmSpec.annealing(seed=3).label == "annealing[seed=3]"
-        assert AlgorithmSpec.multi_start().label == "multi_start"
-        assert "restarts=16" in AlgorithmSpec.multi_start(restarts=16).label
+        assert (
+            AlgorithmSpec.exhaustive(max_candidates=64).label
+            == "exhaustive[max_candidates=64]"
+        )
 
     def test_specs_are_hashable_and_picklable(self):
         import pickle
@@ -119,7 +151,6 @@ class TestAlgorithmSpec:
         classes = {
             "greedy": GreedyPartitioner,
             "exhaustive": ExhaustivePartitioner,
-            "multi_start": MultiStartPartitioner,
             "annealing": AnnealingPartitioner,
         }
         for spec in ALL_SPECS:
@@ -279,7 +310,6 @@ class TestExhaustive:
             comm_ticks=(0,) * n,
             move_delta=(-1,) * n,
             cgc_rows=(1,) * n,
-            weights=(1,) * n,
             skipped_bb_ids=(),
             candidates=tuple((i, i) for i in range(n)),
         )
@@ -331,8 +361,8 @@ class TestHeuristics:
                 assert result.reduction_percent >= 0.0
 
     def test_heuristics_never_worse_than_greedy(self, platform):
-        """Multi-start restart 0 and annealing's warm start are the
-        greedy subset, so neither can end up above greedy."""
+        """Annealing's warm start is the greedy subset, so it cannot end
+        up above greedy."""
         for seed in (0, 1, 4):
             workload = synthetic_application(
                 14, seed=seed, comm_intensity=0.8, kernel_fraction=0.7
@@ -340,18 +370,17 @@ class TestHeuristics:
             config = lambda: EngineConfig(stop_at_constraint=False)  # noqa: E731
             greedy = GreedyPartitioner(workload, platform, config=config())
             greedy_final = greedy.run(1).final_cycles
-            for spec in (AlgorithmSpec.multi_start(), AlgorithmSpec.annealing()):
-                partitioner = make_partitioner(
-                    spec, workload, platform, config=config()
-                )
-                assert partitioner.run(1).final_cycles <= greedy_final
+            partitioner = make_partitioner(
+                AlgorithmSpec.annealing(), workload, platform, config=config()
+            )
+            assert partitioner.run(1).final_cycles <= greedy_final
 
     def test_heuristics_beat_budgeted_greedy_on_skewed_workload(
         self, skewed_workload, platform
     ):
         """The acceptance scenario: a two-move budget makes weight-order
-        greedy provably suboptimal; the randomized heuristics recover the
-        exhaustive optimum."""
+        greedy provably suboptimal; annealing recovers the exhaustive
+        optimum."""
         finals = {}
         for spec in ALL_SPECS:
             partitioner = make_partitioner(
@@ -363,9 +392,7 @@ class TestHeuristics:
                 ),
             )
             finals[spec.name] = partitioner.run(1).final_cycles
-        assert finals["multi_start"] < finals["greedy"]
         assert finals["annealing"] < finals["greedy"]
-        assert finals["multi_start"] == finals["exhaustive"]
         assert finals["annealing"] == finals["exhaustive"]
 
     def test_deterministic_per_seed(self, skewed_workload, platform):
@@ -376,8 +403,8 @@ class TestHeuristics:
             )
             return partitioner.run(1)
 
-        for factory in (AlgorithmSpec.multi_start, AlgorithmSpec.annealing):
-            assert run(factory(seed=7)) == run(factory(seed=7))
+        spec = AlgorithmSpec.annealing(seed=7)
+        assert run(spec) == run(spec)
 
     def test_results_validate_and_components_sum(self, skewed_workload, platform):
         for spec in ALL_SPECS:
@@ -392,17 +419,36 @@ class TestHeuristics:
 
     def test_parameter_validation(self, skewed_workload, platform):
         with pytest.raises(ValueError):
-            MultiStartPartitioner(skewed_workload, platform, restarts=0)
-        with pytest.raises(ValueError):
-            MultiStartPartitioner(skewed_workload, platform, jitter=1.5)
-        with pytest.raises(ValueError):
-            AnnealingPartitioner(skewed_workload, platform, cooling=1.0)
-        with pytest.raises(ValueError):
-            AnnealingPartitioner(skewed_workload, platform, initial_temp=-1.0)
-        with pytest.raises(ValueError):
-            AnnealingPartitioner(skewed_workload, platform, temp_levels=0)
+            AnnealingPartitioner(skewed_workload, platform, seed=1.5)
         with pytest.raises(ValueError):
             ExhaustivePartitioner(skewed_workload, platform, max_candidates=0)
+        with pytest.raises(ValueError):
+            ExhaustivePartitioner(skewed_workload, platform, max_candidates=2.0)
+        # The schedule is fixed: temp_levels is no parameter.
+        with pytest.raises(TypeError):
+            AnnealingPartitioner(skewed_workload, platform, temp_levels=5)
+
+    @pytest.mark.parametrize("blocks,seed", [(12, 0), (40, 3), (96, 4)])
+    def test_annealing_work_is_bounded_by_the_table(
+        self, platform, blocks, seed
+    ):
+        """The fixed schedule bounds the walk: on an n-kernel table it
+        visits at most 1 + 30·max(8, 4n) configurations (the warm start,
+        then one per taken step), at any move budget."""
+        workload = synthetic_application(blocks, seed=seed)
+        for budget in (None, 2):
+            partitioner = AnnealingPartitioner(
+                workload, platform,
+                config=EngineConfig(
+                    stop_at_constraint=False, max_kernels_moved=budget
+                ),
+            )
+            n = len(partitioner.table)
+            partitioner._log = log = CountingVisitLog()
+            partitioner.run(1)
+            # run() records the all-FPGA corner before the walk starts.
+            walk = log.calls - 1
+            assert 0 < walk <= 1 + 30 * max(8, 4 * n), (n, budget)
 
 
 class TestProtocolBehaviour:

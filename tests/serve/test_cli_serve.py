@@ -47,6 +47,20 @@ def test_batch_window_flag_is_rejected(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flags", [["--search-deadline", "-1"], ["--degrade", "--workers", "0"]]
+)
+def test_search_deadline_flags_are_rejected(capsys, flags):
+    # Every search's work is fixed by its table; there is no search
+    # budget to set or degrade under.  (Each case is also invalid
+    # another way, so a returning flag fails fast instead of starting a
+    # daemon.)
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("serve", *flags, "--port", "0")
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+
 def test_negative_default_timeout_exits_2(capsys):
     assert run_cli("serve", "--default-timeout", "-5", "--port", "0") == 2
     assert "default_timeout_seconds must be >= 0" in capsys.readouterr().err

@@ -187,9 +187,16 @@ class TestEndpoints:
         "algorithm",
         [
             "exhaustive:max_candidates=0",
+            "exhaustive:max_candidates=1.5",
             "exhaustive:shards=0",
+            "annealing:seed=1.5",
+            "annealing:seed=abc",
+            # Removed spellings: multi-start and the annealing schedule.
             "annealing:cooling=2",
+            "annealing:cooling=0.8",
+            "annealing:temp_levels=5",
             "multi_start:restarts=0",
+            "multi_start",
         ],
     )
     def test_out_of_range_algorithm_parameter_is_400(

@@ -4,8 +4,7 @@ Chaos through the front door: deterministic
 :class:`~repro.faults.FaultPlan` schedules run through a real
 :class:`Server` (and daemon), asserting the acceptance contract — a
 seeded plan killing two workers yields results bit-identical to a
-fault-free run with the recovery visible in ``stats()``; an expired
-search deadline returns best-so-far flagged uncertified; the breaker
+fault-free run with the recovery visible in ``stats()``; the breaker
 and the drain deadline fail fast instead of hanging.
 """
 
@@ -31,11 +30,7 @@ from repro.serve.jobs import JobRequest
 from repro.specs import algorithm_spec_from_text, workload_spec_from_text
 
 WORKLOAD = workload_spec_from_text("synthetic:24:seed=5")
-BIG_WORKLOAD = workload_spec_from_text("synthetic:64:seed=3")
 GREEDY = algorithm_spec_from_text("greedy")
-#: A million temperature levels run far past any millisecond deadline;
-#: annealing polls it once per level, so the cut lands promptly.
-LONG_ANNEALING = algorithm_spec_from_text("annealing:temp_levels=1000000")
 
 
 def submit_n(server, count, algorithm=GREEDY, workload=WORKLOAD):
@@ -119,52 +114,6 @@ class TestFaultRecovery:
         assert len(failed) == 1 and len(done) == 1
         assert failed[0]["error"]["failure_kind"] == "exception"
         assert stats["robustness"]["tasks_failed"] == 1
-
-
-class TestSearchDeadline:
-    def test_expired_deadline_returns_uncertified(self):
-        payloads, __ = run_batch(
-            ServerConfig(workers=1, search_deadline_seconds=0.02),
-            count=1,
-            algorithm=LONG_ANNEALING,
-            workload=BIG_WORKLOAD,
-        )
-        payload = payloads[0]
-        assert payload["state"] == "done"
-        assert payload["result"]["partial"] is True
-        assert payload["result"]["certified"] is False
-        assert "degraded" not in payload
-
-    def test_degrade_falls_back_to_greedy(self):
-        payloads, stats = run_batch(
-            ServerConfig(
-                workers=1,
-                search_deadline_seconds=0.02,
-                degrade_under_deadline=True,
-            ),
-            count=1,
-            algorithm=LONG_ANNEALING,
-            workload=BIG_WORKLOAD,
-        )
-        payload = payloads[0]
-        assert payload["state"] == "done"
-        assert payload["degraded"] is True
-        # The fallback greedy run completed: certified.
-        assert payload["result"]["certified"] is True
-        assert stats["robustness"]["degraded_jobs"] == 1
-
-    def test_greedy_jobs_never_degrade(self):
-        payloads, stats = run_batch(
-            ServerConfig(
-                workers=1,
-                search_deadline_seconds=60.0,
-                degrade_under_deadline=True,
-            ),
-            count=2,
-        )
-        assert all(p["state"] == "done" for p in payloads)
-        assert all("degraded" not in p for p in payloads)
-        assert stats["robustness"]["degraded_jobs"] == 0
 
 
 class TestCircuitBreaker:

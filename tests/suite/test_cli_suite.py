@@ -160,6 +160,29 @@ class TestSuiteCompare:
         assert code == 2
         assert "no run labelled" in capsys.readouterr().err
 
+    def test_non_ascii_digit_reference_is_an_error(self, capsys, tmp_path):
+        """"²" passes ``str.isdigit`` and fails ``int``: it is a label
+        the store lacks, reported on one error line with exit 2."""
+        db = str(tmp_path / "s.sqlite")
+        code = run_cli("suite", "compare", "--db", db, "--baseline", "²")
+        assert code == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error: ") and "no run labelled '²'" in line
+
+    def test_non_ascii_digits_never_name_a_run_id(self, capsys, tmp_path):
+        """"١" (ARABIC-INDIC DIGIT ONE) passes ``str.isdigit`` and
+        ``int("١") == 1``; it must not quietly select run 1."""
+        db = str(tmp_path / "s.sqlite")
+        run_cli("suite", "run", "--scenarios", "synth-small", "--db", db)
+        capsys.readouterr()
+        code = run_cli(
+            "suite", "compare", "--db", db,
+            "--baseline", "\u0661", "--candidate", "1",
+        )
+        assert code == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert line == "error: no run labelled '\u0661' in the result store"
+
     def test_save_candidate_refreshes_baseline(self, capsys, tmp_path):
         base = self.baseline(tmp_path, capsys)
         refreshed = tmp_path / "new_base.json"

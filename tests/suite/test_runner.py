@@ -1,5 +1,7 @@
 """Tests for the batched scenario runner."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.explore import WorkloadSpec
@@ -8,13 +10,19 @@ from repro.suite import (
     ResultStore,
     Scenario,
     get_scenario,
+    read_run_json,
     run_scenario,
     run_suite,
+    scenario_names,
     select_scenarios,
 )
 
 #: A fast subset exercising paper + synthetic + both new workloads.
 FAST = ["synth-small", "viterbi-greedy", "filterbank-greedy"]
+
+BASELINE = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "suite_baseline.json"
+)
 
 
 class TestRunScenario:
@@ -117,3 +125,49 @@ class TestEvaluationThroughput:
         misses = resolver.tables.counters.misses
         run_scenario(scenarios[0], resolver)
         assert resolver.tables.counters.misses == misses
+
+
+class TestCommittedBaseline:
+    """Every registered scenario reproduces its row of the committed
+    ``benchmarks/suite_baseline.json``, the run ``suite compare`` gates
+    on.  Rows are keyed by scenario name; the algorithm label and the
+    timing and work counters are not results (the ``exact-*`` rows keep
+    their pre-closed-form labels and pruning counts)."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return read_run_json(BASELINE)
+
+    @pytest.fixture(scope="class")
+    def resolver(self):
+        return TableResolver()
+
+    def test_baseline_covers_the_registry(self, baseline):
+        assert sorted(baseline.scenario_names()) == sorted(scenario_names())
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenario_reproduces_its_baseline_row(
+        self, name, baseline, resolver
+    ):
+        result = run_scenario(get_scenario(name), resolver)
+        expected = baseline.result_for(name)
+        assert expected is not None, name
+        fields = (
+            "workload",
+            "platform",
+            "constraint_fraction",
+            "timing_constraint",
+            "initial_cycles",
+            "total_cycles",
+            "kernels_moved",
+            "moved_bb_ids",
+            "rows_used",
+            "constraint_met",
+        )
+        assert {f: getattr(result, f) for f in fields} == {
+            f: getattr(expected, f) for f in fields
+        }
+        # The JSON file keeps reduction_percent to three decimals.
+        assert round(result.reduction_percent, 3) == pytest.approx(
+            expected.reduction_percent, abs=1e-9
+        )

@@ -18,13 +18,24 @@ Endpoints::
 
 ``SIGTERM``/``SIGINT`` trigger the same graceful drain the endpoint
 does: intake stops, queued jobs finish, the HTTP loop exits.
+
+The request head is parsed strictly: a request line
+``METHOD SP target SP HTTP/1.0|HTTP/1.1``, then ``name: value`` lines
+(token names, no space before the colon, no folded lines) up to a blank
+line; lines of at most 65,536 bytes and at most 100 fields; at most one
+``Content-Length`` and no ``Transfer-Encoding``.  A request that breaks
+a rule gets one JSON error (400, or 414, 431, 501, 505) with
+``Connection: close``, as every daemon error carries
+``{"error": {"code", "message"}}``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import signal
 import threading
+from collections.abc import Iterator, Mapping
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .jobs import JobError, JobValidationError, QueueFullError
@@ -36,6 +47,30 @@ __all__ = ["ServeDaemon", "run_daemon"]
 _MAX_BODY_BYTES = 1 << 20
 #: Write buffer of a connection; a larger reply is written as it goes.
 _REPLY_BUFFER_BYTES = 1 << 16
+#: The longest request or header line and the most header fields a
+#: request may carry (the stdlib's limits).
+_MAX_LINE_BYTES = 65536
+_MAX_FIELDS = 100
+
+_TOKEN = rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
+#: The target is any run of visible bytes (latin-1, as the stdlib reads
+#: it); a version of 2 or more gets a 505, any other but 1.0/1.1 a 400.
+_REQUEST_LINE = re.compile(
+    rb"(" + _TOKEN + rb") ([^\x00-\x20\x7f]+) HTTP/(\d{1,9})\.(\d{1,9})\r?\n"
+)
+#: A field value holds no control byte but HTAB; its surrounding
+#: whitespace is stripped after the match (a lazy match would backtrack).
+_FIELD_LINE = re.compile(
+    rb"(" + _TOKEN + rb"):([^\x00-\x08\x0a-\x1f\x7f]*)\r?\n"
+)
+#: The ``code`` of the errors :meth:`_Handler.send_error` sends.
+_ERROR_CODES = {
+    400: "invalid-request",
+    414: "uri-too-long",
+    431: "header-too-large",
+    501: "not-implemented",
+    505: "version-not-supported",
+}
 
 
 def _ascii_int(text: str) -> int | None:
@@ -43,6 +78,25 @@ def _ascii_int(text: str) -> int | None:
     ``1*DIGIT``), else None: ``int`` also takes signs, underscores and
     other scripts' digits ("²" passes ``str.isdigit`` and fails ``int``)."""
     return int(text) if text.isascii() and text.isdigit() else None
+
+
+class _Headers(Mapping[str, str]):
+    """A request's header fields, looked up whatever the name's case.
+    A repeated field's values are joined with ``", "``."""
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, fields: dict[str, str]) -> None:
+        self._fields = fields  # by lower-cased name
+
+    def __getitem__(self, name: str) -> str:
+        return self._fields[name.lower()]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._fields)
+
+    def __len__(self) -> int:
+        return len(self._fields)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -57,6 +111,10 @@ class _Handler(BaseHTTPRequestHandler):
     # for the client's delayed ACK.
     disable_nagle_algorithm = True
 
+    #: Bytes of the request body not read yet; a reply while any are
+    #: left closes the connection, which cannot carry another request.
+    _unread_body = 0
+
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
@@ -64,35 +122,140 @@ class _Handler(BaseHTTPRequestHandler):
         if self.daemon.verbose:  # pragma: no cover - log formatting
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        """Read the request line and header fields by the module's rules.
+
+        Returns False once a request that breaks one has its error reply.
+        """
+        self.command = ""
+        self.request_version = ""  # so even a 400 carries its headers
+        self.close_connection = True
+        self._unread_body = 0
+        line = self.raw_requestline
+        self.requestline = str(line, "iso-8859-1").rstrip("\r\n")
+        match = _REQUEST_LINE.fullmatch(line)
+        if match is None:
+            self.send_error(
+                400, f"malformed request line {self.requestline[:80]!r}"
+            )
+            return False
+        method, target, major, minor = match.groups()
+        version = (int(major), int(minor))
+        if version[0] >= 2:
+            self.send_error(505, f"HTTP/{version[0]} is not supported")
+            return False
+        if version not in ((1, 0), (1, 1)):
+            self.send_error(400, "the version must be HTTP/1.0 or HTTP/1.1")
+            return False
+        self.command = method.decode("ascii")
+        self.path = target.decode("iso-8859-1")
+        self.request_version = f"HTTP/1.{version[1]}"
+        fields: dict[str, str] = {}
+        for _ in range(_MAX_FIELDS + 1):
+            line = self.rfile.readline(_MAX_LINE_BYTES + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if len(line) > _MAX_LINE_BYTES:
+                self.send_error(431, "header line too long")
+                return False
+            match = _FIELD_LINE.fullmatch(line)
+            if match is None:
+                self.send_error(
+                    400,
+                    f"malformed header line {str(line[:80], 'iso-8859-1')!r}",
+                )
+                return False
+            name = match[1].decode("ascii").lower()
+            value = match[2].strip(b" \t").decode("iso-8859-1")
+            if name == "transfer-encoding":
+                self.send_error(400, "Transfer-Encoding is not supported")
+                return False
+            if name in fields:
+                if name == "content-length":
+                    self.send_error(400, "more than one Content-Length")
+                    return False
+                value = f"{fields[name]}, {value}"
+            fields[name] = value
+        else:
+            self.send_error(431, f"more than {_MAX_FIELDS} header fields")
+            return False
+        self.headers = _Headers(fields)  # type: ignore[assignment]
+        length_text = fields.get("content-length", "0")
+        length = _ascii_int(length_text)
+        if length is None:
+            self.send_error(
+                400, f"invalid Content-Length header {length_text[:80]!r}"
+            )
+            return False
+        if length > _MAX_BODY_BYTES:
+            self.send_error(400, f"request body too large ({length} bytes)")
+            return False
+        self._unread_body = length
+        # The stdlib's rules: HTTP/1.1 keeps the connection open unless
+        # it says close, HTTP/1.0 closes unless it says keep-alive.
+        connection = {
+            token.strip().lower()
+            for token in fields.get("connection", "").split(",")
+        }
+        self.close_connection = "close" in connection or (
+            version == (1, 0) and "keep-alive" not in connection
+        )
+        if (
+            version == (1, 1)
+            and fields.get("expect", "").lower() == "100-continue"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def handle_expect_100(self) -> bool:
+        super().handle_expect_100()
+        # The client sends the body only once the 100 arrives: it must
+        # not wait in the reply buffer.
+        self.wfile.flush()
+        return True
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """The one reply to a request the head parser or the stdlib
+        refused, as JSON; the connection closes, as the rest of its
+        stream cannot be framed."""
+        self._reply(
+            code,
+            {"error": {
+                "code": _ERROR_CODES.get(code, "invalid-request"),
+                "message": message or self.responses[code][0],
+            }},
+            close=True,
+        )
+
     def _reply(
         self,
         status: int,
         payload: dict[str, object],
         headers: dict[str, str] | None = None,
+        close: bool = False,
     ) -> None:
         body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        # The head that send_response and send_header would buffer line
+        # by line, built as one string.
+        head = (
+            f"{self.protocol_version} {status:d} {self.responses[status][0]}"
+            f"\r\nServer: {self.version_string()}"
+            f"\r\nDate: {self.date_time_string()}"
+            "\r\nContent-Type: application/json"
+            f"\r\nContent-Length: {len(body)}\r\n"
+        )
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            head += f"{name}: {value}\r\n"
+        if close or self._unread_body:
+            head += "Connection: close\r\n"
+            self.close_connection = True
+        self.log_request(status, len(body))
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
     def _read_json(self) -> object:
-        header = self.headers.get("Content-Length") or "0"
-        length = _ascii_int(header.strip(" \t"))
-        if length is None or length > _MAX_BODY_BYTES:
-            # The body stays unread, so the connection cannot carry
-            # another request: answer, then close it.
-            self.close_connection = True
-            if length is None:
-                raise JobValidationError(
-                    f"invalid Content-Length header {header!r}"
-                )
-            raise JobValidationError(
-                f"request body too large ({length} bytes)"
-            )
+        length, self._unread_body = self._unread_body, 0
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise JobValidationError("empty request body; expected JSON")
@@ -131,15 +294,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 return
             except JobError as error:
-                self._reply(
-                    400,
-                    {"error": error.to_payload()},
-                    headers=(
-                        {"Connection": "close"}
-                        if self.close_connection
-                        else None
-                    ),
-                )
+                self._reply(400, {"error": error.to_payload()})
                 return
             self._reply(202, {"job_id": job_id})
             return

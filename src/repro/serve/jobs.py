@@ -122,22 +122,21 @@ class JobRequest:
     #: *started*; ``None`` uses the server default (which may be no
     #: timeout at all).
     timeout_seconds: float | None = None
+    #: The job the server runs, built (and checked) with the request.
+    job: Job = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
-            _ = self.job  # the job checks the target
+            job = Job(  # the job checks the target
+                self.workload, self.platform, self.algorithm,
+                () if self.constraint is None else (self.constraint,),
+                () if self.fraction is None else (self.fraction,),
+            )
         except ValueError as error:
             raise JobValidationError(str(error)) from None
+        object.__setattr__(self, "job", job)
         if self.timeout_seconds is not None and self.timeout_seconds < 0:
             raise JobValidationError("'timeout_seconds' must be >= 0")
-
-    @property
-    def job(self) -> Job:
-        return Job(
-            self.workload, self.platform, self.algorithm,
-            () if self.constraint is None else (self.constraint,),
-            () if self.fraction is None else (self.fraction,),
-        )
 
     @property
     def pair_key(self) -> tuple[WorkloadSpec, PlatformSpec]:

@@ -194,6 +194,10 @@ class Server:
         self.caches = PricedTableCache(
             capacity=self.config.cache_capacity, counter_prefix="serve"
         )
+        self._retry_policy = RetryPolicy(
+            max_attempts=self.config.task_retries + 1,
+            backoff_seconds=self.config.retry_backoff_seconds,
+        )
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._queue: deque[JobRecord] = deque()
@@ -615,19 +619,15 @@ class Server:
             record.state = "running"
             record.started_at = started
         serve = partial(_serve_job, table=table)
-        policy = RetryPolicy(
-            max_attempts=self.config.task_retries + 1,
-            backoff_seconds=self.config.retry_backoff_seconds,
-        )
         outcomes, _ = map_tasks(
             serve,
             [record.request.job for record in records],
             self.config.workers if len(records) > 1 else 1,
-            what=f"serve batch ({pair[0].label})",
+            what=f"serve batch ({workload.name})",
             # The dispatcher already holds the built objects: no
             # per-job rebuild, no pickling.
             serial_runner=partial(serve, built=(workload, platform)),
-            policy=policy,
+            policy=self._retry_policy,
             fault_plan=self.config.fault_plan,
             failure_mode="report",
             counters=self._robust_counts,

@@ -11,10 +11,15 @@ job decoder both accept these strings, so a request a user typed on the
 command line is exactly a request a client can POST to the daemon.
 Every function raises :class:`ValueError` on malformed input; callers
 wrap that into their own error surface (``argparse.ArgumentTypeError``
-on the CLI, a structured validation error on the server).
+on the CLI, a structured validation error on the server).  The two spec
+parsers keep their last 256 answers: the specs are frozen, so a served
+job on a hot pair parses its text once.  Errors are not kept; bad text
+raises on every call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .explore.space import WorkloadSpec
 from .search.base import AlgorithmSpec
@@ -54,6 +59,7 @@ def params_from_text(text: str) -> dict[str, object]:
     return params
 
 
+@lru_cache(maxsize=256)
 def workload_spec_from_text(text: str) -> WorkloadSpec:
     """Parse and validate a workload spec string.
 
@@ -115,6 +121,7 @@ def _workload_spec(text: str) -> WorkloadSpec:
     )
 
 
+@lru_cache(maxsize=256)
 def algorithm_spec_from_text(text: str) -> AlgorithmSpec:
     """Parse and validate an algorithm spec string."""
     name, __, rest = text.partition(":")

@@ -9,15 +9,21 @@ import http.client
 import json
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FaultPlan, FaultSpec
 from repro.serve import ServeDaemon, ServerConfig, ServerStoppedError
+from repro.serve import daemon as daemon_module
 from repro.serve import server as server_module
 
 
@@ -85,6 +91,48 @@ def get_raw(daemon, path):
         reply = http.client.HTTPResponse(sock)
         reply.begin()
         return reply.status, json.loads(reply.read())
+
+
+def read_reply(stream):
+    """One reply from ``stream`` as (status, headers by lower-cased name,
+    body), or None at EOF."""
+    status_line = stream.readline()
+    if not status_line:
+        return None
+    version, status, _ = status_line.split(b" ", 2)
+    assert version == b"HTTP/1.1", status_line
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    body = stream.read(int(headers.get("content-length", 0)))
+    return int(status), headers, body
+
+
+def exchange(daemon, raw, half_close=False):
+    """Send ``raw`` on a new connection (then end the sending side if
+    ``half_close``); every reply until EOF."""
+    with socket.create_connection(daemon.address, timeout=5) as sock:
+        sock.sendall(raw)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        stream = sock.makefile("rb")
+        replies = []
+        while (reply := read_reply(stream)) is not None:
+            replies.append(reply)
+        return replies
+
+
+def assert_json_error(reply, status, code):
+    """``reply`` is a JSON error of ``status`` and ``code`` that closes
+    its connection."""
+    got, headers, body = reply
+    assert got == status, body
+    assert headers["content-type"] == "application/json"
+    assert headers["connection"] == "close"
+    error = json.loads(body)["error"]
+    assert error["code"] == code
+    assert error["message"]
 
 
 JOB = {"workload": "synthetic:24:seed=5", "fraction": 0.5}
@@ -308,6 +356,196 @@ class TestEndpoints:
         assert elapsed < 0.2, f"ten keep-alive requests took {elapsed:.3f} s"
 
 
+class TestFraming:
+    """A request the head parser refuses gets exactly one JSON error with
+    ``Connection: close``, then EOF: nothing of it is read as a job or as
+    the next request."""
+
+    @pytest.mark.parametrize(
+        "head, body",
+        [
+            # The chunk-size line used to be read as a second request,
+            # which got a bare HTML 400 after the JSON one.
+            (b"Transfer-Encoding: chunked\r\n",
+             b"25\r\n" + BODY_37 + b"\r\n0\r\n\r\n"),
+            # Both used to get a 202, the first from the first length.
+            (b"Content-Length: 37\r\nContent-Length: 5\r\n", BODY_37),
+            (b"Content-Length: 37\r\nTransfer-Encoding: chunked\r\n",
+             BODY_37),
+            # Both used to get "empty request body" and leave the body
+            # unread on an open connection, so the next read hung.
+            (b"Host x\r\nContent-Length: 37\r\n", BODY_37),
+            (b"Content-Length : 37\r\n", BODY_37),
+        ],
+        ids=["chunked", "two-lengths", "length-and-chunked", "no-colon",
+             "space-before-colon"],
+    )
+    def test_a_body_that_cannot_be_framed_is_one_400(self, daemon, head, body):
+        replies = exchange(
+            daemon, b"POST /jobs HTTP/1.1\r\nHost: x\r\n" + head
+            + b"\r\n" + body,
+        )
+        assert len(replies) == 1, replies
+        assert_json_error(replies[0], 400, "invalid-request")
+        assert daemon.server.stats()["jobs"]["submitted"] == 0
+
+    @pytest.mark.parametrize(
+        "raw, status, code",
+        [
+            (b"PUT /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 37\r\n"
+             b"\r\n" + BODY_37, 501, "not-implemented"),
+            (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+             414, "uri-too-long"),
+            (b"GET /healthz HTTP/1.1\r\n"
+             + b"".join(b"X-Field-%d: %d\r\n" % (i, i) for i in range(101))
+             + b"\r\n", 431, "header-too-large"),
+            (b"GET /healthz HTTP/1.1\r\nX: " + b"v" * 65536 + b"\r\n\r\n",
+             431, "header-too-large"),
+            (b"GET /healthz HTTP/2.0\r\nHost: x\r\n\r\n",
+             505, "version-not-supported"),
+            (b"GET /healthz\r\n", 400, "invalid-request"),
+            (b"GET /healthz HTTP/1.2\r\n\r\n", 400, "invalid-request"),
+            (b"GET  /healthz HTTP/1.1\r\n\r\n", 400, "invalid-request"),
+            (b"GET /healthz HTTP/1.1\r\n folded: x\r\n\r\n", 400,
+             "invalid-request"),
+        ],
+        ids=["PUT", "long-request-line", "101-fields", "long-field",
+             "HTTP/2.0", "HTTP/0.9", "HTTP/1.2", "two-spaces", "folded"],
+    )
+    def test_every_refused_head_is_one_json_error(
+        self, daemon, raw, status, code
+    ):
+        replies = exchange(daemon, raw)
+        assert len(replies) == 1, replies
+        assert_json_error(replies[0], status, code)
+
+    def test_a_head_cut_by_eof_is_one_400(self, daemon):
+        replies = exchange(
+            daemon, b"GET /healthz HTTP/1.1\r\nHost: x", half_close=True
+        )
+        assert len(replies) == 1, replies
+        assert_json_error(replies[0], 400, "invalid-request")
+
+    def test_100_fields_are_served(self, daemon):
+        head = b"".join(b"X-Field-%d: %d\r\n" % (i, i) for i in range(99))
+        [(status, _, body)] = exchange(
+            daemon, b"GET /healthz HTTP/1.1\r\n" + head
+            + b"Connection: close\r\n\r\n",
+        )
+        assert status == 200 and json.loads(body) == {"ok": True}
+
+    def test_http_1_0_closes_after_its_reply(self, daemon):
+        [(status, _, _)] = exchange(daemon, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert status == 200
+
+    def test_a_100_continue_is_sent_before_the_body(self, daemon):
+        with socket.create_connection(daemon.address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Expect: 100-continue\r\nContent-Length: 37\r\n\r\n"
+            )
+            stream = sock.makefile("rb")
+            assert read_reply(stream)[0] == 100
+            sock.sendall(BODY_37 + b"GET /healthz HTTP/1.1\r\n"
+                         b"Connection: close\r\n\r\n")
+            assert read_reply(stream)[0] == 202
+            assert read_reply(stream)[0] == 200
+            assert read_reply(stream) is None
+
+    def test_header_fields_are_found_whatever_their_case(self):
+        headers = daemon_module._Headers({"content-type": "text/plain"})
+        assert headers["Content-Type"] == headers.get("CONTENT-TYPE")
+        assert "content-TYPE" in headers and "accept" not in headers
+        assert dict(headers) == {"content-type": "text/plain"}
+
+    def test_a_body_no_route_reads_closes_the_connection(self, daemon):
+        replies = exchange(
+            daemon, b"POST /nope HTTP/1.1\r\nContent-Length: 37\r\n\r\n"
+            + BODY_37 + b"GET /healthz HTTP/1.1\r\n\r\n",
+        )
+        assert [status for status, _, _ in replies] == [404]
+        assert replies[0][1]["connection"] == "close"
+
+
+#: Header names a block may draw (their case is drawn too); none of them
+#: changes how the request is framed or kept alive.
+FIELD_NAMES = ("Host", "Accept", "User-Agent", "X-Trace-Id", "Cache-Control")
+TOKEN = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+@st.composite
+def field_name(draw):
+    name = draw(st.sampled_from(FIELD_NAMES) | st.text(TOKEN, min_size=1,
+                                                       max_size=12))
+    if name.lower() in ("content-length", "transfer-encoding", "connection",
+                        "expect"):
+        name = "X-" + name
+    flips = draw(st.lists(st.booleans(), min_size=len(name),
+                          max_size=len(name)))
+    return "".join(c.swapcase() if flip else c for c, flip in zip(name, flips))
+
+
+#: Field values: visible latin-1 text with inner spaces and tabs.
+FIELD_VALUE = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0xFF,
+                  blacklist_categories=("Cc",)) | st.just("\t"),
+    max_size=30,
+)
+#: Lines the parser must refuse, each on its own.
+JUNK_LINES = st.sampled_from([
+    "no colon here", "Name : space before the colon", " folded: value",
+    "\tfolded: value", ": no name", "Bad Name: value", "Na(me: value",
+    "Content-Length: 5", "Transfer-Encoding: chunked", "Value: bell\x07",
+    "Value: nul\x00", "Value: lone\rcr",
+])
+
+
+@st.composite
+def header_block(draw):
+    """(lines, valid): valid fields with junk lines mixed in or not."""
+    lines = draw(st.lists(
+        st.builds("{}:{}".format, field_name(), FIELD_VALUE), max_size=8
+    ))
+    junk = draw(st.lists(JUNK_LINES, max_size=2))
+    for line in junk:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines, not junk
+
+
+class TestHeadParserProperty:
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(block=header_block())
+    def test_a_header_block_is_served_or_refused_once(self, daemon, block):
+        lines, valid = block
+        errors = []
+        daemon._http.handle_error = lambda request, address: errors.append(
+            address
+        )
+        body = json.dumps(JOB).encode()
+        head = "".join(line + "\r\n" for line in lines).encode("latin-1")
+        with socket.create_connection(daemon.address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\n" + head
+                + b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            stream = sock.makefile("rb")
+            reply = read_reply(stream)
+            if valid:
+                assert reply[0] == 202, (lines, reply)
+                assert "connection" not in reply[1]
+                # Still open: the next request is served on it.
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n"
+                             b"Connection: close\r\n\r\n")
+                assert read_reply(stream)[0] == 200
+            else:
+                assert_json_error(reply, 400, "invalid-request")
+            assert read_reply(stream) is None
+        assert errors == []
+
+
 class TestBackpressure:
     def test_queue_full_is_429_with_retry_after(self):
         # A slow fault holds the dispatcher inside a first job while we
@@ -369,3 +607,17 @@ class TestShutdown:
             signal.signal(signal.SIGTERM, previous_term)
             signal.signal(signal.SIGINT, previous_int)
             daemon.close()
+
+
+def test_the_stage_timeline_script_runs():
+    """``scripts/serve_timeline.py`` (an informational CI step) still
+    finds every stage it wraps."""
+    script = Path(__file__).resolve().parents[2] / "scripts" / "serve_timeline.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    for stage in ("parse_request", "from_payload", "submit", "_reply",
+                  "_run_batch", "run_job"):
+        assert f"| `{stage}` |" in done.stdout

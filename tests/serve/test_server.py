@@ -15,6 +15,7 @@ import pytest
 
 from repro import telemetry
 from repro.explore import PlatformSpec, WorkloadSpec
+from repro.job import Job
 from repro.search import make_partitioner
 from repro.serve import (
     ExpiredJobError,
@@ -28,7 +29,7 @@ from repro.serve import (
     UnknownJobError,
 )
 from repro.serve import server as server_module
-from repro.specs import algorithm_spec_from_text
+from repro.specs import algorithm_spec_from_text, workload_spec_from_text
 
 SMALL = WorkloadSpec.synthetic(24, seed=5)
 OTHER = WorkloadSpec.synthetic(24, seed=9)
@@ -505,3 +506,60 @@ class TestPayloads:
             server.poll(41)
         assert excinfo.value.to_payload()["code"] == "unknown-job"
         server.shutdown()
+
+
+class TestDecodeOnce:
+    """A request parses its spec texts through bounded memos and builds
+    its job once; what it rejects is rejected on every call."""
+
+    @pytest.mark.parametrize(
+        "parse", [workload_spec_from_text, algorithm_spec_from_text]
+    )
+    def test_spec_memos_are_bounded(self, parse):
+        assert 0 < parse.cache_info().maxsize < float("inf")
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (workload_spec_from_text, "synthetic:abc"),
+            (workload_spec_from_text, "filterbank:bogus=1"),
+            (algorithm_spec_from_text, "exhaustive:max_candidates=0"),
+            (algorithm_spec_from_text, "quantum"),
+        ],
+    )
+    def test_a_malformed_spec_raises_on_every_call(self, parse, text):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse(text)
+
+    def test_a_spec_text_is_parsed_once(self):
+        payload = {"workload": "synthetic:24:seed=5", "fraction": 0.5}
+        first = JobRequest.from_payload(payload)
+        second = JobRequest.from_payload(payload)
+        assert first.workload is second.workload
+        assert first.algorithm is second.algorithm
+
+    def test_the_job_is_built_once_and_equals_one_built_by_hand(self):
+        built = request(fraction=0.25, platform=PlatformSpec(afpga=900))
+        assert built.job is built.job
+        assert built.job == Job(
+            SMALL, PlatformSpec(afpga=900), GREEDY,
+            constraint_fractions=(0.25,),
+        )
+        by_constraint = request(fraction=None, constraint=1234)
+        assert by_constraint.job == Job(
+            SMALL, PlatformSpec(), GREEDY, constraints=(1234,)
+        )
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            {"fraction": float("nan")},
+            {"fraction": 0.0},
+            {"fraction": None, "constraint": 0},
+            {"fraction": 0.5, "constraint": 10},
+        ],
+    )
+    def test_a_bad_target_is_still_a_validation_error(self, targets):
+        with pytest.raises(JobValidationError):
+            request(**targets)

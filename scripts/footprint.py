@@ -20,19 +20,30 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-PARTITION = ["partition", "--workload", "ofdm", "--fraction", "0.5"]
-#: Entry point -> the code that runs it (``-m`` through runpy).
-ENTRY_POINTS = {
-    "import repro": "import repro",
-    "python -m repro " + " ".join(PARTITION): (
+
+
+def _cli(*argv: str) -> str:
+    """The code that runs ``python -m repro *argv`` (through runpy)."""
+    return (
         "import runpy, sys\n"
-        f"sys.argv = ['repro', *{PARTITION!r}]\n"
+        f"sys.argv = ['repro', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as stop:\n"
         "    if stop.code:\n"
         "        raise\n"
-    ),
+    )
+
+
+#: The ``python -m repro`` runs among the entry points.
+CLI_RUNS = (
+    ("partition", "--workload", "ofdm", "--fraction", "0.5"),
+    ("partition", "--workload", "ofdm-measured", "--fraction", "0.5"),
+)
+#: Entry point -> the code that runs it.
+ENTRY_POINTS = {
+    "import repro": "import repro",
+    **{"python -m repro " + " ".join(argv): _cli(*argv) for argv in CLI_RUNS},
 }
 WATCHED = ("numpy", "sqlite3", "multiprocessing")
 

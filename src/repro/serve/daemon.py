@@ -23,7 +23,8 @@ The request head is parsed strictly: a request line
 ``METHOD SP target SP HTTP/1.0|HTTP/1.1``, then ``name: value`` lines
 (token names, no space before the colon, no folded lines) up to a blank
 line; lines of at most 65,536 bytes and at most 100 fields; at most one
-``Content-Length`` and no ``Transfer-Encoding``.  A request that breaks
+``Content-Length``, no ``Transfer-Encoding`` and at most one ``Host``,
+which HTTP/1.1 requires (RFC 9112 §3.2).  A request that breaks
 a rule gets one JSON error (400, or 414, 431, 501, 505) with
 ``Connection: close``, as every daemon error carries
 ``{"error": {"code", "message"}}``.
@@ -34,6 +35,7 @@ from __future__ import annotations
 import json
 import re
 import signal
+import socket
 import threading
 from collections.abc import Iterator, Mapping
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -171,13 +173,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_error(400, "Transfer-Encoding is not supported")
                 return False
             if name in fields:
-                if name == "content-length":
-                    self.send_error(400, "more than one Content-Length")
+                if name in ("content-length", "host"):
+                    self.send_error(400, f"more than one {name.title()}")
                     return False
                 value = f"{fields[name]}, {value}"
             fields[name] = value
         else:
             self.send_error(431, f"more than {_MAX_FIELDS} header fields")
+            return False
+        if version == (1, 1) and "host" not in fields:
+            self.send_error(400, "an HTTP/1.1 request needs a Host header")
             return False
         self.headers = _Headers(fields)  # type: ignore[assignment]
         length_text = fields.get("content-length", "0")
@@ -421,10 +426,30 @@ class ServeDaemon:
         self.server.shutdown(
             drain=True, timeout=self.drain_deadline_seconds
         )
-        self._http.shutdown()
-        self._http.server_close()
         if self._http_thread is not None:
+            self._stop_http_loop()
             self._http_thread.join(timeout=5)
+        self._http.server_close()
+
+    def _stop_http_loop(self) -> None:
+        """``shutdown()`` the HTTP loop without waiting out its poll.
+
+        ``serve_forever`` sees a stop request only when its 0.5 s
+        ``select`` returns.  A connection makes it return at once, but
+        one that arrives before the request is set is served and the
+        loop polls again, so keep connecting until ``shutdown()`` returns.
+        """
+        stopper = threading.Thread(target=self._http.shutdown)
+        stopper.start()
+        host, port = self.address
+        if host == "0.0.0.0":
+            host = "127.0.0.1"
+        while stopper.is_alive():
+            try:
+                socket.create_connection((host, port), timeout=1).close()
+            except OSError:
+                pass
+            stopper.join(0.01)
 
     def __enter__(self) -> "ServeDaemon":
         return self.start()

@@ -1,9 +1,9 @@
 """Evaluation workloads: Table 1 statistics, synthetic DFGs, mini-C apps.
 
-The measured JPEG and OFDM applications (:mod:`.jpeg`, :mod:`.ofdm`) and
-their NumPy references (:mod:`.dsp`) are the only numpy users in the
-library.  Names resolve on first use, so the calibrated, synthetic,
-filterbank, viterbi and ``minic:N`` workloads never import numpy.
+Names resolve on first use, so a run loads only the workloads it uses.
+The one numpy user in the library is :func:`.jpeg.test_image`, which
+imports it when called: the measured OFDM transmitter, the two mini-C
+sources and every other workload never import numpy.
 """
 
 from typing import TYPE_CHECKING

@@ -11,11 +11,9 @@ The per-block statistics are *derived*, not guessed: the FIR blocks carry
 exactly the multiply/accumulate counts of a ``taps``-tap direct-form
 filter, the biquad blocks the 5-multiply/4-add per-section cost of a
 Direct Form II section, and the decimator the adder-tree cost of a
-``channels``-way polyphase recombination — the same operation mixes as
-the NumPy references in :mod:`repro.workloads.dsp` (a ``taps``-tap dot
-product per output sample, etc.).  DFG *shapes* reuse the calibrated
-synthetic generator, so every block is a real layered DFG the mapping
-algorithms schedule unmodified.
+``channels``-way polyphase recombination.  DFG *shapes* reuse the
+calibrated synthetic generator, so every block is a real layered DFG the
+mapping algorithms schedule unmodified.
 
 Fully deterministic for a given parameter set.
 """

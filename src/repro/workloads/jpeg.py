@@ -8,37 +8,82 @@ reciprocal-multiply quantization (the paper notes the DFGs contain no
 divisions), table-driven zig-zag scanning, and the run-length/size-category
 entropy model whose emitted bit count the hot loop computes.
 
-Constant tables are generated from the NumPy references in
-:mod:`repro.workloads.dsp` so tests can demand bit-exact agreement.
+Constant tables are built here with :mod:`math` and integer arithmetic;
+the tests hold the interpreted program bit-exact against independent
+NumPy references.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..analysis.dynamic_analysis import DynamicProfile, profile_cdfg
 from ..interp.cache import ProfileCache
 from ..interp.interpreter import Interpreter
 from ..ir.cdfg import CDFG, cdfg_from_source
-from .dsp.dct import DCT_FRAC_BITS, dct_matrix_fixed
-from .dsp.quantize import RECIP_SHIFT, reciprocal_table
-from .dsp.zigzag import zigzag_indices
+
+if TYPE_CHECKING:
+    import numpy as np
 
 IMAGE_SIZE = 32  # 32x32 test frame = 16 of the 8x8 blocks
 BLOCKS_PER_SIDE = IMAGE_SIZE // 8
 LEVEL_SHIFT = 128
+#: The DCT matrix is Q10 fixed point.
+DCT_FRAC_BITS = 10
+#: Quantizer reciprocals are ``round(2^16 / q)``.
+RECIP_SHIFT = 16
+#: The ISO/IEC 10918-1 Annex K luminance quantization table, row-major.
+LUMA_QUANT_TABLE = (
+    16, 11, 10, 16, 24, 40, 51, 61,
+    12, 12, 14, 19, 26, 58, 60, 55,
+    14, 13, 16, 24, 40, 57, 69, 56,
+    14, 17, 22, 29, 51, 87, 80, 62,
+    18, 22, 37, 56, 68, 109, 103, 77,
+    24, 35, 55, 64, 81, 104, 113, 92,
+    49, 64, 78, 87, 103, 121, 120, 101,
+    72, 92, 95, 98, 112, 100, 103, 99,
+)
 
 
-def _table(values) -> str:
-    return ", ".join(str(int(v)) for v in values)
+def dct_matrix_fixed() -> list[int]:
+    """The Q10 orthonormal 8x8 DCT-II coefficient matrix, row-major."""
+    return [
+        round(
+            math.sqrt((1.0 if k == 0 else 2.0) / 8)
+            * math.cos((2 * i + 1) * k * math.pi / 16)
+            * (1 << DCT_FRAC_BITS)
+        )
+        for k in range(8)
+        for i in range(8)
+    ]
+
+
+def reciprocal_table() -> list[int]:
+    """The quantizer's fixed-point reciprocals, row-major."""
+    return [round((1 << RECIP_SHIFT) / q) for q in LUMA_QUANT_TABLE]
+
+
+def zigzag_indices() -> list[int]:
+    """The 64 row-major positions in JPEG zig-zag order."""
+    order = []
+    for diagonal in range(15):
+        cells = [r * 8 + diagonal - r for r in range(8) if 0 <= diagonal - r < 8]
+        # Even diagonals run bottom-left to top-right.
+        order.extend(reversed(cells) if diagonal % 2 == 0 else cells)
+    return order
+
+
+def _table(values: Iterable[int]) -> str:
+    return ", ".join(map(str, values))
 
 
 def jpeg_source() -> str:
     """The mini-C source of the encoder."""
-    dct_matrix = dct_matrix_fixed().ravel()
-    recip = reciprocal_table().ravel()
+    dct_matrix = dct_matrix_fixed()
+    recip = reciprocal_table()
     zigzag = zigzag_indices()
     return f"""
 // JPEG encoder front-end: level shift -> 8x8 integer DCT (Q10) ->
@@ -200,8 +245,9 @@ class JPEGEncoderApp:
             profile_cache if profile_cache is not None else ProfileCache()
         )
 
-    def encode_image(self, image: np.ndarray) -> JPEGEncodeResult:
-        """Encode one IMAGE_SIZE×IMAGE_SIZE greyscale frame."""
+    def encode_image(self, image: Sequence[Sequence[int]]) -> JPEGEncodeResult:
+        """Encode one IMAGE_SIZE×IMAGE_SIZE greyscale frame (rows of
+        pixels: nested lists or a 2-D array)."""
         pixels = self._flatten(image)
         interpreter = Interpreter(self.cdfg)
         result = interpreter.run("encode_image", pixels)
@@ -210,19 +256,15 @@ class JPEGEncoderApp:
             total_bits=int(result.return_value), steps=result.steps
         )
 
-    def encode_block(self, block: np.ndarray) -> int:
+    def encode_block(self, block: Sequence[Sequence[int]]) -> int:
         """Encode one level-shifted 8x8 block; returns its bit cost."""
-        block = np.asarray(block, dtype=np.int64)
-        if block.shape != (8, 8):
-            raise ValueError("expected an 8x8 block")
+        values = _rows(block, 8, "expected an 8x8 block")
         interpreter = Interpreter(self.cdfg)
-        result = interpreter.run(
-            "encode_block", [int(v) for v in block.ravel()]
-        )
+        result = interpreter.run("encode_block", values)
         assert result.return_value is not None
         return int(result.return_value)
 
-    def profile_image(self, image: np.ndarray) -> DynamicProfile:
+    def profile_image(self, image: Sequence[Sequence[int]]) -> DynamicProfile:
         """Dynamic analysis over one frame (cached, counter-only)."""
         pixels = self._flatten(image)
         return profile_cdfg(
@@ -230,19 +272,28 @@ class JPEGEncoderApp:
         )
 
     @staticmethod
-    def _flatten(image: np.ndarray) -> list[int]:
-        image = np.asarray(image, dtype=np.int64)
-        if image.shape != (IMAGE_SIZE, IMAGE_SIZE):
-            raise ValueError(
-                f"expected a {IMAGE_SIZE}x{IMAGE_SIZE} greyscale image"
-            )
-        if image.min() < 0 or image.max() > 255:
+    def _flatten(image: Sequence[Sequence[int]]) -> list[int]:
+        pixels = _rows(
+            image, IMAGE_SIZE,
+            f"expected a {IMAGE_SIZE}x{IMAGE_SIZE} greyscale image",
+        )
+        if min(pixels) < 0 or max(pixels) > 255:
             raise ValueError("pixel values must be 8-bit")
-        return [int(p) for p in image.ravel()]
+        return pixels
+
+
+def _rows(square: Sequence[Sequence[int]], side: int, message: str) -> list[int]:
+    """A ``side``×``side`` grid's values in row-major order, as ints."""
+    rows = list(square)
+    if len(rows) != side or any(len(row) != side for row in rows):
+        raise ValueError(message)
+    return [int(value) for row in rows for value in row]
 
 
 def test_image(seed: int = 1994) -> np.ndarray:
     """A deterministic smooth-plus-noise greyscale test frame."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     y, x = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE]
     smooth = 128 + 60 * np.sin(x / 5.0) * np.cos(y / 7.0)

@@ -7,33 +7,51 @@ C subset — 16-QAM mapping, a 64-point Q12 fixed-point radix-2 IFFT and the
 16-sample cyclic prefix — exercising the whole pipeline: frontend, CDFG,
 interpreter profiling, analysis and partitioning.
 
-The constant tables (bit-reversal permutation, Q12 twiddles) are generated
-from the NumPy reference (:mod:`repro.workloads.dsp.fft`) so the test suite
-can require bit-exact agreement between the interpreted mini-C program and
-the reference model.
+The constant tables (bit-reversal permutation, Q12 twiddles) are built
+here with :mod:`math` and integer arithmetic; the tests hold the
+interpreted program bit-exact against an independent NumPy reference.
 """
 
 from __future__ import annotations
 
+import math
+import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..analysis.dynamic_analysis import DynamicProfile, profile_cdfg_many
 from ..interp.cache import ProfileCache
 from ..interp.interpreter import Interpreter
 from ..interp.values import ArrayStorage
 from ..ir.cdfg import CDFG, cdfg_from_source
-from .dsp.fft import bit_reverse_indices, twiddle_tables
-from .dsp.qam import QAM_SCALE
 
 FFT_SIZE = 64
 CP_LEN = 16
 BITS_PER_SYMBOL = FFT_SIZE * 4  # 16-QAM: 4 bits per subcarrier
+#: QAM outputs are Q8 fixed point.
+QAM_SCALE = 256
+#: Twiddles are Q12 fixed point.
+TWIDDLE_FRAC_BITS = 12
 
 
-def _table(values) -> str:
-    return ", ".join(str(int(v)) for v in values)
+def bit_reverse_indices(n: int) -> list[int]:
+    """The bit-reversal permutation of a power-of-two ``n``."""
+    bits = n.bit_length() - 1
+    return [int(format(i, f"0{bits}b")[::-1], 2) for i in range(n)]
+
+
+def twiddle_tables(n: int) -> tuple[list[int], list[int]]:
+    """Q12 cos/sin tables of the inverse FFT (positive exponent)."""
+    scale = 1 << TWIDDLE_FRAC_BITS
+    angles = [2.0 * math.pi * k / n for k in range(n // 2)]
+    return (
+        [round(math.cos(a) * scale) for a in angles],
+        [round(math.sin(a) * scale) for a in angles],
+    )
+
+
+def _table(values: Iterable[int]) -> str:
+    return ", ".join(map(str, values))
 
 
 def ofdm_source() -> str:
@@ -131,8 +149,8 @@ void ofdm_symbol(int bits[{BITS_PER_SYMBOL}],
 class OFDMSymbolResult:
     """Output of one transmitted symbol plus execution metadata."""
 
-    out_re: np.ndarray
-    out_im: np.ndarray
+    out_re: list[int]
+    out_im: list[int]
     steps: int
 
 
@@ -152,35 +170,35 @@ class OFDMTransmitterApp:
             profile_cache if profile_cache is not None else ProfileCache()
         )
 
-    def transmit_symbol(self, bits: np.ndarray) -> OFDMSymbolResult:
+    def transmit_symbol(self, bits: Iterable[int]) -> OFDMSymbolResult:
         """Run one 256-bit payload symbol through the interpreted design."""
-        bits = np.asarray(bits, dtype=np.int64).ravel()
-        if bits.size != BITS_PER_SYMBOL:
-            raise ValueError(f"need {BITS_PER_SYMBOL} bits per symbol")
         interpreter = Interpreter(self.cdfg)
         out_re = ArrayStorage.allocate("out_re", _int_array(FFT_SIZE + CP_LEN))
         out_im = ArrayStorage.allocate("out_im", _int_array(FFT_SIZE + CP_LEN))
-        result = interpreter.run(
-            "ofdm_symbol", [int(b) for b in bits], out_re, out_im
-        )
+        result = interpreter.run("ofdm_symbol", _symbol(bits), out_re, out_im)
         return OFDMSymbolResult(
-            out_re=np.array(out_re.data, dtype=np.int64),
-            out_im=np.array(out_im.data, dtype=np.int64),
-            steps=result.steps,
+            out_re=list(out_re.data), out_im=list(out_im.data), steps=result.steps
         )
 
-    def profile_symbols(self, symbol_bits: list[np.ndarray]) -> DynamicProfile:
+    def profile_symbols(
+        self, symbol_bits: Sequence[Iterable[int]]
+    ) -> DynamicProfile:
         """Dynamic analysis over several payload symbols (paper: 6)."""
         out_len = FFT_SIZE + CP_LEN
-        input_sets = []
-        for bits in symbol_bits:
-            bits = np.asarray(bits, dtype=np.int64).ravel()
-            input_sets.append(
-                ([int(b) for b in bits], [0] * out_len, [0] * out_len)
-            )
+        input_sets = [
+            (_symbol(bits), [0] * out_len, [0] * out_len) for bits in symbol_bits
+        ]
         return profile_cdfg_many(
             self.cdfg, "ofdm_symbol", input_sets, cache=self.profile_cache
         )
+
+
+def _symbol(bits: Iterable[int]) -> list[int]:
+    """One symbol's payload bits as plain ints."""
+    symbol = [int(b) for b in bits]
+    if len(symbol) != BITS_PER_SYMBOL:
+        raise ValueError(f"need {BITS_PER_SYMBOL} bits per symbol")
+    return symbol
 
 
 def _int_array(size: int):
@@ -189,7 +207,7 @@ def _int_array(size: int):
     return ArrayType(Type.INT, (size,))
 
 
-def random_bits(count: int, seed: int = 2004) -> np.ndarray:
+def random_bits(count: int, seed: int = 2004) -> list[int]:
     """Deterministic pseudo-random payload bits."""
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=count, dtype=np.int64)
+    rng = random.Random(seed)
+    return [rng.getrandbits(1) for _ in range(count)]

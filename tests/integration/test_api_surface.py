@@ -122,6 +122,18 @@ class TestDependencies:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_no_library_module_imports_numpy(self):
+        """Only calling ``test_image`` loads numpy: importing every
+        module of the package does not."""
+        loaded, _ = footprint.probe(
+            "import importlib, pkgutil, repro\n"
+            "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if module.name != 'repro.__main__':\n"
+            "        importlib.import_module(module.name)"
+        )
+        assert {"repro.workloads.jpeg", "repro.workloads.ofdm"} <= loaded
+        assert "numpy" not in loaded
+
     def test_import_repro_loads_no_subpackage(self):
         loaded, _ = footprint.probe(footprint.ENTRY_POINTS["import repro"])
         assert {m for m in loaded if m.startswith("repro.")} == {"repro._lazy"}
@@ -130,7 +142,9 @@ class TestDependencies:
         assert not {"repro.suite", "repro.search", "numpy"} & loaded
 
     def test_flow_imports_load_no_store_pool_or_daemon(self):
-        """The library imports of perfbench's flow-minic workload."""
+        """The library imports of perfbench's flow-minic workload (its
+        set-up calls ``test_image``, which loads numpy; importing it
+        does not)."""
         tree = ast.parse((ROOT / "perfbench" / "flow_minic.py").read_text())
         imports = [
             ast.unparse(node) for node in tree.body
@@ -139,7 +153,7 @@ class TestDependencies:
         ]
         assert imports
         loaded, _ = footprint.probe("\n".join(imports))
-        assert not set(NOT_FOR_ONE_RUN) & loaded
+        assert not {*NOT_FOR_ONE_RUN, "numpy"} & loaded
 
     def test_cli_partition_loads_no_store_pool_or_numpy(self):
         loaded, _ = footprint.probe(
@@ -149,18 +163,40 @@ class TestDependencies:
         )
         assert not {*NOT_FOR_ONE_RUN, "numpy"} & loaded
 
-    def test_serving_a_job_loads_no_store_reports_or_numpy(self):
+    def test_cli_partition_of_the_measured_ofdm_loads_no_numpy(self):
+        """The transmitter's tables and payload bits come from the
+        stdlib: interpreting it loads no numpy."""
         loaded, _ = footprint.probe(
+            footprint.ENTRY_POINTS[
+                "python -m repro partition --workload ofdm-measured "
+                "--fraction 0.5"
+            ]
+        )
+        assert "repro.workloads.ofdm" in loaded
+        assert not {*NOT_FOR_ONE_RUN, "numpy"} & loaded
+
+    @staticmethod
+    def serve_one(workload):
+        """The modules a fresh process holds after serving one job."""
+        return footprint.probe(
             "import repro.serve\n"
             "with repro.serve.Server() as server:\n"
             "    job = server.submit_payload(\n"
-            "        {'workload': 'synthetic:12:seed=3', 'fraction': 0.5})\n"
+            f"        {{'workload': {workload!r}, 'fraction': 0.5}})\n"
             "    assert server.await_result(job, timeout=60).state == 'done'"
-        )
+        )[0]
+
+    def test_serving_a_job_loads_no_store_reports_or_numpy(self):
+        loaded = self.serve_one("synthetic:12:seed=3")
         assert "repro.serve.server" in loaded
         assert not {
             "sqlite3", "csv", "repro.suite", "repro.reporting", "numpy",
         } & loaded
+
+    def test_serving_a_measured_ofdm_job_loads_no_numpy(self):
+        loaded = self.serve_one("ofdm-measured")
+        assert "repro.workloads.ofdm" in loaded
+        assert "numpy" not in loaded
 
 
 class TestResultTypes:

@@ -419,6 +419,29 @@ class TestFraming:
         assert len(replies) == 1, replies
         assert_json_error(replies[0], status, code)
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /jobs HTTP/1.1\r\n",
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nHost: y\r\n",
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nhOST: x\r\n",
+            b"POST /jobs HTTP/1.0\r\nHost: x\r\nHost: y\r\n",
+        ],
+        ids=["no-host", "two-hosts", "two-hosts-any-case",
+             "http-1.0-two-hosts"],
+    )
+    def test_a_request_needs_exactly_one_host(self, daemon, head):
+        # RFC 9112 §3.2: an HTTP/1.1 request without a Host field and
+        # any request with two are a 400 (both used to get a 202).
+        # HTTP/1.0 needs none: test_http_1_0_closes_after_its_reply.
+        replies = exchange(
+            daemon, head + b"Content-Length: 37\r\n\r\n" + BODY_37
+        )
+        assert len(replies) == 1, replies
+        assert_json_error(replies[0], 400, "invalid-request")
+        assert "Host" in json.loads(replies[0][2])["error"]["message"]
+        assert daemon.server.stats()["jobs"]["submitted"] == 0
+
     def test_a_head_cut_by_eof_is_one_400(self, daemon):
         replies = exchange(
             daemon, b"GET /healthz HTTP/1.1\r\nHost: x", half_close=True
@@ -427,9 +450,9 @@ class TestFraming:
         assert_json_error(replies[0], 400, "invalid-request")
 
     def test_100_fields_are_served(self, daemon):
-        head = b"".join(b"X-Field-%d: %d\r\n" % (i, i) for i in range(99))
+        head = b"".join(b"X-Field-%d: %d\r\n" % (i, i) for i in range(98))
         [(status, _, body)] = exchange(
-            daemon, b"GET /healthz HTTP/1.1\r\n" + head
+            daemon, b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + head
             + b"Connection: close\r\n\r\n",
         )
         assert status == 200 and json.loads(body) == {"ok": True}
@@ -446,7 +469,7 @@ class TestFraming:
             )
             stream = sock.makefile("rb")
             assert read_reply(stream)[0] == 100
-            sock.sendall(BODY_37 + b"GET /healthz HTTP/1.1\r\n"
+            sock.sendall(BODY_37 + b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
                          b"Connection: close\r\n\r\n")
             assert read_reply(stream)[0] == 202
             assert read_reply(stream)[0] == 200
@@ -460,17 +483,27 @@ class TestFraming:
 
     def test_a_body_no_route_reads_closes_the_connection(self, daemon):
         replies = exchange(
-            daemon, b"POST /nope HTTP/1.1\r\nContent-Length: 37\r\n\r\n"
-            + BODY_37 + b"GET /healthz HTTP/1.1\r\n\r\n",
+            daemon, b"POST /nope HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 37\r\n\r\n"
+            + BODY_37 + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
         )
         assert [status for status, _, _ in replies] == [404]
         assert replies[0][1]["connection"] == "close"
 
 
 #: Header names a block may draw (their case is drawn too); none of them
-#: changes how the request is framed or kept alive.
-FIELD_NAMES = ("Host", "Accept", "User-Agent", "X-Trace-Id", "Cache-Control")
+#: changes how the request is framed or kept alive.  Every block carries
+#: one Host field besides.
+FIELD_NAMES = ("Accept", "User-Agent", "X-Trace-Id", "Cache-Control")
 TOKEN = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def any_case(name):
+    """``name`` with the case of each letter drawn."""
+    flips = st.lists(st.booleans(), min_size=len(name), max_size=len(name))
+    return flips.map(lambda flips: "".join(
+        c.swapcase() if flip else c for c, flip in zip(name, flips)
+    ))
 
 
 @st.composite
@@ -478,11 +511,9 @@ def field_name(draw):
     name = draw(st.sampled_from(FIELD_NAMES) | st.text(TOKEN, min_size=1,
                                                        max_size=12))
     if name.lower() in ("content-length", "transfer-encoding", "connection",
-                        "expect"):
+                        "expect", "host"):
         name = "X-" + name
-    flips = draw(st.lists(st.booleans(), min_size=len(name),
-                          max_size=len(name)))
-    return "".join(c.swapcase() if flip else c for c, flip in zip(name, flips))
+    return draw(any_case(name))
 
 
 #: Field values: visible latin-1 text with inner spaces and tabs.
@@ -496,16 +527,19 @@ JUNK_LINES = st.sampled_from([
     "no colon here", "Name : space before the colon", " folded: value",
     "\tfolded: value", ": no name", "Bad Name: value", "Na(me: value",
     "Content-Length: 5", "Transfer-Encoding: chunked", "Value: bell\x07",
-    "Value: nul\x00", "Value: lone\rcr",
+    "Value: nul\x00", "Value: lone\rcr", "Host: a second host",
 ])
 
 
 @st.composite
 def header_block(draw):
-    """(lines, valid): valid fields with junk lines mixed in or not."""
+    """(lines, valid): valid fields, one Host among them, with junk lines
+    mixed in or not."""
     lines = draw(st.lists(
         st.builds("{}:{}".format, field_name(), FIELD_VALUE), max_size=8
     ))
+    host = draw(st.builds("{}:{}".format, any_case("Host"), FIELD_VALUE))
+    lines.insert(draw(st.integers(0, len(lines))), host)
     junk = draw(st.lists(JUNK_LINES, max_size=2))
     for line in junk:
         lines.insert(draw(st.integers(0, len(lines))), line)
@@ -537,7 +571,7 @@ class TestHeadParserProperty:
                 assert reply[0] == 202, (lines, reply)
                 assert "connection" not in reply[1]
                 # Still open: the next request is served on it.
-                sock.sendall(b"GET /healthz HTTP/1.1\r\n"
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
                              b"Connection: close\r\n\r\n")
                 assert read_reply(stream)[0] == 200
             else:
@@ -572,6 +606,25 @@ class TestBackpressure:
 
 
 class TestShutdown:
+    def test_an_idle_daemon_closes_at_once(self):
+        # close() used to wait out the HTTP loop's 0.5 s poll interval.
+        daemon = ServeDaemon(ServerConfig(), port=0).start()
+        started = time.perf_counter()
+        daemon.close()
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.2, f"an idle daemon took {elapsed:.3f} s to close"
+        with pytest.raises(OSError):
+            socket.create_connection(daemon.address, timeout=1).close()
+
+    def test_a_daemon_never_started_closes(self):
+        # shutdown() of an HTTP loop that never ran used to block forever.
+        closer = threading.Thread(
+            target=ServeDaemon(ServerConfig(), port=0).close, daemon=True
+        )
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+
     def test_shutdown_endpoint_drains(self):
         daemon = ServeDaemon(ServerConfig(), port=0).start()
         _, submitted, _ = post(daemon, "/jobs", JOB)

@@ -11,7 +11,7 @@ from repro.workloads import (
     random_bits,
 )
 from repro.workloads import test_image as make_test_image  # avoid pytest collection
-from repro.workloads.dsp import (
+from oracles.dsp import (
     dct2d_fixed,
     encode_block,
     ifft_fixed,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.dsp import (
+from oracles.dsp import (
     bit_reverse_indices,
     code_length,
     dct2d_fixed,

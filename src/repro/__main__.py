@@ -324,27 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default per-job queue timeout in seconds (default: none)",
     )
     srv.add_argument(
-        "--task-retries", type=int, default=0,
-        help="retries per failed job task before reporting the failure "
-        "(default 0)",
-    )
-    srv.add_argument(
-        "--retry-backoff", type=float, default=0.05,
-        help="base seconds of the deterministic exponential backoff "
-        "between retries (default 0.05)",
-    )
-    srv.add_argument(
-        "--breaker-threshold", type=int, default=0,
-        help="consecutive infrastructure-failure groups per "
-        "workload×platform pair before the circuit breaker opens; "
-        "0 disables the breaker (default 0)",
-    )
-    srv.add_argument(
-        "--breaker-cooldown", type=float, default=30.0,
-        help="seconds an open circuit breaker rejects jobs before "
-        "half-closing (default 30)",
-    )
-    srv.add_argument(
         "--drain-deadline", type=float, default=None,
         help="hard cap in seconds on the SIGTERM/shutdown drain; past "
         "it pending jobs are failed fast so a stuck job cannot wedge "
@@ -787,7 +766,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import ServerConfig, run_daemon
+    from .serve import ServeDaemon, ServerConfig, run_daemon
 
     if not 0 <= args.port <= 65535:
         print(
@@ -796,35 +775,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        config = ServerConfig(
-            workers=args.workers,
-            queue_capacity=args.queue_capacity,
-            cache_capacity=args.cache_capacity,
-            default_timeout_seconds=args.default_timeout,
-            task_retries=args.task_retries,
-            retry_backoff_seconds=args.retry_backoff,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown_seconds=args.breaker_cooldown,
-        )
-        if args.drain_deadline is not None and args.drain_deadline <= 0:
-            raise ValueError("--drain-deadline must be positive")
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        return run_daemon(
-            config,
+        daemon = ServeDaemon(
+            ServerConfig(
+                workers=args.workers,
+                queue_capacity=args.queue_capacity,
+                cache_capacity=args.cache_capacity,
+                default_timeout_seconds=args.default_timeout,
+            ),
             host=args.host,
             port=args.port,
             verbose=args.verbose,
             drain_deadline_seconds=args.drain_deadline,
         )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except OSError as error:
         print(
             f"error: cannot bind {args.host}:{args.port}: {error}",
             file=sys.stderr,
         )
         return 2
+    return run_daemon(daemon)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

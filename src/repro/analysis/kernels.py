@@ -49,10 +49,6 @@ class AnalysisResult:
         """BB ids in the order the partitioning engine will move them."""
         return [kernel.bb_id for kernel in self.kernels]
 
-    def top_table(self, count: int = 8) -> list[KernelInfo]:
-        """The paper's Table 1: the ``count`` heaviest kernels."""
-        return self.kernels[:count]
-
     def kernel(self, bb_id: int) -> KernelInfo:
         for kernel in self.kernels:
             if kernel.bb_id == bb_id:

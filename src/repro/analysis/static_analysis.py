@@ -47,9 +47,6 @@ class StaticAnalysisResult:
 
     blocks: dict[int, BlockStaticInfo] = field(default_factory=dict)
 
-    def weight_of(self, bb_id: int) -> int:
-        return self.blocks[bb_id].bb_weight
-
     def operator_distribution(self) -> dict[str, int]:
         """Program-wide complexity distribution over operator classes —
         the "illustrative overview" output of the paper's static pass."""
@@ -72,9 +69,6 @@ class StaticAnalysisResult:
     def total_instructions(self) -> int:
         """Program-wide instruction count, terminators included."""
         return sum(info.instruction_count for info in self.blocks.values())
-
-    def total_memory_accesses(self) -> int:
-        return sum(info.memory_accesses for info in self.blocks.values())
 
 
 def analyze_block(

@@ -1,4 +1,4 @@
-"""Deterministic fault injection and the retry policy.
+"""Deterministic fault injection and the structured failure record.
 
 Chaos testing is only useful when a failing run can be replayed: this
 module provides the seed-driven, picklable :class:`FaultPlan` that
@@ -8,33 +8,23 @@ schedule — every fault is addressed by ``(task_index, attempt)`` — so a
 chaos run is exactly as reproducible as a fault-free one and its
 assertions never flake.
 
-Five fault kinds cover the failure modes a process pool actually has:
+Three fault kinds cover the failure modes a process pool actually has:
 
 ``crash``
     The worker process dies mid-task (``os._exit``), breaking the pool.
     In a serial/in-process run (where there is no process to kill) the
-    same schedule raises :class:`WorkerCrashError` instead, which the
-    retry machinery treats exactly like a pool break, so results stay
-    worker-count independent.
+    same schedule raises :class:`WorkerCrashError` instead, which is
+    recovered exactly like a pool break, so results stay worker-count
+    independent.
 ``error``
     The task raises :class:`InjectedFaultError` — an ordinary task
-    exception, retried against the per-task attempt budget.
+    exception, which fails the task.
 ``slow``
     The task sleeps ``seconds`` before running; latency injection for
-    deadline and p99 assertions.
-``hang``
-    The task sleeps ``seconds`` *instead of* finishing promptly; under a
-    per-task deadline the parent kills the pool and retries, so a finite
-    injected hang models an unbounded real one without wedging a test.
-``poison``
-    The task "succeeds" but returns a :class:`PoisonedResult` sentinel
-    instead of its real result; the parent detects and fails it
-    structurally instead of handing garbage downstream.
+    drain-deadline and p99 assertions.
 
-The module also owns what the rest of the robustness layer shares:
-:class:`RetryPolicy` (bounded attempts, deterministic exponential
-backoff, pool-rebuild budget) and the structured :class:`TaskFailure`
-record that replaces "the whole batch died" as a failure report.
+The module also owns the structured :class:`TaskFailure` record that
+replaces "the whole batch died" as a failure report.
 """
 
 from __future__ import annotations
@@ -47,15 +37,13 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFaultError",
-    "PoisonedResult",
-    "RetryPolicy",
     "TaskFailure",
     "TaskFailureError",
     "WorkerCrashError",
 ]
 
 #: The schedulable fault kinds.
-FAULT_KINDS = ("crash", "error", "slow", "hang", "poison")
+FAULT_KINDS = ("crash", "error", "slow")
 
 #: Exit status an injected crash kills the worker with (distinctive, so
 #: a pool-break in a chaos run is attributable at a glance).
@@ -69,16 +57,7 @@ class InjectedFaultError(RuntimeError):
 class WorkerCrashError(RuntimeError):
     """A ``crash`` fault simulated in-process (serial runs have no
     worker process to kill); handled like a pool break, bounded by the
-    :class:`RetryPolicy` rebuild budget rather than the attempt budget."""
-
-
-@dataclass(frozen=True)
-class PoisonedResult:
-    """The sentinel a ``poison`` fault returns instead of a real result."""
-
-    task_index: int
-    attempt: int
-    note: str = "poisoned result"
+    same pool-rebuild budget."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +68,7 @@ class FaultSpec:
     task_index: int
     attempt: int
     kind: str
-    #: Sleep length for ``slow``/``hang`` faults (ignored otherwise).
+    #: Sleep length for ``slow`` faults (ignored otherwise).
     seconds: float = 0.0
     message: str = ""
 
@@ -185,69 +164,15 @@ class FaultPlan:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded, deterministic retry behaviour for one task batch.
-
-    ``max_attempts`` bounds *counted* executions per task — a task
-    exception, a poisoned result, or a per-task deadline expiry each
-    consume one attempt.  Pool breaks do not: a crash's victims (the
-    crashed task and any innocent in-flight neighbours) are re-run
-    against the separate ``max_pool_rebuilds`` budget, so one flaky
-    worker cannot eat the attempt budget of every task it took down.
-    Backoff before retry ``k`` (counting from 1) is
-    ``backoff_seconds * backoff_factor ** (k - 1)`` — deterministic, and
-    slept inside the worker so the parent never stalls.
-    """
-
-    #: Counted executions allowed per task (1 = no retries).
-    max_attempts: int = 1
-    #: First-retry backoff; retries sleep before re-running.
-    backoff_seconds: float = 0.05
-    #: Exponential backoff multiplier per further retry.
-    backoff_factor: float = 2.0
-    #: Per-task deadline per attempt (seconds); expiry kills the pool,
-    #: fails or retries the expired task, and re-runs the innocents.
-    #: ``None`` disables the deadline.  Only enforceable where there is
-    #: a process to kill — in-process (serial) runs cannot preempt.
-    task_timeout_seconds: float | None = None
-    #: Pool resurrections allowed after genuine worker crashes before
-    #: the remaining tasks finish serially in-process.
-    max_pool_rebuilds: int = 2
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if (
-            self.task_timeout_seconds is not None
-            and self.task_timeout_seconds <= 0
-        ):
-            raise ValueError("task_timeout_seconds must be positive")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
-
-    def backoff_for(self, prior_failures: int) -> float:
-        """Seconds to sleep before the next execution of a task that has
-        failed ``prior_failures`` times already (0 = no sleep)."""
-        if prior_failures <= 0 or self.backoff_seconds == 0:
-            return 0.0
-        return self.backoff_seconds * self.backoff_factor ** (
-            prior_failures - 1
-        )
-
-
-@dataclass(frozen=True)
 class TaskFailure:
     """The structured per-task report of an exhausted failure.
 
-    ``kind`` is one of ``"exception"``, ``"poisoned"``, ``"timeout"``,
-    ``"crashed"``.  In ``failure_mode="report"`` runs these occupy the
-    failed task's result slot so one poisoned task no longer loses the
-    whole batch; in ``failure_mode="raise"`` runs they surface as a
-    :class:`TaskFailureError` (or the task's own exception).
+    ``kind`` is ``"exception"`` (the task raised) or ``"crashed"`` (an
+    in-process simulated crash outlived the pool-rebuild budget).  In
+    ``failure_mode="report"`` runs these occupy the failed task's result
+    slot so one failing task no longer loses the whole batch; in
+    ``failure_mode="raise"`` runs they surface as the task's own
+    exception (or a :class:`TaskFailureError`).
     """
 
     index: int
@@ -264,7 +189,7 @@ class TaskFailure:
 
 class TaskFailureError(RuntimeError):
     """Raised in ``failure_mode="raise"`` for failures that have no
-    original exception object (timeouts, crashes, poisoned results)."""
+    original exception object (simulated crashes)."""
 
     def __init__(self, failure: TaskFailure) -> None:
         super().__init__(failure.describe())

@@ -56,9 +56,6 @@ class TemporalPartitioning:
     def partition_count(self) -> int:
         return len(self.partitions)
 
-    def partition_of(self, node_id: int) -> int:
-        return self.assignment[node_id]
-
     def validate(self, characterization: HardwareCharacterization) -> None:
         """Check the Figure 3 invariants.
 

@@ -186,6 +186,3 @@ class Token(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})@{self.location}"
-
-    def is_kind(self, *kinds: TokenKind) -> bool:
-        return self.kind in kinds

@@ -70,14 +70,6 @@ class BasicBlock:
     def memory_access_count(self) -> int:
         return sum(1 for ins in self.body if ins.opcode.is_memory)
 
-    def compute_op_count(self) -> int:
-        """Number of value-computing (non-move, non-memory) operations."""
-        return sum(
-            1
-            for ins in self.body
-            if ins.op_class in (OpClass.ALU, OpClass.MUL, OpClass.DIV)
-        )
-
     def __str__(self) -> str:
         lines = [f"{self.label}:"]
         lines.extend(f"  {ins}" for ins in self.instructions)

@@ -235,9 +235,6 @@ class DataFlowGraph:
         """Nodes grouped by ASAP level, index 0 = level 1."""
         return [self.nodes_at_level(level) for level in range(1, self.max_level + 1)]
 
-    def critical_path_length(self) -> int:
-        return self.max_level
-
     # ------------------------------------------------------------------
     # Statistics for analysis / communication model
     # ------------------------------------------------------------------

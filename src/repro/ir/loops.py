@@ -81,12 +81,6 @@ class LoopForest:
             return None
         return min(containing, key=lambda x: x.size)
 
-    def blocks_in_loops(self) -> set[str]:
-        blocks: set[str] = set()
-        for loop in self.loops:
-            blocks |= loop.body
-        return blocks
-
     def headers(self) -> list[str]:
         return [loop.header for loop in self.loops]
 

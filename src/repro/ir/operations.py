@@ -92,10 +92,6 @@ class Opcode(enum.Enum):
         self.is_control = op_class is OpClass.CONTROL
         self.is_memory = op_class is OpClass.MEM
 
-    @property
-    def produces_value(self) -> bool:
-        return self.op_class not in (OpClass.CONTROL,) and self is not Opcode.STORE
-
 
 #: AST binary operator -> opcode used by the lowering pass.
 BINARY_OPCODES = {
@@ -227,12 +223,6 @@ class Instruction:
     def uses(self) -> tuple[Operand, ...]:
         """Operands read by this instruction (includes array bases)."""
         return self.operands
-
-    def value_uses(self) -> tuple[Value, ...]:
-        """Only the scalar value operands (Temp/VarRef/Const)."""
-        return tuple(
-            op for op in self.operands if isinstance(op, (Temp, VarRef, Const))
-        )
 
     def __str__(self) -> str:
         parts = [self.opcode.mnemonic]

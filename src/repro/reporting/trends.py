@@ -27,7 +27,6 @@ HTML artifact (:func:`write_trends_html`) for CI uploads.
 from __future__ import annotations
 
 import html
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -443,7 +442,3 @@ def trends_json_dict(report: TrendsReport) -> dict[str, object]:
             for trend in report.trends
         ],
     }
-
-
-def render_trends_json(report: TrendsReport) -> str:
-    return json.dumps(trends_json_dict(report), indent=2, sort_keys=True)

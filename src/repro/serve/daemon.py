@@ -33,6 +33,7 @@ a rule gets one JSON error (400, or 414, 431, 501, 505) with
 from __future__ import annotations
 
 import json
+import math
 import re
 import signal
 import socket
@@ -356,11 +357,9 @@ class ServeDaemon:
         verbose: bool = False,
         drain_deadline_seconds: float | None = None,
     ) -> None:
-        if (
-            drain_deadline_seconds is not None
-            and drain_deadline_seconds <= 0
-        ):
-            raise ValueError("drain_deadline_seconds must be positive")
+        deadline = drain_deadline_seconds
+        if deadline is not None and not 0 < deadline < math.inf:
+            raise ValueError("drain_deadline_seconds must be positive and finite")
         self.server = Server(config)
         self.verbose = verbose
         #: Hard cap on the SIGTERM/shutdown drain: after this many
@@ -458,24 +457,13 @@ class ServeDaemon:
         self.close()
 
 
-def run_daemon(
-    config: ServerConfig,
-    host: str,
-    port: int,
-    verbose: bool = False,
-    drain_deadline_seconds: float | None = None,
-) -> int:
-    """The blocking ``python -m repro serve`` body."""
-    daemon = ServeDaemon(
-        config,
-        host=host,
-        port=port,
-        verbose=verbose,
-        drain_deadline_seconds=drain_deadline_seconds,
-    )
+def run_daemon(daemon: ServeDaemon) -> int:
+    """The blocking ``python -m repro serve`` body: serve ``daemon``
+    until a shutdown request, then drain it."""
     daemon.install_signal_handlers()
     daemon.start()
     bound_host, bound_port = daemon.address
+    config = daemon.server.config
     print(
         f"serving partitioning jobs on http://{bound_host}:{bound_port} "
         f"({config.workers} worker(s), queue capacity "

@@ -23,6 +23,7 @@ job whose record the server no longer keeps.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -135,8 +136,9 @@ class JobRequest:
         except ValueError as error:
             raise JobValidationError(str(error)) from None
         object.__setattr__(self, "job", job)
-        if self.timeout_seconds is not None and self.timeout_seconds < 0:
-            raise JobValidationError("'timeout_seconds' must be >= 0")
+        timeout = self.timeout_seconds
+        if timeout is not None and not 0 <= timeout < math.inf:
+            raise JobValidationError("'timeout_seconds' must be >= 0 and finite")
 
     @property
     def pair_key(self) -> tuple[WorkloadSpec, PlatformSpec]:
@@ -185,31 +187,34 @@ class JobRequest:
         constraint = payload.get("constraint")
         if constraint is not None and not isinstance(constraint, int):
             raise JobValidationError("'constraint' must be an integer")
-        fraction = payload.get("fraction")
-        if fraction is not None:
-            if isinstance(fraction, bool) or not isinstance(
-                fraction, (int, float)
-            ):
-                raise JobValidationError("'fraction' must be a number")
-            fraction = float(fraction)
-        timeout = payload.get("timeout_seconds")
-        if timeout is not None:
-            if isinstance(timeout, bool) or not isinstance(
-                timeout, (int, float)
-            ):
-                raise JobValidationError("'timeout_seconds' must be a number")
-            timeout = float(timeout)
         return cls(
             workload=workload,
             platform=platform,
             constraint=constraint,
-            fraction=fraction,
+            fraction=_float_field(payload, "fraction"),
             algorithm=algorithm,
-            timeout_seconds=timeout,
+            timeout_seconds=_float_field(payload, "timeout_seconds"),
         )
 
     def describe(self) -> str:
         return self.job.describe()
+
+
+def _float_field(payload: dict[str, object], name: str) -> float | None:
+    """``payload[name]`` as a float, or None when it is absent.
+
+    JSON numbers are Python ints or floats; an int too large for a float
+    is refused here rather than escaping as an ``OverflowError``.
+    """
+    value = payload.get(name)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise JobValidationError(f"{name!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise JobValidationError(f"{name!r} must be a finite number") from None
 
 
 def _platform_from_payload(payload: object) -> PlatformSpec:

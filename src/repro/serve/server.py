@@ -57,6 +57,7 @@ poll of a forgotten id raises :class:`~repro.serve.jobs.ExpiredJobError`
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -65,7 +66,7 @@ from functools import partial
 
 from .. import telemetry
 from ..explore.space import PlatformSpec, WorkloadSpec
-from ..faults import FaultPlan, RetryPolicy, TaskFailure
+from ..faults import FaultPlan, TaskFailure
 from ..job import Job, run_job
 from ..parallel import map_tasks
 from ..partition.packed import PackedCostTable
@@ -117,17 +118,6 @@ class ServerConfig:
     #: Default per-job queue timeout when a request carries none;
     #: ``None`` means queued jobs wait indefinitely.
     default_timeout_seconds: float | None = None
-    #: Extra executions allowed per crashed/errored job task (0 = fail
-    #: on the first counted failure, the historical behaviour).
-    task_retries: int = 0
-    #: First-retry backoff for job-task retries (doubles per retry).
-    retry_backoff_seconds: float = 0.05
-    #: Consecutive infrastructure-failure *group* events per (workload ×
-    #: platform) pair before its circuit breaker opens and jobs on that
-    #: pair fail fast; 0 disables the breaker.
-    breaker_threshold: int = 0
-    #: How long an open breaker rejects before going half-open.
-    breaker_cooldown_seconds: float = 30.0
     #: Deterministic chaos injection threaded into every group fan-out
     #: (tests / ``benchmarks/bench_chaos.py``); ``None`` in production.
     fault_plan: FaultPlan | None = None
@@ -139,19 +129,9 @@ class ServerConfig:
             raise ValueError("queue_capacity must be >= 1")
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
-        if (
-            self.default_timeout_seconds is not None
-            and self.default_timeout_seconds < 0
-        ):
-            raise ValueError("default_timeout_seconds must be >= 0")
-        if self.task_retries < 0:
-            raise ValueError("task_retries must be >= 0")
-        if self.retry_backoff_seconds < 0:
-            raise ValueError("retry_backoff_seconds must be >= 0")
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be >= 0")
-        if self.breaker_cooldown_seconds < 0:
-            raise ValueError("breaker_cooldown_seconds must be >= 0")
+        timeout = self.default_timeout_seconds
+        if timeout is not None and not 0 <= timeout < math.inf:
+            raise ValueError("default_timeout_seconds must be >= 0 and finite")
 
 
 def _serve_job(
@@ -194,10 +174,6 @@ class Server:
         self.caches = PricedTableCache(
             capacity=self.config.cache_capacity, counter_prefix="serve"
         )
-        self._retry_policy = RetryPolicy(
-            max_attempts=self.config.task_retries + 1,
-            backoff_seconds=self.config.retry_backoff_seconds,
-        )
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._queue: deque[JobRecord] = deque()
@@ -220,24 +196,14 @@ class Server:
             "rejected": 0,
             "batches": 0,
         }
-        #: Supervision counters (fed by map_tasks' counters sink plus
-        #: the breaker events); surfaced under /stats "robustness".
-        #: Written only by the dispatcher thread.
+        #: Supervision counters (fed by map_tasks' counters sink);
+        #: surfaced under /stats "robustness".  Written only by the
+        #: dispatcher thread.
         self._robust_counts: dict[str, int] = {
-            "task_retries": 0,
             "pool_rebuilds": 0,
-            "task_timeouts": 0,
             "tasks_failed": 0,
             "tasks_recovered": 0,
-            "breaker_trips": 0,
-            "breaker_rejections": 0,
         }
-        #: Per-(workload × platform) circuit breakers:
-        #: pair -> {"failures": consecutive infra-failure group events,
-        #:          "open_until": monotonic fail-fast horizon}.
-        self._breakers: dict[
-            tuple[WorkloadSpec, PlatformSpec], dict[str, float]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -429,17 +395,10 @@ class Server:
 
     def stats(self) -> dict[str, object]:
         """A JSON-ready snapshot of counters, caches, and queue state."""
-        now = time.monotonic()
         with self._lock:
             queued = len(self._queue)
             counts = dict(self._counts)
-            robust: dict[str, object] = dict(self._robust_counts)
-            robust["open_breakers"] = sum(
-                1
-                for state in self._breakers.values()
-                if state["failures"] >= self.config.breaker_threshold
-                and now < state["open_until"]
-            )
+            robust = dict(self._robust_counts)
         return {
             "state": (
                 "stopped" if self._stopping
@@ -558,48 +517,11 @@ class Server:
                 )
         return taken
 
-    def _breaker_check(
-        self, pair: tuple[WorkloadSpec, PlatformSpec]
-    ) -> dict[str, float] | None:
-        """The pair's breaker state, or None when breakers are off.
-
-        Raises nothing; an *open* breaker is reported by the caller via
-        the returned state (``open_until`` in the future).
-        """
-        if self.config.breaker_threshold <= 0:
-            return None
-        return self._breakers.setdefault(
-            pair, {"failures": 0, "open_until": 0.0}
-        )
-
     def _run_group(
         self,
         pair: tuple[WorkloadSpec, PlatformSpec],
         records: list[JobRecord],
     ) -> None:
-        breaker = self._breaker_check(pair)
-        if breaker is not None:
-            now = time.monotonic()
-            if (
-                breaker["failures"] >= self.config.breaker_threshold
-                and now < breaker["open_until"]
-            ):
-                # Open: fail fast, protect the pool from a pair that
-                # keeps taking workers down.
-                retry_after = round(breaker["open_until"] - now, 3)
-                self._robust_counts["breaker_rejections"] += len(records)
-                telemetry.count("serve_breaker_rejections", len(records))
-                for record in records:
-                    self._finish_error(
-                        record,
-                        "failed",
-                        f"circuit breaker open for {pair[0].label!r} on "
-                        f"{pair[1].label!r} after repeated failures; "
-                        f"retry in {retry_after:g}s",
-                        extra={"retry_after_seconds": retry_after},
-                        code="circuit-open",
-                    )
-                return
         try:
             workload, platform, table = self.caches.resolve(pair)
         except Exception as error:  # noqa: BLE001 - bad spec, not a crash
@@ -627,7 +549,6 @@ class Server:
             # The dispatcher already holds the built objects: no
             # per-job rebuild, no pickling.
             serial_runner=partial(serve, built=(workload, platform)),
-            policy=self._retry_policy,
             fault_plan=self.config.fault_plan,
             failure_mode="report",
             counters=self._robust_counts,
@@ -637,13 +558,10 @@ class Server:
         self._job_seconds_ema = (
             0.8 * self._job_seconds_ema + 0.2 * per_job
         )
-        infra_failures = 0
         for record, outcome in zip(records, outcomes, strict=True):
             if isinstance(outcome, TaskFailure):
-                # Supervision exhausted the task's attempts: crashed /
-                # timed out / kept raising even after retries.
-                if outcome.kind in ("crashed", "timeout"):
-                    infra_failures += 1
+                # Only an injected fault fails the task itself: a job's
+                # own error comes back as an ("error", ...) outcome.
                 self._finish_error(
                     record,
                     "failed",
@@ -660,21 +578,6 @@ class Server:
                 self._finish_ok(record, value, finished)
             else:
                 self._finish_error(record, "failed", str(value))
-        if breaker is not None:
-            if infra_failures:
-                breaker["failures"] += 1
-                if breaker["failures"] >= self.config.breaker_threshold:
-                    breaker["open_until"] = (
-                        time.monotonic()
-                        + self.config.breaker_cooldown_seconds
-                    )
-                    self._robust_counts["breaker_trips"] += 1
-                    telemetry.count("serve_breaker_trips")
-            else:
-                # A clean group closes the breaker (half-open probe
-                # succeeded, or the pair recovered on its own).
-                breaker["failures"] = 0
-                breaker["open_until"] = 0.0
 
     # ------------------------------------------------------------------
     # Completion

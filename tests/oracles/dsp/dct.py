@@ -14,15 +14,21 @@ DCT_FRAC_BITS = 10
 DCT_SCALE = 1 << DCT_FRAC_BITS
 
 
-def dct_matrix_fixed() -> np.ndarray:
-    """Q10 integer 8x8 DCT-II (orthonormal) coefficient matrix."""
+def _dct_matrix() -> np.ndarray:
+    """The unrounded orthonormal 8x8 DCT-II matrix ``C`` (row ``k`` is
+    frequency ``k``), so the 2-D DCT of ``x`` is ``C @ x @ C.T``."""
     n = 8
     matrix = np.zeros((n, n), dtype=np.float64)
     for k in range(n):
         for i in range(n):
             alpha = np.sqrt(1.0 / n) if k == 0 else np.sqrt(2.0 / n)
             matrix[k, i] = alpha * np.cos((2 * i + 1) * k * np.pi / (2 * n))
-    return np.round(matrix * DCT_SCALE).astype(np.int64)
+    return matrix
+
+
+def dct_matrix_fixed() -> np.ndarray:
+    """Q10 integer 8x8 DCT-II (orthonormal) coefficient matrix."""
+    return np.round(_dct_matrix() * DCT_SCALE).astype(np.int64)
 
 
 def _shift_round_toward_zero(value: np.ndarray, bits: int) -> np.ndarray:
@@ -60,7 +66,5 @@ def dct2d_fixed(block: np.ndarray) -> np.ndarray:
 
 def dct2d_reference(block: np.ndarray) -> np.ndarray:
     """Floating orthonormal 2-D DCT-II (for tolerance comparisons)."""
-    from scipy.fftpack import dct
-
-    block = np.asarray(block, dtype=np.float64)
-    return dct(dct(block.T, norm="ortho").T, norm="ortho")
+    c = _dct_matrix()
+    return c @ np.asarray(block, dtype=np.float64) @ c.T

@@ -195,17 +195,29 @@ class TestEndpoints:
         assert status == 400
         assert payload["error"]["code"] == "invalid-request"
 
-    @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
-    def test_non_finite_fraction_is_400_and_the_daemon_keeps_serving(
-        self, daemon, fraction
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fraction", float("nan")),
+            ("fraction", float("inf")),
+            # A 401-digit integer overflows float(): it used to kill
+            # the request with no reply.
+            ("fraction", 10**400),
+            ("timeout_seconds", 10**400),
+            # A NaN timeout used to be accepted and never expire.
+            ("timeout_seconds", float("nan")),
+        ],
+        ids=["fraction-nan", "fraction-inf", "fraction-huge",
+             "timeout-huge", "timeout-nan"],
+    )
+    def test_non_finite_number_is_400_and_the_daemon_keeps_serving(
+        self, daemon, field, value
     ):
         # json.dumps writes the NaN / Infinity literals json.loads reads.
-        status, payload, _ = post(
-            daemon, "/jobs", {**JOB, "fraction": fraction}
-        )
+        status, payload, _ = post(daemon, "/jobs", {**JOB, field: value})
         assert status == 400
         assert payload["error"]["code"] == "invalid-request"
-        assert "fraction" in payload["error"]["message"]
+        assert field in payload["error"]["message"]
         status, payload, _ = post(daemon, "/jobs", JOB)
         assert status == 202
         record = daemon.server.await_result(payload["job_id"], timeout=60)

@@ -4,13 +4,15 @@ Chaos through the front door: deterministic
 :class:`~repro.faults.FaultPlan` schedules run through a real
 :class:`Server` (and daemon), asserting the acceptance contract — a
 seeded plan killing two workers yields results bit-identical to a
-fault-free run with the recovery visible in ``stats()``; the breaker
-and the drain deadline fail fast instead of hanging.
+fault-free run with the recovery visible in ``stats()``; a failing
+task fails only its own job; the drain deadline fails fast instead of
+hanging.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import urllib.error
@@ -68,9 +70,7 @@ class TestFaultRecovery:
         # the recovery must be visible in /stats.
         baseline, __ = run_batch(ServerConfig(workers=4))
         plan = FaultPlan.crash_at(0, 1)
-        chaotic, stats = run_batch(
-            ServerConfig(workers=4, task_retries=2, fault_plan=plan)
-        )
+        chaotic, stats = run_batch(ServerConfig(workers=4, fault_plan=plan))
         assert all(p["state"] == "done" for p in chaotic)
         assert [p["result"] for p in baseline] == [
             p["result"] for p in chaotic
@@ -79,145 +79,18 @@ class TestFaultRecovery:
         assert robustness["pool_rebuilds"] >= 1
         assert robustness["tasks_recovered"] >= 2
 
-    def test_flaky_task_retries_then_succeeds(self):
-        plan = FaultPlan.of(
-            FaultSpec(task_index=0, attempt=0, kind="error", message="flaky")
-        )
-        payloads, stats = run_batch(
-            ServerConfig(
-                workers=2,
-                task_retries=1,
-                retry_backoff_seconds=0.0,
-                fault_plan=plan,
-            ),
-            count=2,
-        )
-        assert all(p["state"] == "done" for p in payloads)
-        assert stats["robustness"]["task_retries"] == 1
-
     def test_exhausted_failure_is_structured(self):
         plan = FaultPlan.of(
-            FaultSpec(task_index=0, attempt=0, kind="error", message="a"),
-            FaultSpec(task_index=0, attempt=1, kind="error", message="b"),
+            FaultSpec(task_index=0, attempt=0, kind="error", message="a")
         )
         payloads, stats = run_batch(
-            ServerConfig(
-                workers=2,
-                task_retries=1,
-                retry_backoff_seconds=0.0,
-                fault_plan=plan,
-            ),
-            count=2,
+            ServerConfig(workers=2, fault_plan=plan), count=2
         )
-        failed = [p for p in payloads if p["state"] == "failed"]
-        done = [p for p in payloads if p["state"] == "done"]
-        assert len(failed) == 1 and len(done) == 1
-        assert failed[0]["error"]["failure_kind"] == "exception"
-        assert stats["robustness"]["tasks_failed"] == 1
-
-
-class TestCircuitBreaker:
-    def persistent_crashes(self):
-        return FaultPlan(
-            specs=tuple(
-                FaultSpec(task_index=0, attempt=a, kind="crash")
-                for a in range(8)
-            )
-        )
-
-    def test_breaker_trips_and_rejects(self):
-        config = ServerConfig(
-            workers=2,
-            fault_plan=self.persistent_crashes(),
-            breaker_threshold=2,
-            breaker_cooldown_seconds=60.0,
-        )
-        server = Server(config).start()
-        try:
-            payloads = []
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for __ in range(3):
-                    (job_id,) = submit_n(server, 1)
-                    payloads.append(
-                        server.await_result(job_id, timeout=120).to_payload()
-                    )
-            stats = server.stats()
-        finally:
-            server.shutdown()
-        # Groups 1 and 2 fail on infrastructure; group 3 is rejected
-        # fast by the now-open breaker with a retry hint.
-        assert [p["state"] for p in payloads] == ["failed"] * 3
-        assert payloads[2]["error"]["code"] == "circuit-open"
-        assert payloads[2]["error"]["retry_after_seconds"] > 0
-        robustness = stats["robustness"]
-        assert robustness["breaker_trips"] == 1
-        assert robustness["breaker_rejections"] == 1
-        assert robustness["open_breakers"] == 1
-
-    def test_user_errors_do_not_trip_breaker(self):
-        # Task exceptions are the job's own problem, not the pool's;
-        # the breaker must ignore them.
-        plan = FaultPlan(
-            specs=tuple(
-                FaultSpec(task_index=0, attempt=a, kind="error", message="x")
-                for a in range(4)
-            )
-        )
-        config = ServerConfig(
-            workers=2,
-            fault_plan=plan,
-            breaker_threshold=1,
-            breaker_cooldown_seconds=60.0,
-        )
-        server = Server(config).start()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for __ in range(2):
-                    (job_id,) = submit_n(server, 1)
-                    payload = server.await_result(
-                        job_id, timeout=120
-                    ).to_payload()
-                    assert payload["state"] == "failed"
-                    assert payload["error"]["code"] != "circuit-open"
-            stats = server.stats()
-        finally:
-            server.shutdown()
-        assert stats["robustness"]["breaker_trips"] == 0
-
-    def test_clean_group_closes_half_open_breaker(self):
-        # One persistently-crashing group trips the breaker; after the
-        # cooldown a clean group resets it instead of re-tripping.
-        config = ServerConfig(
-            workers=2,
-            fault_plan=self.persistent_crashes(),
-            breaker_threshold=1,
-            breaker_cooldown_seconds=0.05,
-        )
-        server = Server(config).start()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                (first,) = submit_n(server, 1)
-                failed = server.await_result(first, timeout=120).to_payload()
-                assert failed["state"] == "failed"
-                assert server.stats()["robustness"]["open_breakers"] == 1
-                # Cooldown passes and the fault clears (the plan is per
-                # batch, so drop it for the probe group).
-                server.config = ServerConfig(
-                    workers=2,
-                    breaker_threshold=1,
-                    breaker_cooldown_seconds=0.05,
-                )
-                time.sleep(0.1)  # past the cooldown: half-open
-                (second,) = submit_n(server, 1)
-                ok = server.await_result(second, timeout=120).to_payload()
-            stats = server.stats()
-        finally:
-            server.shutdown()
-        assert ok["state"] == "done"
-        assert stats["robustness"]["open_breakers"] == 0
+        assert [p["state"] for p in payloads] == ["failed", "done"]
+        assert payloads[0]["error"]["failure_kind"] == "exception"
+        assert stats["robustness"] == {
+            "pool_rebuilds": 0, "tasks_failed": 1, "tasks_recovered": 0,
+        }
 
 
 class TestDispatcherLiveness:
@@ -326,6 +199,11 @@ class TestDaemonRobustness:
         assert record.error is not None
         assert record.error["code"] == "server-stopped"
 
-    def test_drain_deadline_validation(self):
-        with pytest.raises(ValueError):
-            ServeDaemon(ServerConfig(), port=0, drain_deadline_seconds=0.0)
+    @pytest.mark.parametrize("seconds", [0.0, math.nan, math.inf])
+    def test_drain_deadline_validation(self, seconds):
+        # A NaN deadline used to start a daemon whose close() raised
+        # from Thread.join before the socket was closed.
+        with pytest.raises(ValueError, match="drain_deadline_seconds"):
+            ServeDaemon(
+                ServerConfig(), port=0, drain_deadline_seconds=seconds
+            )

@@ -8,6 +8,7 @@ inside its first job / first table resolve until the test releases
 it, so jobs submitted meanwhile are known to queue behind it.
 """
 
+import math
 import threading
 import time
 
@@ -259,6 +260,11 @@ class TestTimeouts:
         assert record.error["timeout_seconds"] == pytest.approx(0.01)
         assert record.result is None
         assert server.stats()["jobs"]["timeouts"] == 1
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf])
+    def test_config_default_timeout_must_be_finite(self, seconds):
+        with pytest.raises(ValueError, match="default_timeout_seconds"):
+            ServerConfig(default_timeout_seconds=seconds)
 
     def test_config_default_timeout_applies(self):
         server = Server(ServerConfig(default_timeout_seconds=0.01))
